@@ -50,7 +50,16 @@ from .scoring import (
 )
 from .simulate import counts_on_grid, pick_anchor, simulate_set, write_trajectories
 
-__all__ = ["RunConfig", "run", "write_report_csvs", "merge_reports", "cell_seed"]
+__all__ = [
+    "RunConfig",
+    "run",
+    "load_input",
+    "training_sample",
+    "observed_counts",
+    "write_report_csvs",
+    "merge_reports",
+    "cell_seed",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -231,10 +240,7 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
             record.save(_fit_dir(payload.outdir, name, payload.product, payload.day) / "fit.json")
 
     grid = minute_grid(payload.t1, payload.t2)
-    in_window = payload.observed[
-        (payload.observed > payload.t1) & (payload.observed < payload.t2)
-    ]
-    obs_counts = counts_on_grid(in_window, grid)
+    obs_counts = observed_counts(payload.observed, payload.t1, payload.t2)
     anchor = pick_anchor(payload.observed, payload.t1)
 
     out: dict[str, CellScores | None] = {}
@@ -261,7 +267,13 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
     return out
 
 
-def _training_sample(
+def observed_counts(arrivals: np.ndarray, t1: float, t2: float) -> np.ndarray:
+    """Realized counting path of the horizon ``(t1, t2)`` on its minute grid."""
+    in_window = arrivals[(arrivals > t1) & (arrivals < t2)]
+    return counts_on_grid(in_window, minute_grid(t1, t2))
+
+
+def training_sample(
     config: RunConfig,
     series: dict[tuple[date, int], ArrivalSeries],
     day: date,
@@ -312,7 +324,7 @@ def run(config: RunConfig) -> ScoreReport:
                 day=day,
                 product=product,
                 models=config.models,
-                sample=_training_sample(config, series, day, product),
+                sample=training_sample(config, series, day, product),
                 observed=None if observed is None else observed.arrivals,
                 t1=config.t1,
                 t2=config.t2,

@@ -16,19 +16,18 @@ import argparse
 import csv
 import json
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from . import backtest as bt
 from .errors import ArrivalSimError, ParameterError
 from .fitting import FittedModel, fit_cascade
-from .ingest import build_series, parse_csv, slice_window, write_store
+from .ingest import write_store
 from .models import model_from_name
 from .scoring import default_tau_grid, minute_grid, score_cell
-from .simulate import counts_on_grid, pick_anchor, simulate_set, write_trajectories
+from .simulate import counts_on_grid, simulate_set, write_trajectories
 from .synth import synth_generate
 
 __all__ = ["main"]
@@ -50,17 +49,7 @@ def _load_config(args) -> bt.RunConfig:
 
 
 def _cmd_ingest(args) -> int:
-    config = _load_config(args)
-    tz = ZoneInfo(config.timezone) if config.timezone else None
-    rows = parse_csv(config.input, config.csv, n_products=config.n_products)
-    rows = [r for r in rows if r.product in config.products]
-    series = build_series(
-        rows,
-        {s: config.begin(s) for s in config.products},
-        {s: config.end(s) for s in config.products},
-        tz,
-    )
-    series = {key: v for key, v in series.items() if key[1] in config.products}
+    series = bt.load_input(_load_config(args))
     write_store(series, args.out)
     print(f"wrote {sum(v.n for v in series.values())} arrivals "
           f"({len(series)} cells) to {args.out}")
@@ -71,7 +60,7 @@ def _cmd_fit(args) -> int:
     config = _load_config(args)
     series = bt.load_input(config)
     day = date.fromisoformat(args.date)
-    sample = bt._training_sample(config, series, day, args.product)
+    sample = bt.training_sample(config, series, day, args.product)
     if sample is None or sample.empty:
         print(f"insufficient history before {day} for product {args.product}",
               file=sys.stderr)
@@ -118,8 +107,7 @@ def _cmd_score(args) -> int:
         print(f"no observed data for {day} product {args.product}", file=sys.stderr)
         return 1
     grid = minute_grid(config.t1, config.t2)
-    arr = observed.arrivals
-    obs_counts = counts_on_grid(arr[(arr > config.t1) & (arr < config.t2)], grid)
+    obs_counts = bt.observed_counts(observed.arrivals, config.t1, config.t2)
     trajectories = _read_trajectories(Path(args.trajectories))
     sims = np.vstack([counts_on_grid(tr, grid) for tr in trajectories])
     taus = default_tau_grid(config.tau_grid_size)

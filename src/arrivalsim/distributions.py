@@ -202,10 +202,6 @@ class _Dist:
         u = rng.uniform(size=size)
         return self.quantile(fy + u * (1.0 - fy))
 
-    def __iter__(self):
-        # allows tuple(params) in serialization helpers
-        return iter(self._astuple())
-
 
 @dataclass(frozen=True)
 class Exp(_Dist):
@@ -215,9 +211,6 @@ class Exp(_Dist):
 
     def __post_init__(self):
         _check_positive("rate", self.rate)
-
-    def _astuple(self):
-        return (self.rate,)
 
     def logpdf(self, x):
         return _scalarize(exp_logpdf(_check_x(x), self.rate), x)
@@ -245,9 +238,6 @@ class Gamma(_Dist):
     def __post_init__(self):
         _check_positive("shape", self.shape)
         _check_positive("rate", self.rate)
-
-    def _astuple(self):
-        return (self.shape, self.rate)
 
     def logpdf(self, x):
         return _scalarize(gamma_logpdf(_check_x(x), self.shape, self.rate), x)
@@ -281,9 +271,6 @@ class GenGam(_Dist):
         _check_finite("mu", self.mu)
         _check_positive("sigma", self.sigma)
         _check_finite("q", self.q)
-
-    def _astuple(self):
-        return (self.mu, self.sigma, self.q)
 
     @property
     def _lognormal(self) -> bool:
@@ -349,9 +336,6 @@ class GenF(_Dist):
         _check_finite("q", self.q)
         if not (np.isfinite(self.p) and self.p >= 0.0):
             raise ParameterError(f"p must be finite and >= 0, got {self.p!r}")
-
-    def _astuple(self):
-        return (self.mu, self.sigma, self.q, self.p)
 
     def _reduced(self) -> GenGam | None:
         if self.p < GENGAM_P_EPS:

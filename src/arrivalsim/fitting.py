@@ -27,7 +27,7 @@ from scipy import optimize
 from .distributions import exp_logpdf, gamma_logpdf, gengam_logpdf, genf_logpdf
 from .errors import InsufficientDataError, ParameterError
 from .ingest import InterArrivalSample
-from .models import Family, FuncKind, ModelSpec, eval_func, model_from_name
+from .models import Family, FuncKind, ModelSpec, model_from_name
 
 __all__ = [
     "FitOptions",
@@ -123,8 +123,12 @@ class FittedModel:
         return cls.from_json(Path(path).read_text())
 
 
-def _positive_finite(values: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(values)) and np.all(values > 0.0))
+_LOGPDF = {
+    Family.EXP: exp_logpdf,
+    Family.GAMMA: gamma_logpdf,
+    Family.GENGAM: gengam_logpdf,
+    Family.GENF: genf_logpdf,
+}
 
 
 def log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample) -> float:
@@ -135,30 +139,11 @@ def log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample) -> float:
     if not np.all(np.isfinite(theta)):
         return -math.inf
     t = np.clip(sample.t, sample.window_start, sample.window_end)
-    x = sample.x
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rate = np.asarray(eval_func(spec.rate_kind, theta[spec.rate_slice], t))
-        if not _positive_finite(rate):
+        params, ok = spec.params_at(theta, t)
+        if not ok:
             return -math.inf
-        if spec.family is Family.EXP:
-            terms = exp_logpdf(x, rate)
-        else:
-            shape = np.asarray(eval_func(spec.shape_kind, theta[spec.shape_slice], t))
-            if not _positive_finite(shape):
-                return -math.inf
-            if spec.family is Family.GAMMA:
-                terms = gamma_logpdf(x, shape, rate)
-            else:
-                mu = np.log(shape) - np.log(rate)
-                sigma = shape ** -0.5
-                q = float(theta[spec.q_index])
-                if spec.family is Family.GENGAM:
-                    terms = gengam_logpdf(x, mu, sigma, q)
-                else:
-                    p = float(theta[spec.p_index])
-                    if p < 0.0:
-                        return -math.inf
-                    terms = genf_logpdf(x, mu, sigma, q, p)
+        terms = _LOGPDF[spec.family](sample.x, *params)
     total = float(np.sum(terms))
     return total if math.isfinite(total) else -math.inf
 
@@ -262,11 +247,11 @@ def warm_start_candidates(
                 and spec.family is Family.GENGAM
                 and d.shape_kind is spec.shape_kind
             ):
-                shape_ref = float(d.shape(donor.theta, t_ref))
-                if shape_ref > 0:
+                params, ok = d.params_at(donor.theta, t_ref)
+                if ok:  # params = (shape, rate)
                     push(
                         d.name,
-                        [float(v) for v in donor.theta] + [1.0 / math.sqrt(shape_ref)],
+                        [float(v) for v in donor.theta] + [1.0 / math.sqrt(params[0])],
                     )
             elif (
                 d.family is Family.GENGAM

@@ -10,8 +10,11 @@ for the exponential family).
 
 For the generalized families the gamma-style functions ``shape(t)`` and
 ``rate(t)`` are mapped into location/scale via
-``mu(t) = -log(rate(t)/shape(t))`` and ``sigma(t) = 1/sqrt(shape(t))``,
+``mu(t) = log(shape(t)) - log(rate(t))`` and ``sigma(t) = shape(t)**-0.5``,
 with the extra shape parameters held constant over time.
+:meth:`ModelSpec.params_at` performs this mapping for the likelihood,
+instantiation and feasibility checks; only the simulator's per-event step
+repeats it on scalars.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .errors import ParameterError
 
 __all__ = [
     "FuncKind",
-    "ParamFunc",
     "eval_func",
+    "compile_func",
     "Family",
     "ModelSpec",
     "enumerate_models",
@@ -90,26 +93,31 @@ def eval_func(kind: FuncKind, coeffs, t):
     return out
 
 
-@dataclass(frozen=True)
-class ParamFunc:
-    """A parameter function bound to its coefficients."""
+def compile_func(kind: FuncKind, coeffs):
+    """Scalar closure equal to ``eval_func(kind, coeffs, t)`` for one float ``t``.
 
-    kind: FuncKind
-    coeffs: tuple[float, ...]
+    The simulator evaluates parameter functions once per event, where a
+    closure costs a small fraction of ``eval_func``'s array handling.  It
+    uses ``math.exp``, which may differ from ``np.exp`` in the last bit;
+    an overflowing exponential raises ``OverflowError``.
+    """
+    c = [float(v) for v in coeffs]
+    if kind is FuncKind.CONST:
+        c0 = c[0]
+        return lambda t: c0
+    if kind is FuncKind.LIN:
+        c0, c1 = c
+        return lambda t: c0 + c1 * t
+    if kind is FuncKind.QUADR:
+        c0, c1, c2 = c
+        return lambda t: c0 + c1 * t + c2 * t * t
+    c0, c1, c2 = c
+    return lambda t: c0 + math.exp(c1 + c2 * t)
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.kind.n_coeffs:
-            raise ParameterError(
-                f"{self.kind.value} takes {self.kind.n_coeffs} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
 
-    def __call__(self, t):
-        return eval_func(self.kind, self.coeffs, t)
-
-    @property
-    def complexity(self) -> int:
-        return self.kind.complexity
+def _positive_finite(values) -> bool:
+    values = np.asarray(values)
+    return bool(((values > 0.0) & (values < math.inf)).all())
 
 
 class Family(str, enum.Enum):
@@ -222,15 +230,37 @@ class ModelSpec:
             )
         return theta
 
-    def rate(self, theta, t):
-        theta = self._check_theta(theta)
-        return eval_func(self.rate_kind, theta[self.rate_slice], t)
+    def params_at(self, theta, t) -> tuple[tuple, bool]:
+        """Family parameters at time(s) ``t`` and whether they are feasible.
 
-    def shape(self, theta, t):
-        if self.shape_kind is None:
-            raise ParameterError("exponential models have no shape function")
-        theta = self._check_theta(theta)
-        return eval_func(self.shape_kind, theta[self.shape_slice], t)
+        The parameters are ``(rate,)``, ``(shape, rate)``, ``(mu, sigma, q)``
+        or ``(mu, sigma, q, p)`` in the argument order of the family's
+        distribution class, with the time-varying entries shaped like ``t``
+        and ``mu = log(shape) - log(rate)``, ``sigma = shape**-0.5``.  The
+        flag is false, and the parameters empty, when the rate or shape is
+        non-positive or non-finite anywhere on ``t`` or when ``p < 0``.
+        ``theta`` is taken as given: callers outside the likelihood check
+        it first with ``_check_theta``.
+        """
+        rate = eval_func(self.rate_kind, theta[self.rate_slice], t)
+        if not _positive_finite(rate):
+            return (), False
+        if self.family is Family.EXP:
+            return (rate,), True
+        shape = eval_func(self.shape_kind, theta[self.shape_slice], t)
+        if not _positive_finite(shape):
+            return (), False
+        if self.family is Family.GAMMA:
+            return (shape, rate), True
+        mu = np.log(shape) - np.log(rate)
+        sigma = shape ** -0.5
+        q = float(theta[self.q_index])
+        if self.family is Family.GENGAM:
+            return (mu, sigma, q), True
+        p = float(theta[self.p_index])
+        if not p >= 0.0:
+            return (), False
+        return (mu, sigma, q, p), True
 
 
 def enumerate_models() -> list[ModelSpec]:
@@ -263,37 +293,21 @@ def model_from_name(name: str) -> ModelSpec:
         raise ParameterError(f"not a valid model name: {name!r}") from exc
 
 
+_DIST = {Family.EXP: Exp, Family.GAMMA: Gamma, Family.GENGAM: GenGam, Family.GENF: GenF}
+
+
 def instantiate(spec: ModelSpec, theta, t: float) -> DistParams:
     """Distribution parameters of ``spec`` at a single time ``t``.
 
-    Raises :class:`ParameterError` when the rate or shape function is
-    non-positive (or non-finite) at ``t``.
+    Raises :class:`ParameterError` when ``theta`` has the wrong length or
+    its parameters are infeasible at ``t`` (see :meth:`ModelSpec.params_at`).
     """
-    theta = spec._check_theta(theta)
-    rate = float(spec.rate(theta, t))
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ParameterError(f"{spec.name}: rate {rate!r} infeasible at t={t}")
-    if spec.family is Family.EXP:
-        return Exp(rate)
-    shape = float(spec.shape(theta, t))
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise ParameterError(f"{spec.name}: shape {shape!r} infeasible at t={t}")
-    if spec.family is Family.GAMMA:
-        return Gamma(shape, rate)
-    mu = -math.log(rate / shape)
-    sigma = 1.0 / math.sqrt(shape)
-    q = float(theta[spec.q_index])
-    if spec.family is Family.GENGAM:
-        return GenGam(mu, sigma, q)
-    return GenF(mu, sigma, q, float(theta[spec.p_index]))
+    params, ok = spec.params_at(spec._check_theta(theta), t)
+    if not ok:
+        raise ParameterError(f"{spec.name}: parameters infeasible at t={t}")
+    return _DIST[spec.family](*(float(v) for v in params))
 
 
 def feasible_on_grid(spec: ModelSpec, theta, t_grid) -> bool:
-    """True when rate (and shape) stay positive and finite on ``t_grid``."""
-    theta = spec._check_theta(theta)
-    rate = np.asarray(spec.rate(theta, t_grid), dtype=float)
-    ok = np.all(np.isfinite(rate)) and np.all(rate > 0.0)
-    if ok and spec.shape_kind is not None:
-        shape = np.asarray(spec.shape(theta, t_grid), dtype=float)
-        ok = np.all(np.isfinite(shape)) and np.all(shape > 0.0)
-    return bool(ok)
+    """True when the parameters of ``spec`` are feasible everywhere on ``t_grid``."""
+    return spec.params_at(spec._check_theta(theta), t_grid)[1]

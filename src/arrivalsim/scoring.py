@@ -25,7 +25,6 @@ __all__ = [
     "LossSpec",
     "rho",
     "minute_grid",
-    "GridPath",
     "argmin_process",
     "eval_functional",
     "CellScores",
@@ -93,30 +92,6 @@ def minute_grid(t1: float, t2: float) -> np.ndarray:
     return t1 + np.arange(n) / MINUTES_PER_HOUR
 
 
-@dataclass(frozen=True)
-class GridPath:
-    """A (possibly estimated, hence real-valued) counting path on a grid."""
-
-    grid: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "counts", counts)
-        if grid.shape != counts.shape or grid.ndim != 1:
-            raise ParameterError("grid and counts must be 1-d arrays of equal length")
-        if counts.size and np.any(np.diff(counts) < 0.0):
-            raise ParameterError("counting paths are nondecreasing")
-
-
-def _counts_of(path) -> np.ndarray:
-    if isinstance(path, GridPath):
-        return path.counts
-    return np.asarray(path, dtype=float)
-
-
 def lower_quantile_index(tau: float, m: int) -> int:
     """0-based order-statistic index of the smallest pinball minimizer.
 
@@ -152,16 +127,13 @@ def argmin_process(sims: np.ndarray, loss) -> np.ndarray:
 
 
 def eval_functional(observed, estimate, loss, dt: float = DT) -> float:
-    """Left-endpoint loss integral between two paths, to the power 1/p."""
+    """Left-endpoint loss integral between two paths, to the power 1/p.
+
+    ``observed`` and ``estimate`` are counting-path values on one shared grid.
+    """
     spec = _as_loss(loss)
-    obs = _counts_of(observed)
-    est = _counts_of(estimate)
-    if (
-        isinstance(observed, GridPath)
-        and isinstance(estimate, GridPath)
-        and not np.array_equal(observed.grid, estimate.grid)
-    ):
-        raise ParameterError("paths live on different grids")
+    obs = np.asarray(observed, dtype=float)
+    est = np.asarray(estimate, dtype=float)
     if obs.shape != est.shape:
         raise ParameterError(f"grid length mismatch: {obs.shape} vs {est.shape}")
     total = float(np.sum(rho(spec, obs - est)) * dt)
@@ -202,8 +174,8 @@ def score_cell(obs: np.ndarray, sims: np.ndarray, taus: np.ndarray) -> CellScore
     if sims.ndim != 2 or obs.shape != sims.shape[1:]:
         raise ParameterError("obs (J,) and sims (M, J) must share the grid length")
     m = sims.shape[0]
-    mean_path = sims.mean(axis=0)
-    median_path = np.median(sims, axis=0)
+    mean_path = argmin_process(sims, LOSS_MEAN)
+    median_path = argmin_process(sims, LOSS_MEDIAN)
     sims_sorted = np.sort(sims, axis=0)
 
     bias = 2.0 * eval_functional(obs, mean_path, (1, 0.5, 1))
@@ -323,9 +295,6 @@ class ScoreReport:
     def aggregate(self, criterion: str) -> np.ndarray:
         """Product-averaged criterion values, one per model."""
         return getattr(self, criterion).mean(axis=1)
-
-    def model_daily_losses(self, model: str) -> np.ndarray:
-        return self.daily_crps[self.models.index(model)]
 
     def dm_matrix(self, q: int = 1) -> np.ndarray:
         """Pairwise p-values: entry (i, j) small means model i beats model j.

@@ -23,7 +23,7 @@ import numpy as np
 from .distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes
 from .errors import DomainError, TailExhaustedError
 from .fitting import FittedModel
-from .models import Family, FuncKind, instantiate
+from .models import Family, FuncKind, compile_func, instantiate
 
 __all__ = [
     "TrajectorySet",
@@ -37,21 +37,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _BLOCK = 512  # standardized innovations drawn per rng call
-
-
-def _compile_func(kind: FuncKind, coeffs) -> "callable":
-    c = [float(v) for v in coeffs]
-    if kind is FuncKind.CONST:
-        c0 = c[0]
-        return lambda t: c0
-    if kind is FuncKind.LIN:
-        c0, c1 = c
-        return lambda t: c0 + c1 * t
-    if kind is FuncKind.QUADR:
-        c0, c1, c2 = c
-        return lambda t: c0 + c1 * t + c2 * t * t
-    c0, c1, c2 = c
-    return lambda t: c0 + math.exp(c1 + c2 * t)
 
 
 class _Innovations:
@@ -80,12 +65,12 @@ def _make_stepper(fitted: FittedModel, rng: np.random.Generator):
     """
     spec = fitted.spec
     theta = fitted.theta
-    rate_f = _compile_func(spec.rate_kind, theta[spec.rate_slice])
+    rate_f = compile_func(spec.rate_kind, theta[spec.rate_slice])
     if spec.family is Family.EXP:
         innov = _Innovations(rng, lambda r, n: r.exponential(1.0, n))
         return lambda t: innov.next() / rate_f(t)
 
-    shape_f = _compile_func(spec.shape_kind, theta[spec.shape_slice])
+    shape_f = compile_func(spec.shape_kind, theta[spec.shape_slice])
     if spec.family is Family.GAMMA:
         if spec.shape_kind is FuncKind.CONST:
             alpha = shape_f(0.0)

@@ -1,5 +1,6 @@
 """Model-space checks: parameter functions, the 37-model grid, instantiation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from arrivalsim.models import (
     Family,
     FuncKind,
     ModelSpec,
-    ParamFunc,
+    compile_func,
     enumerate_models,
     eval_func,
     feasible_on_grid,
@@ -23,23 +24,25 @@ from arrivalsim.scoring import minute_grid
 
 class TestParamFunc:
     def test_quadratic_degenerates_to_constant(self):
-        f = ParamFunc(FuncKind.QUADR, (1.0, 0.0, 0.0))
         for t in (-30.0, -3.25, 0.0, 2.0):
-            assert f(t) == 1.0
+            assert eval_func(FuncKind.QUADR, (1.0, 0.0, 0.0), t) == 1.0
 
     def test_linear(self):
-        assert ParamFunc(FuncKind.LIN, (2.0, 1.0))(-3.0) == -1.0
+        assert eval_func(FuncKind.LIN, (2.0, 1.0), -3.0) == -1.0
 
     def test_exponential(self):
-        assert ParamFunc(FuncKind.EXPON, (0.5, 0.0, 1.0))(0.0) == pytest.approx(1.5)
+        assert eval_func(FuncKind.EXPON, (0.5, 0.0, 1.0), 0.0) == pytest.approx(1.5)
 
     def test_vectorized(self):
         t = np.array([-2.0, -1.0])
         np.testing.assert_allclose(eval_func(FuncKind.LIN, (1.0, 2.0), t), [-3.0, -1.0])
 
     def test_coeff_count_enforced(self):
+        spec = model_from_name("Exp.Lin")
         with pytest.raises(ParameterError):
-            ParamFunc(FuncKind.LIN, (1.0,))
+            instantiate(spec, [1.0], -1.0)
+        with pytest.raises(ParameterError):
+            feasible_on_grid(spec, [1.0, 0.1, 0.0], [-1.0])
 
     def test_complexity(self):
         assert [k.complexity for k in FuncKind] == [1, 2, 3, 3]
@@ -47,6 +50,20 @@ class TestParamFunc:
     def test_exponential_overflow_is_infeasible(self):
         value = eval_func(FuncKind.EXPON, (0.0, 1000.0, 0.0), -1.0)
         assert not np.isfinite(value)
+
+    @pytest.mark.parametrize("kind", list(FuncKind))
+    def test_scalar_closure_matches_eval_func(self, kind):
+        # the simulator's per-event closures use math.exp where eval_func
+        # uses np.exp; the two may differ in the last bits only
+        rng = np.random.default_rng(7)
+        t = rng.uniform(-30.0, 0.0, 50)
+        for _ in range(200):
+            coeffs = [rng.uniform(0.1, 100.0), rng.uniform(-3.0, 3.0), rng.uniform(-0.2, 0.2)]
+            coeffs = coeffs[: kind.n_coeffs]
+            f = compile_func(kind, coeffs)
+            np.testing.assert_array_max_ulp(
+                np.array([f(float(v)) for v in t]), eval_func(kind, coeffs, t), maxulp=2
+            )
 
 
 class TestModelSpace:
@@ -185,6 +202,41 @@ class TestInstantiate:
             for t in grid[:: 40]:
                 params = instantiate(spec, theta, float(t))
                 assert np.isfinite(params.logpdf(0.01))
+
+    def test_params_at_matches_instantiate_on_minute_grid(self):
+        rng = np.random.default_rng(5)
+        grid = minute_grid(-3.25, -0.5)
+        for spec in enumerate_models():
+            theta = feasible_theta(spec, rng)
+            params, ok = spec.params_at(theta, grid)
+            assert ok and feasible_on_grid(spec, theta, grid)
+            pointwise = [instantiate(spec, theta, float(t)) for t in grid]
+            names = [f.name for f in dataclasses.fields(pointwise[0])]
+            assert len(params) == len(names)
+            for name, value, column in zip(
+                names, params, np.array([dataclasses.astuple(d) for d in pointwise]).T
+            ):
+                # numpy's vectorized power may differ from libm's scalar pow
+                # in the last bit of sigma = shape**-0.5
+                np.testing.assert_array_max_ulp(
+                    np.broadcast_to(value, grid.shape), column, maxulp=int(name == "sigma")
+                )
+
+    def test_params_at_flags_infeasible_parameters(self):
+        grid = minute_grid(-3.25, -0.5)
+        cases = [
+            ("Gamma.Lin.Lin", [2.0, 0.0, 1.0, 0.5]),  # shape 1 + 0.5 t < 0 for t < -2
+            ("GenGam.Const.Const", [2.0, 0.0, 0.5]),  # zero shape
+            ("Exp.Expon", [0.0, 1000.0, 0.0]),  # rate overflows to inf
+            ("GenF.Const.Const", [2.0, 4.0, 0.7, -0.1]),  # p < 0
+        ]
+        for name, theta in cases:
+            spec = model_from_name(name)
+            params, ok = spec.params_at(np.asarray(theta), grid)
+            assert (params, ok) == ((), False), name
+            assert not feasible_on_grid(spec, theta, grid)
+            with pytest.raises(ParameterError):
+                instantiate(spec, theta, float(grid[0]))
 
     def test_feasible_on_grid_flags_sign_changes(self):
         spec = model_from_name("Exp.Lin")

@@ -7,7 +7,6 @@ import pytest
 
 from arrivalsim.errors import DegenerateSeriesError, ParameterError
 from arrivalsim.scoring import (
-    GridPath,
     LossSpec,
     argmin_process,
     default_tau_grid,
@@ -147,14 +146,6 @@ class TestEvalFunctional:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             eval_functional(np.zeros(5), np.zeros(6), (0, 0.5, 1))
-        a = GridPath(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        b = GridPath(np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ParameterError):
-            eval_functional(a, b, (0, 0.5, 1))
-
-    def test_gridpath_validation(self):
-        with pytest.raises(ParameterError):
-            GridPath(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 class TestMinuteGrid:
