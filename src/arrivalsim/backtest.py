@@ -41,7 +41,6 @@ from .ingest import (
 from .models import enumerate_models, model_from_name
 from .scoring import (
     CellScores,
-    ProductCriteria,
     ScoreReport,
     default_tau_grid,
     minute_grid,

@@ -187,10 +187,10 @@ class _Dist:
     def pdf(self, x):
         return _scalarize(np.exp(self.logpdf(x)), x)
 
-    def sample_truncated(self, y: float, rng: np.random.Generator, size=None):
-        """Draw from the distribution conditioned on exceeding ``y``.
+    def truncated_quantile(self, y: float, u):
+        """Quantile at probability ``u`` of the distribution conditioned on exceeding ``y``.
 
-        Inverse-transform on the truncated cdf: ``quantile(F(y) + u*(1-F(y)))``.
+        Inverse transform on the truncated cdf: ``quantile(F(y) + u*(1-F(y)))``.
         """
         if y < 0.0:
             raise DomainError("truncation point must be >= 0")
@@ -199,8 +199,11 @@ class _Dist:
             raise TailExhaustedError(
                 f"cdf({y}) = {fy}; truncated tail carries no usable mass"
             )
-        u = rng.uniform(size=size)
         return self.quantile(fy + u * (1.0 - fy))
+
+    def sample_truncated(self, y: float, rng: np.random.Generator, size=None):
+        """Draw from the distribution conditioned on exceeding ``y``."""
+        return self.truncated_quantile(y, rng.uniform(size=size))
 
 
 @dataclass(frozen=True)

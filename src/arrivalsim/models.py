@@ -13,8 +13,7 @@ For the generalized families the gamma-style functions ``shape(t)`` and
 ``mu(t) = log(shape(t)) - log(rate(t))`` and ``sigma(t) = shape(t)**-0.5``,
 with the extra shape parameters held constant over time.
 :meth:`ModelSpec.params_at` performs this mapping for the likelihood,
-instantiation and feasibility checks; only the simulator's per-event step
-repeats it on scalars.
+instantiation, feasibility checks and the simulator's per-event step.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import ParameterError
 __all__ = [
     "FuncKind",
     "eval_func",
-    "compile_func",
     "Family",
     "ModelSpec",
     "enumerate_models",
@@ -47,6 +46,9 @@ Q_BOUNDS = (-5.0, 5.0)
 P_BOUNDS = (0.0, 50.0)
 
 
+_N_COEFFS = {"Const": 1, "Lin": 2, "Quadr": 3, "Expon": 3}
+
+
 class FuncKind(str, enum.Enum):
     """Shape of a deterministic parameter function of time."""
 
@@ -57,7 +59,7 @@ class FuncKind(str, enum.Enum):
 
     @property
     def n_coeffs(self) -> int:
-        return {"Const": 1, "Lin": 2, "Quadr": 3, "Expon": 3}[self.value]
+        return _N_COEFFS[self.value]
 
     @property
     def complexity(self) -> int:
@@ -82,8 +84,7 @@ def eval_func(kind: FuncKind, coeffs, t):
     """
     t = np.asarray(t, dtype=float)
     if kind is FuncKind.CONST:
-        return np.broadcast_to(np.asarray(coeffs[0], dtype=float), t.shape).copy() \
-            if t.ndim else float(coeffs[0])
+        return np.full(t.shape, float(coeffs[0])) if t.ndim else float(coeffs[0])
     if kind is FuncKind.LIN:
         return coeffs[0] + coeffs[1] * t
     if kind is FuncKind.QUADR:
@@ -93,31 +94,9 @@ def eval_func(kind: FuncKind, coeffs, t):
     return out
 
 
-def compile_func(kind: FuncKind, coeffs):
-    """Scalar closure equal to ``eval_func(kind, coeffs, t)`` for one float ``t``.
-
-    The simulator evaluates parameter functions once per event, where a
-    closure costs a small fraction of ``eval_func``'s array handling.  It
-    uses ``math.exp``, which may differ from ``np.exp`` in the last bit;
-    an overflowing exponential raises ``OverflowError``.
-    """
-    c = [float(v) for v in coeffs]
-    if kind is FuncKind.CONST:
-        c0 = c[0]
-        return lambda t: c0
-    if kind is FuncKind.LIN:
-        c0, c1 = c
-        return lambda t: c0 + c1 * t
-    if kind is FuncKind.QUADR:
-        c0, c1, c2 = c
-        return lambda t: c0 + c1 * t + c2 * t * t
-    c0, c1, c2 = c
-    return lambda t: c0 + math.exp(c1 + c2 * t)
-
-
 def _positive_finite(values) -> bool:
     values = np.asarray(values)
-    return bool(((values > 0.0) & (values < math.inf)).all())
+    return np.count_nonzero((values > 0.0) & (values < math.inf)) == values.size
 
 
 class Family(str, enum.Enum):
@@ -142,7 +121,9 @@ class ModelSpec:
 
     The parameter vector layout is fixed as
     ``[rate coefficients | shape coefficients | Q | P]`` with the trailing
-    entries present only for the families that use them.
+    entries present only for the families that use them.  The layout
+    properties are computed once per spec: :meth:`params_at` reads them on
+    every simulation step.
     """
 
     family: Family
@@ -168,24 +149,24 @@ class ModelSpec:
             return f"Exp.{self.rate_kind.value}"
         return f"{self.family.value}.{self.rate_kind.value}.{self.shape_kind.value}"
 
-    @property
+    @cached_property
     def rate_slice(self) -> slice:
         return slice(0, self.rate_kind.n_coeffs)
 
-    @property
+    @cached_property
     def shape_slice(self) -> slice | None:
         if self.shape_kind is None:
             return None
         start = self.rate_kind.n_coeffs
         return slice(start, start + self.shape_kind.n_coeffs)
 
-    @property
+    @cached_property
     def q_index(self) -> int | None:
         if self.family in (Family.GENGAM, Family.GENF):
             return self.rate_kind.n_coeffs + self.shape_kind.n_coeffs
         return None
 
-    @property
+    @cached_property
     def p_index(self) -> int | None:
         if self.family is Family.GENF:
             return self.q_index + 1

@@ -182,13 +182,12 @@ def score_cell(obs: np.ndarray, sims: np.ndarray, taus: np.ndarray) -> CellScore
     mae = 2.0 * eval_functional(obs, median_path, (0, 0.5, 1))
     rmse = 2.0 * eval_functional(obs, mean_path, (0, 0.5, 2))
 
-    pb = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        if tau == 0.5:
-            path = median_path
-        else:
-            path = sims_sorted[lower_quantile_index(float(tau), m)]
-        pb[i] = eval_functional(obs, path, (0, float(tau), 1))
+    # one tau-quantile path per row, the midpoint median at tau = 0.5, then
+    # the pinball integral of every row at once
+    paths = sims_sorted[[lower_quantile_index(float(tau), m) for tau in taus]]
+    paths[taus == 0.5] = median_path
+    z = obs - paths
+    pb = np.sum(np.abs(z) * np.abs(taus[:, None] - (z < 0.0)), axis=1) * DT
     return CellScores(bias=bias, mae=mae, rmse=rmse, pb=pb)
 
 

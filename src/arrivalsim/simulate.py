@@ -6,10 +6,24 @@ exceed the gap back to the anchor (the last transaction seen before the
 horizon), and every further arrival adds a fresh inter-arrival drawn with
 the parameter functions evaluated at the previous arrival time, clamped
 into the fit window.  Generation stops at the first draw landing at or
-beyond the horizon end, which is discarded.
+beyond the horizon end, which is discarded.  A trajectory whose parameters
+are infeasible at its latest arrival, or whose inter-arrival is zero, ends
+there with a warning.
 
-Each trajectory owns an rng stream derived from (seed, trajectory index),
-so a set is bitwise reproducible no matter how the work is scheduled.
+All trajectories of a set advance in lockstep.  The first gaps come from
+one vectorized truncated quantile.  Each further step evaluates
+:meth:`ModelSpec.params_at` once on the vector of current times of the
+live trajectories and turns one standardized innovation per trajectory
+into an inter-arrival: ``w / rate`` for Exp and Gamma,
+``exp(mu + sigma * w)`` for GenGam and GenF.
+
+Each trajectory owns an rng stream, which ``simulate_set`` derives from
+(seed, trajectory index).  The stream first yields the uniform of the
+first gap.  Once the first arrival lands before the horizon end it yields
+the trajectory's standardized innovations in blocks of ``_BLOCK``, or,
+for a gamma with a time-varying shape, one gamma variate per event.  A
+trajectory therefore does not depend on the rest of its set, and a set is
+bitwise reproducible however the work is scheduled and however large M is.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ import numpy as np
 from .distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes
 from .errors import DomainError, TailExhaustedError
 from .fitting import FittedModel
-from .models import Family, FuncKind, compile_func, instantiate
+from .models import Family, FuncKind, ModelSpec, instantiate
 
 __all__ = [
     "TrajectorySet",
@@ -39,75 +53,137 @@ logger = logging.getLogger(__name__)
 _BLOCK = 512  # standardized innovations drawn per rng call
 
 
-class _Innovations:
-    """Buffered draws of a fixed standardized innovation distribution."""
+def _innovation_draw(spec: ModelSpec, theta: np.ndarray):
+    """``draw(rng, n)``: n standardized innovations of ``spec`` at ``theta``.
 
-    def __init__(self, rng: np.random.Generator, draw):
-        self._rng = rng
-        self._draw = draw
-        self._buf = draw(rng, _BLOCK)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._draw(self._rng, _BLOCK)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
-
-
-def _make_stepper(fitted: FittedModel, rng: np.random.Generator):
-    """Return f(t) drawing one inter-arrival with parameters evaluated at t.
-
-    Families whose standardized innovation does not depend on t (all but
-    the gamma with a time-varying shape) pre-draw innovations in blocks.
+    None for a gamma with a time-varying shape, whose innovation
+    distribution changes from event to event.
     """
-    spec = fitted.spec
-    theta = fitted.theta
-    rate_f = compile_func(spec.rate_kind, theta[spec.rate_slice])
     if spec.family is Family.EXP:
-        innov = _Innovations(rng, lambda r, n: r.exponential(1.0, n))
-        return lambda t: innov.next() / rate_f(t)
-
-    shape_f = compile_func(spec.shape_kind, theta[spec.shape_slice])
+        return lambda r, n: r.exponential(1.0, n)
     if spec.family is Family.GAMMA:
-        if spec.shape_kind is FuncKind.CONST:
-            alpha = shape_f(0.0)
-            innov = _Innovations(rng, lambda r, n: r.gamma(alpha, 1.0, n))
-            return lambda t: innov.next() / rate_f(t)
-        return lambda t: rng.gamma(shape_f(t), 1.0) / rate_f(t)
-
+        if spec.shape_kind is not FuncKind.CONST:
+            return None
+        alpha = float(theta[spec.shape_slice][0])
+        return lambda r, n: r.gamma(alpha, 1.0, n)
     q = float(theta[spec.q_index])
     p = float(theta[spec.p_index]) if spec.family is Family.GENF else 0.0
     if p >= GENGAM_P_EPS:
         delta, s1, s2 = _genf_shapes(q, p)
         ratio = s2 / s1
-
-        def draw_w(r, n):
-            return np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
-
-    elif abs(q) >= LOGNORMAL_Q_EPS:
+        return lambda r, n: np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
+    if abs(q) >= LOGNORMAL_Q_EPS:
         a = q ** -2
+        return lambda r, n: np.log(r.gamma(a, 1.0, n) / a) / q
+    return lambda r, n: r.standard_normal(n)
 
-        def draw_w(r, n):
-            return np.log(r.gamma(a, 1.0, n) / a) / q
 
-    else:
+def _simulate(
+    fitted: FittedModel,
+    anchor: float,
+    t_start: float,
+    t_end: float,
+    rngs: list[np.random.Generator],
+    max_events: int = 1_000_000,
+) -> list[np.ndarray]:
+    """One trajectory on ``(t_start, t_end)`` per generator in ``rngs``.
 
-        def draw_w(r, n):
-            return r.standard_normal(n)
+    The trajectories advance in lockstep: step k gives every live trajectory
+    its k-th arrival.  Each draws only from its own generator, in the order
+    the module docstring states.
+    """
+    if not anchor <= t_start < t_end:
+        raise DomainError(
+            f"need anchor <= t_start < t_end, got {anchor}, {t_start}, {t_end}"
+        )
+    if not rngs:
+        return []
+    spec, theta, name = fitted.spec, fitted.theta, fitted.spec.name
+    m = len(rngs)
+    lo, hi = fitted.window
+    bounded = math.isfinite(lo) and math.isfinite(hi)
 
-    innov = _Innovations(rng, draw_w)
+    first = instantiate(spec, theta, min(max(anchor, lo), hi) if bounded else anchor)
+    u = np.array([rng.uniform() for rng in rngs])
+    try:
+        t = anchor + first.truncated_quantile(t_start - anchor, u)
+    except TailExhaustedError:
+        for _ in range(m):
+            logger.warning(
+                "%s: truncated tail exhausted at anchor=%s, t_start=%s; empty trajectory",
+                name, anchor, t_start,
+            )
+        return [np.empty(0) for _ in range(m)]
 
-    def step(t: float) -> float:
-        alpha = shape_f(t)
-        beta = rate_f(t)
-        mu = math.log(alpha / beta)
-        sigma = alpha ** -0.5
-        return math.exp(mu + sigma * innov.next())
+    live = np.flatnonzero(t < t_end)
+    t = t[live]
+    draw = _innovation_draw(spec, theta)
+    if draw is not None:
+        innov = np.empty((m, _BLOCK))
+        for i in live:
+            innov[i] = draw(rngs[i], _BLOCK)
+        pos = 0
+    scale_by_rate = spec.family in (Family.EXP, Family.GAMMA)
+    lengths = np.zeros(m, dtype=np.intp)  # filled in as trajectories end
+    steps = [(live, t)]  # live indices and their k-th arrivals, per step k
+    with np.errstate(over="ignore"):
+        while live.size:
+            tc = np.minimum(np.maximum(t, lo), hi) if bounded else t
+            params, ok = spec.params_at(theta, tc)
+            if not ok:
+                feasible = np.array(
+                    [spec.params_at(theta, tc[k:k + 1])[1] for k in range(live.size)]
+                )
+                for tk in t[~feasible]:
+                    logger.warning(
+                        "%s: parameters infeasible at t=%s; trajectory truncated", name, tk
+                    )
+                lengths[live[~feasible]] = len(steps)
+                live, t, tc = live[feasible], t[feasible], tc[feasible]
+                if not live.size:
+                    break
+                params, _ = spec.params_at(theta, tc)
+            if draw is None:
+                w = np.array(
+                    [rngs[i].gamma(a, 1.0) for i, a in zip(live.tolist(), params[0].tolist())]
+                )
+            else:
+                if pos == _BLOCK:
+                    for i in live:
+                        innov[i] = draw(rngs[i], _BLOCK)
+                    pos = 0
+                w = innov[live, pos]
+                pos += 1
+            gap = w / params[-1] if scale_by_rate else np.exp(params[0] + params[1] * w)
+            nxt = t + gap
+            keep = (nxt > t) & (nxt < t_end)
+            if np.count_nonzero(keep) == live.size:
+                t = nxt
+            else:
+                for tk in t[~keep & ~(nxt >= t_end)]:
+                    logger.warning(
+                        "%s: degenerate zero inter-arrival at t=%s; trajectory truncated",
+                        name, tk,
+                    )
+                lengths[live[~keep]] = len(steps)
+                live, t = live[keep], nxt[keep]
+                if not live.size:
+                    break
+            steps.append((live, t))
+            if len(steps) >= max_events:
+                for _ in live:
+                    logger.warning(
+                        "%s: trajectory hit max_events=%d before %s", name, max_events, t_end
+                    )
+                break
+    lengths[live] = len(steps)
 
-    return step
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    flat = np.empty(ends[-1])
+    for k, (idx, values) in enumerate(steps):
+        flat[starts[idx] + k] = values
+    return np.split(flat, ends[:-1])
 
 
 def simulate_one(
@@ -119,55 +195,7 @@ def simulate_one(
     max_events: int = 1_000_000,
 ) -> np.ndarray:
     """One simulated arrival-time trajectory on ``(t_start, t_end)``."""
-    if not anchor <= t_start < t_end:
-        raise DomainError(
-            f"need anchor <= t_start < t_end, got {anchor}, {t_start}, {t_end}"
-        )
-    lo, hi = fitted.window
-    if math.isfinite(lo) and math.isfinite(hi):
-        clamp = lambda t: min(max(t, lo), hi)
-    else:
-        clamp = lambda t: t
-
-    first_params = instantiate(fitted.spec, fitted.theta, clamp(anchor))
-    try:
-        gap = first_params.sample_truncated(t_start - anchor, rng)
-    except TailExhaustedError:
-        logger.warning(
-            "%s: truncated tail exhausted at anchor=%s, t_start=%s; empty trajectory",
-            fitted.spec.name,
-            anchor,
-            t_start,
-        )
-        return np.empty(0)
-    t = anchor + float(gap)
-    if t >= t_end:
-        return np.empty(0)
-
-    step = _make_stepper(fitted, rng)
-    out = [t]
-    while True:
-        nxt = t + step(clamp(t))
-        if nxt >= t_end:
-            break
-        if not nxt > t:
-            logger.warning(
-                "%s: degenerate zero inter-arrival at t=%s; trajectory truncated",
-                fitted.spec.name,
-                t,
-            )
-            break
-        out.append(nxt)
-        t = nxt
-        if len(out) >= max_events:
-            logger.warning(
-                "%s: trajectory hit max_events=%d before %s",
-                fitted.spec.name,
-                max_events,
-                t_end,
-            )
-            break
-    return np.asarray(out)
+    return _simulate(fitted, anchor, t_start, t_end, [rng], max_events)[0]
 
 
 @dataclass(frozen=True)
@@ -201,13 +229,8 @@ def simulate_set(
     """M independent trajectories from per-index derived rng streams."""
     if m < 1:
         raise DomainError("need at least one trajectory")
-    streams = np.random.SeedSequence(seed).spawn(m)
-    trajectories = [
-        simulate_one(
-            fitted, anchor, t_start, t_end, np.random.default_rng(streams[i]), max_events
-        )
-        for i in range(m)
-    ]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m)]
+    trajectories = _simulate(fitted, anchor, t_start, t_end, rngs, max_events)
     return TrajectorySet(
         trajectories=trajectories,
         t_start=t_start,

@@ -8,8 +8,6 @@ proprietary exchange data.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
 from datetime import date, datetime, time as dtime, timedelta
 from pathlib import Path
 
@@ -20,7 +18,7 @@ from .fitting import FittedModel
 from .ingest import DEFAULT_TRADING_END, default_trading_begin
 from .models import ModelSpec, feasible_on_grid
 from .scoring import minute_grid
-from .simulate import simulate_one
+from .simulate import _simulate
 
 __all__ = ["synth_generate"]
 
@@ -54,24 +52,23 @@ def synth_generate(
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    begins = {}
+    arrivals = {}  # product -> one trajectory per day
     for product in products:
         if gen_start is not None:
-            begins[product] = gen_start
+            a = gen_start
         elif trading_begin is not None:
-            begins[product] = trading_begin[product]
+            a = trading_begin[product]
         else:
-            begins[product] = default_trading_begin(product)
-        if not begins[product] < gen_end:
+            a = default_trading_begin(product)
+        if not a < gen_end:
             raise ParameterError(
-                f"generation window empty for product {product}: "
-                f"[{begins[product]}, {gen_end})"
+                f"generation window empty for product {product}: [{a}, {gen_end})"
             )
-        grid = minute_grid(begins[product], gen_end)
-        if not feasible_on_grid(spec, theta, grid):
-            raise ParameterError(
-                f"{spec.name}: theta is infeasible on [{begins[product]}, {gen_end})"
-            )
+        if not feasible_on_grid(spec, theta, minute_grid(a, gen_end)):
+            raise ParameterError(f"{spec.name}: theta is infeasible on [{a}, {gen_end})")
+        fitted = FittedModel(spec=spec, theta=theta, log_likelihood=None, window=(a, gen_end))
+        rngs = [_cell_rng(seed, day_index, product) for day_index in range(days)]
+        arrivals[product] = _simulate(fitted, a, a, gen_end, rngs)
 
     with out_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -82,18 +79,9 @@ def synth_generate(
         for day_index in range(days):
             day = start_date + timedelta(days=day_index)
             for product in products:
-                a = begins[product]
-                fitted = FittedModel(
-                    spec=spec,
-                    theta=theta,
-                    log_likelihood=None,
-                    window=(a, gen_end),
-                )
-                rng = _cell_rng(seed, day_index, product)
-                arrivals = simulate_one(fitted, a, a, gen_end, rng)
                 start = datetime.combine(day, dtime(hour=product - 1))
                 prev = None
-                for i, t in enumerate(arrivals):
+                for i, t in enumerate(arrivals[product][day_index]):
                     ts = start + timedelta(hours=float(t))
                     if prev is not None and ts <= prev:
                         ts = prev + timedelta(microseconds=1)

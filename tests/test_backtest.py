@@ -15,7 +15,7 @@ from arrivalsim.backtest import (
     run,
 )
 from arrivalsim.errors import ParameterError
-from arrivalsim.fitting import FitOptions
+from arrivalsim.fitting import FitOptions, FittedModel
 from arrivalsim.ingest import build_series, parse_csv, slice_window
 from arrivalsim.models import model_from_name
 from arrivalsim.synth import synth_generate
@@ -208,6 +208,28 @@ class TestRun:
         assert tree_bytes(out) == before
         for p, mtime in fit_stats.items():
             assert p.stat().st_mtime_ns == mtime  # loaded, not refit
+
+    def test_infeasible_parameters_at_an_event_do_not_abort_the_run(
+        self, synth_csv, tmp_path, caplog
+    ):
+        """A fit record whose rate 4t^2 + 16t + 15 turns negative inside the
+        horizon ends the affected trajectories; every cell is still scored."""
+        out = tmp_path / "out"
+        model = "GenF.Quadr.Const"
+        record = FittedModel(
+            spec=model_from_name(model),
+            theta=[15.0, 16.0, 4.0, 1.0, 0.5, 1.0],
+            log_likelihood=None,
+            window=(-3.25, -0.5),
+        )
+        for product in (5, 6):
+            for day in ("2017-09-08", "2017-09-09"):
+                record.save(out / model / str(product) / day / "fit.json")
+        with caplog.at_level("WARNING"):
+            report = run(tiny_config(synth_csv, out, models=(model,)))
+        assert report.missing.sum() == 0
+        assert np.isfinite(report.crps).all()
+        assert "parameters infeasible at t=" in caplog.text
 
     def test_split_products_merge_to_single_run(self, synth_csv, tmp_path):
         full = run(tiny_config(synth_csv, None))

@@ -10,7 +10,6 @@ from arrivalsim.errors import DomainError, ParameterError, RowError, SchemaError
 from arrivalsim.ingest import (
     ArrivalSeries,
     CsvSchema,
-    InterArrivalSample,
     build_series,
     dejitter_times,
     delivery_start,

@@ -12,7 +12,6 @@ from arrivalsim.models import (
     Family,
     FuncKind,
     ModelSpec,
-    compile_func,
     enumerate_models,
     eval_func,
     feasible_on_grid,
@@ -50,20 +49,6 @@ class TestParamFunc:
     def test_exponential_overflow_is_infeasible(self):
         value = eval_func(FuncKind.EXPON, (0.0, 1000.0, 0.0), -1.0)
         assert not np.isfinite(value)
-
-    @pytest.mark.parametrize("kind", list(FuncKind))
-    def test_scalar_closure_matches_eval_func(self, kind):
-        # the simulator's per-event closures use math.exp where eval_func
-        # uses np.exp; the two may differ in the last bits only
-        rng = np.random.default_rng(7)
-        t = rng.uniform(-30.0, 0.0, 50)
-        for _ in range(200):
-            coeffs = [rng.uniform(0.1, 100.0), rng.uniform(-3.0, 3.0), rng.uniform(-0.2, 0.2)]
-            coeffs = coeffs[: kind.n_coeffs]
-            f = compile_func(kind, coeffs)
-            np.testing.assert_array_max_ulp(
-                np.array([f(float(v)) for v in t]), eval_func(kind, coeffs, t), maxulp=2
-            )
 
 
 class TestModelSpace:

@@ -6,25 +6,95 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arrivalsim.distributions import Exp, GenGam
+from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, Exp, GenGam, _genf_shapes
 from arrivalsim.fitting import FittedModel
-from arrivalsim.models import model_from_name
+from arrivalsim.models import Family, FuncKind, enumerate_models, instantiate, model_from_name
+from arrivalsim.scoring import minute_grid
 from arrivalsim.simulate import (
+    _BLOCK,
     counts_on_grid,
     pick_anchor,
     simulate_one,
     simulate_set,
     write_trajectories,
 )
+from test_models import feasible_theta
 
 T1, T2 = -3.25, -0.5
 SPAN = T2 - T1
+
+# models of each family whose stream use differs: pre-drawn exponential
+# innovations, pre-drawn beta-prime innovations, one gamma draw per event
+STREAM_CASES = [
+    ("Exp.Const", [100.0]),
+    ("GenF.Lin.Const", [60.0, -5.0, 1.0, 0.5, 1.0]),
+    ("Gamma.Lin.Lin", [60.0, -5.0, 1.0, 0.1]),
+]
+
+# rate 4t^2 + 16t + 15 is negative on (-2.5, -1.5), inside the window
+NEGATIVE_RATE_CASES = [
+    ("Exp.Quadr", [15.0, 16.0, 4.0]),
+    ("Gamma.Quadr.Const", [15.0, 16.0, 4.0, 1.0]),
+    ("GenGam.Quadr.Const", [15.0, 16.0, 4.0, 1.0, 0.5]),
+    ("GenF.Quadr.Const", [15.0, 16.0, 4.0, 1.0, 0.5, 1.0]),
+]
 
 
 def fitted(name, theta, window=(T1, T2)):
     return FittedModel(
         spec=model_from_name(name), theta=theta, log_likelihood=None, window=window
     )
+
+
+def scalar_func(kind, coeffs):
+    c = [float(v) for v in coeffs] + [0.0, 0.0]
+    if kind is FuncKind.EXPON:
+        return lambda t: c[0] + math.exp(c[1] + c[2] * t)
+    return lambda t: c[0] + c[1] * t + c[2] * t * t
+
+
+def reference_trajectory(fm, anchor, t_start, t_end, rng):
+    """One trajectory from a sequential stepper on scalars: the oracle of the
+    lockstep kernel, with the same use of ``rng``."""
+    spec, theta, family = fm.spec, fm.theta, fm.spec.family
+    lo, hi = fm.window
+    rate = scalar_func(spec.rate_kind, theta[spec.rate_slice])
+    if spec.shape_kind is not None:
+        shape = scalar_func(spec.shape_kind, theta[spec.shape_slice])
+    draw = None  # gamma with a time-varying shape: one draw per event
+    if family is Family.EXP:
+        draw = lambda n: rng.exponential(1.0, n)
+    elif family is Family.GAMMA and spec.shape_kind is FuncKind.CONST:
+        draw = lambda n: rng.gamma(shape(0.0), 1.0, n)
+    elif family in (Family.GENGAM, Family.GENF):
+        q = float(theta[spec.q_index])
+        p = float(theta[spec.p_index]) if family is Family.GENF else 0.0
+        if p >= GENGAM_P_EPS:
+            delta, s1, s2 = _genf_shapes(q, p)
+            ratio = s2 / s1
+            draw = lambda n: np.log(ratio * rng.gamma(s1, 1.0, n) / rng.gamma(s2, 1.0, n)) / delta
+        elif abs(q) >= LOGNORMAL_Q_EPS:
+            draw = lambda n: np.log(rng.gamma(q ** -2, 1.0, n) / q ** -2) / q
+        else:
+            draw = lambda n: rng.standard_normal(n)
+
+    first = instantiate(spec, theta, min(max(anchor, lo), hi))
+    t = anchor + first.sample_truncated(t_start - anchor, rng)
+    out, block = [], []
+    while t < t_end:
+        out.append(t)
+        tc = min(max(t, lo), hi)
+        if draw is None:
+            t += rng.gamma(shape(tc), 1.0) / rate(tc)
+            continue
+        if not block:
+            block = list(draw(_BLOCK))[::-1]
+        w = block.pop()
+        if family in (Family.EXP, Family.GAMMA):
+            t += w / rate(tc)
+        else:
+            t += math.exp(math.log(shape(tc) / rate(tc)) + shape(tc) ** -0.5 * w)
+    return np.array(out)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +164,13 @@ class TestFirstArrival:
         assert tr.size == 0
         assert "exhausted" in caplog.text
 
+    def test_tail_exhausted_warns_once_per_trajectory(self, caplog):
+        with caplog.at_level("WARNING"):
+            ts = simulate_set(fitted("Exp.Const", [200.0]), -10.0, T1, T2, m=5, seed=0)
+        assert [tr.size for tr in ts.trajectories] == [0] * 5
+        assert len(caplog.records) == 5
+        assert all("truncated tail exhausted" in r.getMessage() for r in caplog.records)
+
 
 class TestDeterminism:
     def test_same_seed_identical(self):
@@ -105,19 +182,58 @@ class TestDeterminism:
             np.testing.assert_array_equal(ta, tb)
 
     def test_m1_equals_first_derived_stream(self):
-        fm = fitted("Exp.Const", [100.0])
-        one = simulate_set(fm, T1, T1, T2, m=1, seed=5)
-        stream = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
-        direct = simulate_one(fm, T1, T1, T2, stream)
-        np.testing.assert_array_equal(one.trajectories[0], direct)
+        for name, theta in STREAM_CASES:
+            fm = fitted(name, theta)
+            one = simulate_set(fm, T1, T1, T2, m=1, seed=5)
+            stream = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+            direct = simulate_one(fm, T1, T1, T2, stream)
+            assert direct.size > 0
+            np.testing.assert_array_equal(one.trajectories[0], direct, err_msg=name)
 
     def test_prefix_stable_in_m(self):
         """Per-trajectory streams: growing M never changes earlier members."""
-        fm = fitted("Exp.Const", [100.0])
-        small = simulate_set(fm, T1, T1, T2, m=3, seed=5)
-        large = simulate_set(fm, T1, T1, T2, m=6, seed=5)
-        for ta, tb in zip(small.trajectories, large.trajectories):
-            np.testing.assert_array_equal(ta, tb)
+        for name, theta in STREAM_CASES:
+            fm = fitted(name, theta)
+            small = simulate_set(fm, T1, T1, T2, m=3, seed=5)
+            large = simulate_set(fm, T1, T1, T2, m=6, seed=5)
+            for ta, tb in zip(small.trajectories, large.trajectories):
+                np.testing.assert_array_equal(ta, tb, err_msg=name)
+
+
+def test_lockstep_matches_scalar_reference_on_every_model():
+    """All 37 models: the kernel's arrivals equal the sequential oracle's
+    up to the last bits of np.exp/np.log against math.exp/math.log."""
+    rng = np.random.default_rng(3)
+    grid = minute_grid(T1, T2)
+    anchor = T1 - 0.01
+    for spec in enumerate_models():
+        fm = fitted(spec.name, feasible_theta(spec, rng))
+        ts = simulate_set(fm, anchor, T1, T2, m=8, seed=21)
+        streams = np.random.SeedSequence(21).spawn(8)
+        for got, stream in zip(ts.trajectories, streams):
+            want = reference_trajectory(fm, anchor, T1, T2, np.random.default_rng(stream))
+            np.testing.assert_array_equal(
+                counts_on_grid(got, grid), counts_on_grid(want, grid), err_msg=spec.name
+            )
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=spec.name)
+
+
+@pytest.mark.parametrize("name, theta", NEGATIVE_RATE_CASES)
+def test_infeasible_parameters_end_the_trajectory(name, theta, caplog):
+    with caplog.at_level("WARNING"):
+        ts = simulate_set(fitted(name, theta), T1, T1, T2, m=40, seed=4)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages and all(
+        "parameters infeasible at t=" in msg and msg.endswith("trajectory truncated")
+        for msg in messages
+    )
+    # a trajectory ends at its first arrival where the rate is not positive
+    ended_inside = [
+        tr for tr in ts.trajectories if tr.size and 4 * tr[-1] ** 2 + 16 * tr[-1] + 15 <= 0
+    ]
+    assert len(ended_inside) == len(messages)
+    for tr in ts.trajectories:
+        assert np.all(4 * tr[:-1] ** 2 + 16 * tr[:-1] + 15 > 0)
 
 
 class TestTimeVarying:
