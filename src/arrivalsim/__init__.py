@@ -1,7 +1,7 @@
 """Estimation, simulation and probabilistic evaluation of transaction
 arrival processes in continuous intraday markets."""
 
-from .distributions import DistParams, Exp, Gamma, GenF, GenGam, nest
+from .distributions import DistParams, Exp, Gamma, GenF, GenGam
 from .models import FuncKind, ModelSpec, enumerate_models, instantiate, model_from_name
 from .fitting import FitOptions, FittedModel, fit, fit_cascade, log_likelihood
 from .simulate import TrajectorySet, simulate_one, simulate_set
@@ -17,7 +17,6 @@ __all__ = [
     "Gamma",
     "GenGam",
     "GenF",
-    "nest",
     "FuncKind",
     "ModelSpec",
     "enumerate_models",

@@ -31,12 +31,11 @@ from .ingest import (
     CsvSchema,
     InterArrivalSample,
     build_series,
-    default_trading_begin,
-    DEFAULT_TRADING_END,
     load_store,
     merge_samples,
     parse_csv,
     slice_window,
+    trading_bounds,
 )
 from .models import enumerate_models, model_from_name
 from .scoring import (
@@ -91,16 +90,6 @@ class RunConfig:
     fit: FitOptions = field(default_factory=FitOptions)
     csv: CsvSchema = field(default_factory=CsvSchema)
 
-    def begin(self, product: int) -> float:
-        if self.trading_begin is not None:
-            return self.trading_begin[product]
-        return default_trading_begin(product)
-
-    def end(self, product: int) -> float:
-        if self.trading_end is not None:
-            return self.trading_end[product]
-        return DEFAULT_TRADING_END
-
     def validate(self) -> None:
         if self.window_days < 1 or self.out_days < 1 or self.trajectories < 1:
             raise ParameterError("window_days, out_days and trajectories must be >= 1")
@@ -113,10 +102,11 @@ class RunConfig:
         if any(not 1 <= s <= self.n_products for s in self.products):
             raise ParameterError(f"products must lie in 1..{self.n_products}")
         for s in self.products:
-            if not self.begin(s) < self.t1 < self.t2 <= self.end(s):
+            begin, end = trading_bounds(s, self.trading_begin, self.trading_end)
+            if not begin < self.t1 < self.t2 <= end:
                 raise ParameterError(
                     f"product {s}: need begin < t1 < t2 <= end, got "
-                    f"{self.begin(s)} < {self.t1} < {self.t2} <= {self.end(s)}"
+                    f"{begin} < {self.t1} < {self.t2} <= {end}"
                 )
         for name in self.models:
             model_from_name(name)
@@ -134,15 +124,10 @@ class RunConfig:
         for key in ("trading_begin", "trading_end"):
             if data.get(key) is not None:
                 data[key] = {int(k): float(v) for k, v in data[key].items()}
-        if isinstance(data.get("fit"), dict):
-            data["fit"] = FitOptions(**data["fit"])
-        if isinstance(data.get("csv"), dict):
-            data["csv"] = CsvSchema(**data["csv"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        for section, section_cls in (("fit", FitOptions), ("csv", CsvSchema)):
+            if isinstance(data.get(section), dict):
+                data[section] = _from_fields(section_cls, data[section], f"{section}.")
+        return _from_fields(cls, data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -166,6 +151,14 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
 
+def _from_fields(cls, data: dict, prefix: str = ""):
+    """``cls(**data)``, rejecting keys that are not fields of ``cls``."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+    return cls(**data)
+
+
 def cell_seed(master_seed: int, model: str, day: date, product: int) -> int:
     """Stable per-cell seed: any run subset reproduces in isolation."""
     digest = hashlib.sha256(
@@ -177,17 +170,15 @@ def cell_seed(master_seed: int, model: str, day: date, product: int) -> int:
 def load_input(config: RunConfig) -> dict[tuple[date, int], ArrivalSeries]:
     """Read the configured input: a raw CSV or a normalized arrival store."""
     path = Path(config.input)
-    begin = {s: config.begin(s) for s in config.products}
-    end = {s: config.end(s) for s in config.products}
     with path.open(newline="") as handle:
         header = handle.readline()
     if "time_hours" in header:
-        series = load_store(path, begin, end)
+        series = load_store(path, config.trading_begin, config.trading_end)
     else:
         tz = ZoneInfo(config.timezone) if config.timezone else None
         rows = parse_csv(path, config.csv, n_products=config.n_products)
         rows = [r for r in rows if r.product in config.products]
-        series = build_series(rows, begin, end, tz)
+        series = build_series(rows, config.trading_begin, config.trading_end, tz)
     return {key: s for key, s in series.items() if key[1] in config.products}
 
 

@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 from datetime import date, datetime, time as dtime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -25,15 +26,14 @@ __all__ = [
     "RawTransaction",
     "CsvSchema",
     "parse_csv",
-    "dejitter_times",
-    "to_delivery_relative",
+    "dejitter_us",
     "delivery_start",
     "ArrivalSeries",
     "InterArrivalSample",
     "build_series",
     "slice_window",
     "merge_samples",
-    "default_trading_begin",
+    "trading_bounds",
     "DEFAULT_TRADING_END",
     "write_store",
     "load_store",
@@ -43,21 +43,25 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TRADING_END = -0.5
 
-
-def default_trading_begin(product: int) -> float:
-    """Trading-period start in hours to delivery for hourly product s."""
-    return -8.0 - product
+_US = timedelta(microseconds=1)
 
 
-@dataclass(frozen=True)
-class RawTransaction:
+def trading_bounds(
+    product: int,
+    trading_begin: dict[int, float] | None = None,
+    trading_end: dict[int, float] | None = None,
+) -> tuple[float, float]:
+    """(begin, end) of hourly product ``s``'s trading period in hours to
+    delivery: the configured per-product values, else ``-8 - s`` and -0.5."""
+    begin = trading_begin[product] if trading_begin is not None else -8.0 - product
+    end = trading_end[product] if trading_end is not None else DEFAULT_TRADING_END
+    return begin, end
+
+
+class RawTransaction(NamedTuple):
     delivery_date: date
     product: int
     timestamp: datetime
-    market_area: str | None = None
-    volume: float | None = None
-    price: float | None = None
-    transaction_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -68,16 +72,9 @@ class CsvSchema:
     delivery_date: str = "delivery_date"
     product: str = "product"
     timestamp: str = "timestamp"
-    market_area: str | None = "market_area"
-    volume: str | None = "volume"
-    price: str | None = "price"
-    transaction_id: str | None = "transaction_id"
     # None means ISO 8601 (e.g. "2017-09-30 16:01:00" / "2017-09-30")
     timestamp_format: str | None = None
     date_format: str | None = None
-
-    def required(self) -> tuple[str, str, str]:
-        return (self.delivery_date, self.product, self.timestamp)
 
 
 def _parse_timestamp(raw: str, fmt: str | None) -> datetime:
@@ -99,91 +96,71 @@ def parse_csv(
 ) -> list[RawTransaction]:
     """Read raw transactions, preserving row order.
 
-    Exact duplicate rows are dropped with a warning; duplicate transaction
-    ids on otherwise distinct rows are kept (separate fills share an id).
-    Raises :class:`SchemaError` for a bad header and :class:`RowError`
-    (with the 1-based file line) for the first unparseable row.
+    Only the delivery date, product and timestamp columns are read.  A row
+    identical, field for field, to an earlier one is an exact duplicate and
+    is dropped with a warning; rows that differ in any column are kept
+    (separate fills share a timestamp).  Raises :class:`SchemaError` for a
+    bad header and :class:`RowError` (with the 1-based file line) for the
+    first unparseable row.
     """
     path = Path(path)
     rows: list[RawTransaction] = []
-    seen: set[tuple] = set()
+    seen: set[str | tuple[str, ...]] = set()
     dupes = 0
     with path.open(newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=schema.delimiter)
-        header = reader.fieldnames or []
-        missing = [c for c in schema.required() if c not in header]
+        reader = csv.reader(handle, delimiter=schema.delimiter)
+        header = next(reader, [])
+        columns = (schema.delivery_date, schema.product, schema.timestamp)
+        missing = [c for c in columns if c not in header]
         if missing:
             raise SchemaError(f"missing required columns {missing} in {path}")
-        optional = {
-            "market_area": schema.market_area,
-            "volume": schema.volume,
-            "price": schema.price,
-            "transaction_id": schema.transaction_id,
-        }
-        present = {k: c for k, c in optional.items() if c is not None and c in header}
+        i_date, i_product, i_timestamp = (header.index(c) for c in columns)
         for record in reader:
-            line = reader.line_num
-            try:
-                product = int(record[schema.product])
-                if not 1 <= product <= n_products:
-                    raise ValueError(f"product {product} outside 1..{n_products}")
-                tx = RawTransaction(
-                    delivery_date=_parse_date(record[schema.delivery_date], schema.date_format),
-                    product=product,
-                    timestamp=_parse_timestamp(record[schema.timestamp], schema.timestamp_format),
-                    market_area=record.get(present.get("market_area", ""), None),
-                    volume=float(record[present["volume"]]) if "volume" in present and record[present["volume"]] != "" else None,
-                    price=float(record[present["price"]]) if "price" in present and record[present["price"]] != "" else None,
-                    transaction_id=record.get(present.get("transaction_id", ""), None),
-                )
-            except RowError:
-                raise
-            except (ValueError, KeyError) as exc:
-                raise RowError(line, str(exc)) from exc
-            key = (
-                tx.delivery_date,
-                tx.product,
-                tx.timestamp,
-                tx.market_area,
-                tx.volume,
-                tx.price,
-                tx.transaction_id,
-            )
+            if not record:
+                continue  # blank line
+            # one string per row holds far less memory than the tuple of its
+            # fields; it identifies the row unless a field contains NUL
+            key = "\0".join(record)
+            if key.count("\0") >= len(record):
+                key = tuple(record)
             if key in seen:
                 dupes += 1
                 continue
             seen.add(key)
-            rows.append(tx)
+            try:
+                product = int(record[i_product])
+                if not 1 <= product <= n_products:
+                    raise ValueError(f"product {product} outside 1..{n_products}")
+                rows.append(RawTransaction(
+                    _parse_date(record[i_date], schema.date_format),
+                    product,
+                    _parse_timestamp(record[i_timestamp], schema.timestamp_format),
+                ))
+            except (ValueError, IndexError) as exc:
+                raise RowError(reader.line_num, str(exc)) from exc
     if dupes:
         logger.warning("dropped %d exact duplicate rows from %s", dupes, path)
     return rows
 
 
-def dejitter_times(times: list[datetime]) -> list[datetime]:
+def dejitter_us(us: np.ndarray) -> np.ndarray:
     """Spread minute-grid ties uniformly over their minute.
 
-    ``k`` transactions stamped at minute ``T`` become
-    ``T + j*(60/k) seconds`` for ``j = 0..k-1``.  Input must be sorted;
-    output is strictly increasing.  Already-distinct times pass through,
-    so the operation is idempotent.
+    ``us`` holds sorted integer microseconds.  ``k`` entries equal to ``T``
+    become ``T + 60/k*m`` seconds for ``m = 0..k-1``, rounded to the
+    microsecond as ``timedelta(seconds=60/k*m)`` rounds (half to even).
+    Output is strictly increasing.  Already-distinct times pass through, so
+    the operation is idempotent.
     """
-    out: list[datetime] = []
-    i = 0
-    n = len(times)
-    while i < n:
-        j = i
-        while j < n and times[j] == times[i]:
-            j += 1
-        k = j - i
-        if k == 1:
-            out.append(times[i])
-        else:
-            step = 60.0 / k
-            out.extend(times[i] + timedelta(seconds=step * m) for m in range(k))
-        i = j
-    for a, b in zip(out, out[1:]):
-        if not a < b:
-            raise DomainError(f"dejitter produced non-increasing times near {a}")
+    us = np.asarray(us, dtype=np.int64)
+    first = np.flatnonzero(np.diff(us, prepend=us[:1] - 1))
+    sizes = np.diff(first, append=us.size)
+    rank = np.arange(us.size) - np.repeat(first, sizes)
+    frac, whole = np.modf(60.0 / np.repeat(sizes, sizes) * rank)
+    out = us + whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+    bad = np.flatnonzero(np.diff(out) <= 0)
+    if bad.size:
+        raise DomainError(f"dejitter produced non-increasing times near {int(out[bad[0]])} us")
     return out
 
 
@@ -209,32 +186,23 @@ def delivery_start(
     return fold0
 
 
-def to_delivery_relative(
-    timestamp: datetime,
-    delivery_date: date,
-    product: int,
-    tz: ZoneInfo | None = None,
-) -> float:
-    """Hours between ``timestamp`` and the product's delivery start.
+def _offsets_us(times: list[datetime], start: datetime, tz: ZoneInfo | None) -> np.ndarray:
+    """Integer microseconds from ``start`` to each timestamp.
 
-    Negative before delivery.  Naive timestamps are interpreted in ``tz``
-    when one is given.
+    Naive timestamps are read in ``tz`` when one is given.  Aware ones are
+    compared in UTC: same-zone datetime subtraction is wall-clock
+    arithmetic, and elapsed time across a DST switch needs both sides in UTC.
     """
-    start = delivery_start(delivery_date, product, tz)
-    if start is None:
-        raise DomainError(
-            f"delivery start of product {product} on {delivery_date} is "
-            "undefined (DST transition)"
-        )
-    ts = timestamp
-    if tz is not None and ts.tzinfo is None:
-        ts = ts.replace(tzinfo=tz)
-    if ts.tzinfo is not None:
-        # same-zone datetime subtraction is wall-clock arithmetic; true
-        # elapsed time needs both sides in UTC
-        ts = ts.astimezone(timezone.utc)
-        start = start.astimezone(timezone.utc)
-    return (ts - start).total_seconds() / 3600.0
+    if tz is not None:
+        times = [ts if ts.tzinfo is not None else ts.replace(tzinfo=tz) for ts in times]
+    start_utc = start.astimezone(timezone.utc)
+    return np.array(
+        [
+            (ts - start if ts.tzinfo is None else ts.astimezone(timezone.utc) - start_utc) // _US
+            for ts in times
+        ],
+        dtype=np.int64,
+    )
 
 
 @dataclass(frozen=True)
@@ -246,7 +214,6 @@ class ArrivalSeries:
     arrivals: np.ndarray  # hours to delivery, strictly increasing
     trading_begin: float
     trading_end: float
-    window_start: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.arrivals, dtype=float)
@@ -261,10 +228,6 @@ class ArrivalSeries:
                 )
             if np.any(np.diff(arr) <= 0.0):
                 raise ParameterError("arrival times must be strictly increasing")
-        if self.window_start is not None and not (
-            self.trading_begin < self.window_start < self.trading_end
-        ):
-            raise ParameterError("window_start must lie inside the trading period")
 
     @property
     def n(self) -> int:
@@ -351,6 +314,34 @@ def merge_samples(samples: list[InterArrivalSample]) -> InterArrivalSample:
     )
 
 
+def _series(
+    hours: dict[tuple[date, int], np.ndarray],
+    trading_begin: dict[int, float] | None,
+    trading_end: dict[int, float] | None,
+) -> dict[tuple[date, int], ArrivalSeries]:
+    """Keep each cell's sorted arrivals inside its trading period.
+
+    Arrivals at or before the trading begin, or at or after the trading
+    end, are dropped with one warning per cell.
+    """
+    out: dict[tuple[date, int], ArrivalSeries] = {}
+    for (day, product), rel in sorted(hours.items()):
+        begin, end = trading_bounds(product, trading_begin, trading_end)
+        keep = (rel > begin) & (rel < end)
+        dropped = int(rel.size - keep.sum())
+        if dropped:
+            logger.warning(
+                "day %s product %d: excluded %d transactions outside (%s, %s)",
+                day,
+                product,
+                dropped,
+                begin,
+                end,
+            )
+        out[(day, product)] = ArrivalSeries(day, product, rel[keep], begin, end)
+    return out
+
+
 def build_series(
     transactions: list[RawTransaction],
     trading_begin: dict[int, float] | None = None,
@@ -364,17 +355,11 @@ def build_series(
     trading end (or at/before the trading begin).
     """
     groups: dict[tuple[date, int], list[datetime]] = {}
-    for tx in transactions:
-        groups.setdefault((tx.delivery_date, tx.product), []).append(tx.timestamp)
+    for day, product, timestamp in transactions:
+        groups.setdefault((day, product), []).append(timestamp)
 
-    out: dict[tuple[date, int], ArrivalSeries] = {}
+    hours: dict[tuple[date, int], np.ndarray] = {}
     for (day, product), times in sorted(groups.items()):
-        begin = (
-            trading_begin[product]
-            if trading_begin is not None
-            else default_trading_begin(product)
-        )
-        end = trading_end[product] if trading_end is not None else DEFAULT_TRADING_END
         start = delivery_start(day, product, tz)
         if start is None:
             logger.warning(
@@ -383,29 +368,9 @@ def build_series(
                 product,
             )
             continue
-        exact = dejitter_times(sorted(times))
-        rel = np.array(
-            [to_delivery_relative(ts, day, product, tz) for ts in exact], dtype=float
-        )
-        keep = (rel > begin) & (rel < end)
-        dropped = int(rel.size - keep.sum())
-        if dropped:
-            logger.warning(
-                "day %s product %d: excluded %d transactions outside (%s, %s)",
-                day,
-                product,
-                dropped,
-                begin,
-                end,
-            )
-        out[(day, product)] = ArrivalSeries(
-            day=day,
-            product=product,
-            arrivals=rel[keep],
-            trading_begin=begin,
-            trading_end=end,
-        )
-    return out
+        us = dejitter_us(np.sort(_offsets_us(times, start, tz)))
+        hours[(day, product)] = us / 1e6 / 3600.0
+    return _series(hours, trading_begin, trading_end)
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +394,22 @@ def load_store(
     trading_begin: dict[int, float] | None = None,
     trading_end: dict[int, float] | None = None,
 ) -> dict[tuple[date, int], ArrivalSeries]:
-    """Load a normalized arrival store written by :func:`write_store`."""
+    """Load a normalized arrival store written by :func:`write_store`.
+
+    Arrivals outside the given trading periods are dropped, as
+    :func:`build_series` drops them.
+    """
     path = Path(path)
     cells: dict[tuple[date, int], list[float]] = {}
     with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"delivery_date", "product", "time_hours"}
-        if not required.issubset(reader.fieldnames or []):
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        columns = ("delivery_date", "product", "time_hours")
+        if not set(columns).issubset(header):
             raise SchemaError(f"{path} is not a normalized arrival store")
+        i_date, i_product, i_hours = (header.index(c) for c in columns)
         for record in reader:
-            key = (date.fromisoformat(record["delivery_date"]), int(record["product"]))
-            cells.setdefault(key, []).append(float(record["time_hours"]))
-    out = {}
-    for (day, product), values in sorted(cells.items()):
-        begin = (
-            trading_begin[product]
-            if trading_begin is not None
-            else default_trading_begin(product)
-        )
-        end = trading_end[product] if trading_end is not None else DEFAULT_TRADING_END
-        out[(day, product)] = ArrivalSeries(
-            day=day,
-            product=product,
-            arrivals=np.sort(np.asarray(values, dtype=float)),
-            trading_begin=begin,
-            trading_end=end,
-        )
-    return out
+            key = (date.fromisoformat(record[i_date]), int(record[i_product]))
+            cells.setdefault(key, []).append(float(record[i_hours]))
+    hours = {key: np.sort(np.array(values)) for key, values in cells.items()}
+    return _series(hours, trading_begin, trading_end)

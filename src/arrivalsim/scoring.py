@@ -245,22 +245,27 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, q: int = 1) -> DMResult:
     normal; the two one-sided p-values are complementary.  The normal
     approximation is asymptotic, so small N (< 30 or so) is unreliable.
     """
-    if q not in (1, 2):
-        raise ParameterError(f"q must be 1 or 2, got {q!r}")
     a = np.atleast_2d(np.asarray(loss_a, dtype=float).T).T
     b = np.atleast_2d(np.asarray(loss_b, dtype=float).T).T
     if a.shape != b.shape:
         raise ParameterError(f"loss series shapes differ: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    if n < 2:
+    if a.shape[0] < 2:
         raise ParameterError("need at least two days of losses")
+    return _dm(_day_norms(a, q) - _day_norms(b, q))
+
+
+def _day_norms(loss: np.ndarray, q: int) -> np.ndarray:
+    """q-norm of every day's loss vector (the last axis)."""
     if q == 1:
-        norm_a = np.abs(a).sum(axis=1)
-        norm_b = np.abs(b).sum(axis=1)
-    else:
-        norm_a = np.sqrt((a * a).sum(axis=1))
-        norm_b = np.sqrt((b * b).sum(axis=1))
-    delta = norm_a - norm_b
+        return np.abs(loss).sum(axis=-1)
+    if q == 2:
+        return np.sqrt((loss * loss).sum(axis=-1))
+    raise ParameterError(f"q must be 1 or 2, got {q!r}")
+
+
+def _dm(delta: np.ndarray) -> DMResult:
+    """DM statistic and p-values of a 1-d daily loss differential."""
+    n = delta.size
     sd = float(np.std(delta, ddof=1))
     if sd == 0.0:
         raise DegenerateSeriesError(
@@ -302,19 +307,21 @@ class ScoreReport:
         undefined comparisons (diagonal, degenerate series, < 2 shared
         days) are nan.
         """
+        norms = _day_norms(self.daily_crps, q)  # (K, N)
+        present = ~np.isnan(self.daily_crps).any(axis=2)
         k = len(self.models)
         out = np.full((k, k), np.nan)
         for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                la = self.daily_crps[i]
-                lb = self.daily_crps[j]
-                keep = ~(np.isnan(la).any(axis=1) | np.isnan(lb).any(axis=1))
+            for j in range(i + 1, k):
+                keep = present[i] & present[j]
                 if keep.sum() < 2:
                     continue
                 try:
-                    out[i, j] = dm_test(la[keep], lb[keep], q=q).p_h0_ge
+                    result = _dm(norms[i][keep] - norms[j][keep])
                 except DegenerateSeriesError:
                     continue
+                # swapping the pair negates the differential exactly, so
+                # (j, i) is the other one-sided p-value of (i, j)
+                out[i, j] = result.p_h0_ge
+                out[j, i] = result.p_h0_le
         return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fitting import FittedModel
-from .ingest import DEFAULT_TRADING_END, default_trading_begin
+from .ingest import DEFAULT_TRADING_END, trading_bounds
 from .models import ModelSpec, feasible_on_grid
 from .scoring import minute_grid
 from .simulate import _simulate
@@ -54,12 +54,7 @@ def synth_generate(
 
     arrivals = {}  # product -> one trajectory per day
     for product in products:
-        if gen_start is not None:
-            a = gen_start
-        elif trading_begin is not None:
-            a = trading_begin[product]
-        else:
-            a = default_trading_begin(product)
+        a = gen_start if gen_start is not None else trading_bounds(product, trading_begin)[0]
         if not a < gen_end:
             raise ParameterError(
                 f"generation window empty for product {product}: [{a}, {gen_end})"

@@ -11,6 +11,7 @@ import pytest
 from arrivalsim.backtest import (
     RunConfig,
     cell_seed,
+    load_input,
     merge_reports,
     run,
 )
@@ -267,3 +268,13 @@ class TestRun:
         cfg = tiny_config(synth_csv, None, start_date="2017-09-14", out_days=1)
         report = run(cfg)
         assert report.missing.sum() == report.missing.size
+
+
+def test_store_input_keeps_only_configured_products(tmp_path):
+    """A store may hold more products than the study analyzes."""
+    store = tmp_path / "store.csv"
+    store.write_text(
+        "delivery_date,product,time_hours\n2017-09-03,5,-2.0\n2017-09-03,6,-2.0\n"
+    )
+    series = load_input(tiny_config(store, None, products=(5,)))
+    assert list(series) == [(date(2017, 9, 3), 5)]

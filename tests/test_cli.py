@@ -117,3 +117,13 @@ def test_fit_insufficient_history(workspace, capsys):
     ])
     assert code == 1
     assert "insufficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fit.restart", "csv.price"])
+def test_unknown_section_key_is_an_error(workspace, capsys, key):
+    code = main([
+        "backtest", "--config", str(workspace / "cfg.json"), "--set", f"{key}=0",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and key in err

@@ -7,13 +7,46 @@ import pytest
 from scipy import integrate, stats
 
 from arrivalsim.distributions import (
+    DistParams,
     Exp,
     Gamma,
     GenF,
     GenGam,
-    nest,
 )
 from arrivalsim.errors import DomainError, ParameterError, TailExhaustedError
+
+_NEST_ORDER: list[type] = [Exp, Gamma, GenGam, GenF]
+
+
+def _up_one(params: DistParams) -> DistParams:
+    if isinstance(params, Exp):
+        return Gamma(1.0, params.rate)
+    if isinstance(params, Gamma):
+        root = math.sqrt(params.shape)
+        return GenGam(-math.log(params.rate / params.shape), 1.0 / root, 1.0 / root)
+    if isinstance(params, GenGam):
+        return GenF(params.mu, params.sigma, params.q, 0.0)
+    raise ParameterError(f"cannot upcast {type(params).__name__}")
+
+
+def nest(params: DistParams, target: type) -> DistParams:
+    """Re-express ``params`` in the strictly larger ``target`` family.
+
+    The distribution is unchanged; only the parametrization moves up the
+    Exp -> Gamma -> GenGam -> GenF chain.  Downcasts are refused.
+    """
+    if target not in _NEST_ORDER:
+        raise ParameterError(f"unknown target family {target!r}")
+    here = _NEST_ORDER.index(type(params))
+    there = _NEST_ORDER.index(target)
+    if there < here:
+        raise ParameterError(
+            f"cannot nest {type(params).__name__} down into {target.__name__}"
+        )
+    out = params
+    for _ in range(there - here):
+        out = _up_one(out)
+    return out
 
 
 def random_params(rng, family):

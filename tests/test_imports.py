@@ -1,4 +1,5 @@
-"""Every imported name under src/ and tests/ is used in its module."""
+"""Every imported name under src/ and tests/ is used in its module, and
+every ``__all__`` entry under src/ names something its module defines."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,24 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def stale_exports(tree: ast.Module) -> list[str]:
+    """``__all__`` entries that no top-level statement of the module binds."""
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -45,3 +64,22 @@ def test_check_flags_an_unused_name():
         "print(os.sep)\n"
     )
     assert unused_imports(tree) == ["pi (line 3)", "full_turn (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_all_entries_are_defined(path):
+    assert stale_exports(ast.parse(path.read_text())) == []
+
+
+def test_check_flags_a_stale_export():
+    tree = ast.parse(
+        "from math import pi\n"
+        "import os.path\n"
+        "LIMIT: int = 3\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "__all__ = ['pi', 'os', 'LIMIT', 'f', 'C', 'gone']\n"
+    )
+    assert stale_exports(tree) == ["gone"]

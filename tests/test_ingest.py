@@ -1,6 +1,6 @@
 """Ingestion checks: parsing, dejitter, delivery-relative time, slicing."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -10,18 +10,43 @@ from arrivalsim.errors import DomainError, ParameterError, RowError, SchemaError
 from arrivalsim.ingest import (
     ArrivalSeries,
     CsvSchema,
+    RawTransaction,
     build_series,
-    dejitter_times,
+    dejitter_us,
     delivery_start,
     load_store,
     merge_samples,
     parse_csv,
     slice_window,
-    to_delivery_relative,
     write_store,
 )
 
 BERLIN = ZoneInfo("Europe/Berlin")
+SECOND = 1_000_000  # microseconds
+
+
+def hours_to_delivery(timestamp, day, product, tz=None):
+    """Delivery-relative hours of one transaction, with no trading bounds in the way."""
+    cells = build_series(
+        [RawTransaction(day, product, timestamp)], {product: -100.0}, {product: 100.0}, tz
+    )
+    return float(cells[(day, product)].arrivals[0])
+
+
+def per_row_hours(times, day, product, tz):
+    """Reference: dejitter sorted wall-clock datetimes, then convert each
+    one on its own through UTC, as ``total_seconds() / 3600``."""
+    start = delivery_start(day, product, tz).astimezone(timezone.utc)
+    times = sorted(times)
+    out = []
+    i = 0
+    while i < len(times):
+        k = times.count(times[i])
+        for m in range(k):
+            ts = (times[i] + timedelta(seconds=60.0 / k * m)).replace(tzinfo=tz)
+            out.append((ts.astimezone(timezone.utc) - start).total_seconds() / 3600.0)
+        i += k
+    return np.array(out)
 
 
 def write_csv(path, rows, header="delivery_date,product,timestamp"):
@@ -60,6 +85,15 @@ class TestParseCsv:
         with pytest.raises(SchemaError):
             parse_csv(path)
 
+    def test_short_row_reports_line(self, tmp_path):
+        path = write_csv(
+            tmp_path / "a.csv",
+            ["2017-09-30,12,2017-09-30 08:01:00", "2017-09-30,12"],
+        )
+        with pytest.raises(RowError) as err:
+            parse_csv(path)
+        assert err.value.line == 3
+
     def test_unparseable_timestamp_reports_line(self, tmp_path):
         path = write_csv(
             tmp_path / "a.csv",
@@ -77,6 +111,15 @@ class TestParseCsv:
         assert len(rows) == 1
         assert "duplicate" in caplog.text
 
+    def test_rows_differing_in_an_unread_column_kept(self, tmp_path):
+        row = "2017-09-30,12,2017-09-30 08:01:00"
+        path = write_csv(
+            tmp_path / "a.csv",
+            [f"{row},1.0,", f"{row},1.00,", f"{row},x\0,y", f"{row},x,\0y", f"{row},1.0,"],
+            header="delivery_date,product,timestamp,volume,note",
+        )
+        assert len(parse_csv(path)) == 4
+
     def test_custom_formats_and_delimiter(self, tmp_path):
         path = write_csv(
             tmp_path / "a.csv",
@@ -93,57 +136,63 @@ class TestParseCsv:
 
 
 class TestDejitter:
+    base = 1_234 * 60 * SECOND
+
     def test_four_ties_spread_over_quarter_minutes(self):
-        base = datetime(2017, 9, 30, 16, 1)
-        out = dejitter_times([base] * 4)
-        assert out == [
-            base,
-            base + timedelta(seconds=15),
-            base + timedelta(seconds=30),
-            base + timedelta(seconds=45),
-        ]
+        out = dejitter_us(np.full(4, self.base))
+        np.testing.assert_array_equal(
+            out, self.base + np.array([0, 15, 30, 45]) * SECOND
+        )
 
     def test_single_transaction_unchanged(self):
-        base = datetime(2017, 9, 30, 16, 1)
-        assert dejitter_times([base]) == [base]
+        np.testing.assert_array_equal(dejitter_us([self.base]), [self.base])
 
     def test_three_ties(self):
-        base = datetime(2017, 9, 30, 16, 1)
-        out = dejitter_times([base] * 3)
-        assert out == [base, base + timedelta(seconds=20), base + timedelta(seconds=40)]
+        out = dejitter_us(np.full(3, self.base))
+        np.testing.assert_array_equal(out, self.base + np.array([0, 20, 40]) * SECOND)
 
     def test_idempotent_and_order_preserving(self):
-        base = datetime(2017, 9, 30, 16, 1)
-        times = [base, base, base + timedelta(minutes=1), base + timedelta(minutes=3)]
-        once = dejitter_times(times)
-        assert dejitter_times(once) == once
-        assert once == sorted(once)
+        us = self.base + np.array([0, 0, 60, 180]) * SECOND
+        once = dejitter_us(us)
+        np.testing.assert_array_equal(dejitter_us(once), once)
+        assert np.all(np.diff(once) > 0)
+
+    def test_spread_rounds_like_timedelta(self):
+        for k in range(1, 400):
+            expected = [timedelta(seconds=60.0 / k * m) // timedelta(microseconds=1)
+                        for m in range(k)]
+            np.testing.assert_array_equal(dejitter_us(np.zeros(k, np.int64)), expected)
+
+    def test_spread_overrunning_next_time_rejected(self):
+        # two ties at :00 spread to :00 and :30, past the :10 transaction
+        with pytest.raises(DomainError):
+            dejitter_us(np.array([0, 0, 10 * SECOND]))
 
 
 class TestDeliveryRelative:
     def test_product_1_previous_afternoon(self):
         # product 1 delivers at 00:00, so 15:00 the day before is -9 h
-        assert to_delivery_relative(
+        assert hours_to_delivery(
             datetime(2017, 9, 2, 15, 0), date(2017, 9, 3), 1
         ) == pytest.approx(-9.0)
 
     def test_product_24_previous_afternoon(self):
-        assert to_delivery_relative(
+        assert hours_to_delivery(
             datetime(2017, 9, 2, 15, 0), date(2017, 9, 3), 24
         ) == pytest.approx(-32.0)
 
     def test_zero_at_delivery_start(self):
-        assert to_delivery_relative(
+        assert hours_to_delivery(
             datetime(2017, 9, 3, 11, 0), date(2017, 9, 3), 12
         ) == pytest.approx(0.0)
 
     def test_affine_in_timestamp(self):
         rng = np.random.default_rng(3)
         base = datetime(2018, 5, 4, 9, 30)
-        t0 = to_delivery_relative(base, date(2018, 5, 4), 18, BERLIN)
+        t0 = hours_to_delivery(base, date(2018, 5, 4), 18, BERLIN)
         for _ in range(10):
             shift = float(rng.uniform(-10.0, 10.0))
-            shifted = to_delivery_relative(
+            shifted = hours_to_delivery(
                 base + timedelta(hours=shift), date(2018, 5, 4), 18, BERLIN
             )
             assert shifted - t0 == pytest.approx(shift, abs=1e-9)
@@ -153,8 +202,8 @@ class TestDeliveryRelative:
         # no well-defined delivery start
         assert delivery_start(date(2018, 3, 25), 3, BERLIN) is None
         assert delivery_start(date(2018, 3, 25), 5, BERLIN) is not None
-        with pytest.raises(DomainError):
-            to_delivery_relative(datetime(2018, 3, 24, 15, 0), date(2018, 3, 25), 3, BERLIN)
+        tx = RawTransaction(date(2018, 3, 25), 3, datetime(2018, 3, 24, 15, 0))
+        assert build_series([tx], tz=BERLIN) == {}
 
     def test_fall_back_hour_undefined(self):
         # 02:00-03:00 happened twice on 2017-10-29
@@ -164,10 +213,24 @@ class TestDeliveryRelative:
     def test_dst_shifts_absolute_distance(self):
         # across the spring-forward gap, 23:00 the evening before is only
         # 5 wall-clock-independent hours from the 05:00 delivery (not 6)
-        hours = to_delivery_relative(
+        hours = hours_to_delivery(
             datetime(2018, 3, 24, 23, 0), date(2018, 3, 25), 6, BERLIN
         )
         assert hours == pytest.approx(-5.0)
+
+    @pytest.mark.parametrize("day, stamps", [
+        # spring forward: 02:00 -> 03:00
+        (date(2018, 3, 25), ["2018-03-24 23:59"] * 3 + ["2018-03-25 01:59"] * 7
+         + ["2018-03-25 03:00"] * 2 + ["2018-03-25 03:17", "2018-03-25 04:05"] * 5),
+        # fall back: 03:00 -> 02:00, ties read at the first 02:xx
+        (date(2017, 10, 29), ["2017-10-29 01:30"] * 3 + ["2017-10-29 02:30"] * 4
+         + ["2017-10-29 03:30"] * 6 + ["2017-10-29 04:15"]),
+    ])
+    def test_ties_on_dst_day_match_per_row_formula(self, day, stamps):
+        times = [datetime.fromisoformat(s) for s in stamps]
+        cells = build_series([RawTransaction(day, 6, ts) for ts in times], tz=BERLIN)
+        expected = per_row_hours(times, day, 6, BERLIN)
+        np.testing.assert_array_equal(cells[(day, 6)].arrivals, expected)
 
 
 def series(arrivals, b=-9.0, e=-0.5, day=date(2017, 9, 3), product=1):
@@ -239,8 +302,6 @@ class TestBuildSeries:
         np.testing.assert_allclose(s.arrivals, [-3.0, -3.0 + 30 / 3600, -1.5])
 
     def test_dst_cell_dropped(self, caplog):
-        from arrivalsim.ingest import RawTransaction
-
         txs = [
             RawTransaction(date(2018, 3, 25), 3, datetime(2018, 3, 25, 1, 0)),
             RawTransaction(date(2018, 3, 25), 6, datetime(2018, 3, 25, 1, 0)),
@@ -264,6 +325,16 @@ class TestStore:
         assert set(loaded) == set(cells)
         for key in cells:
             np.testing.assert_allclose(loaded[key].arrivals, cells[key].arrivals)
+
+    def test_load_clips_to_trading_window(self, tmp_path, caplog):
+        key = (date(2017, 9, 3), 1)
+        path = tmp_path / "store.csv"
+        write_store({key: series([-3.0, -0.9, -0.6])}, path)
+        with caplog.at_level("WARNING"):
+            loaded = load_store(path, {1: -9.0}, {1: -1.0})
+        np.testing.assert_array_equal(loaded[key].arrivals, [-3.0])
+        assert loaded[key].trading_end == -1.0
+        assert "excluded 2 transactions" in caplog.text
 
     def test_not_a_store(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -8,6 +8,7 @@ import pytest
 from arrivalsim.errors import DegenerateSeriesError, ParameterError
 from arrivalsim.scoring import (
     LossSpec,
+    ScoreReport,
     argmin_process,
     default_tau_grid,
     dm_test,
@@ -284,3 +285,46 @@ class TestDMTest:
     def test_rejects_bad_q(self):
         with pytest.raises(ParameterError):
             dm_test(np.ones((10, 2)), np.zeros((10, 2)), q=3)
+
+
+class TestDMMatrix:
+    @staticmethod
+    def report(daily: np.ndarray) -> ScoreReport:
+        k, n, s = daily.shape
+        zeros = np.zeros((k, s))
+        return ScoreReport(
+            models=[f"m{i}" for i in range(k)],
+            products=list(range(1, s + 1)),
+            taus=default_tau_grid(3),
+            day_labels=[str(d) for d in range(n)],
+            bias=zeros, mae=zeros, rmse=zeros, crps=zeros,
+            pb=np.zeros((k, s, 3)),
+            daily_crps=daily,
+            missing=np.zeros((k, s), dtype=int),
+        )
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_matches_pairwise_dm_test(self, q):
+        rng = np.random.default_rng(9)
+        daily = rng.gamma(2.0, 1.0, size=(5, 30, 3))
+        daily[2, 4, 1] = np.nan  # one missing day
+        daily[3] = daily[0]  # identical pair: degenerate
+        daily[4] = np.nan
+        daily[4, 7] = 1.0  # a single shared day with anyone
+        matrix = self.report(daily).dm_matrix(q=q)
+
+        expected = np.full((5, 5), np.nan)
+        for i in range(5):
+            for j in range(5):
+                keep = ~(np.isnan(daily[i]).any(axis=1) | np.isnan(daily[j]).any(axis=1))
+                if i == j or keep.sum() < 2:
+                    continue
+                try:
+                    expected[i, j] = dm_test(daily[i][keep], daily[j][keep], q=q).p_h0_ge
+                except DegenerateSeriesError:
+                    pass
+        np.testing.assert_array_equal(matrix, expected)
+        assert np.isnan(np.diag(matrix)).all()
+        assert np.isnan(matrix[0, 3]) and np.isnan(matrix[3, 0])
+        assert np.isnan(matrix[4]).all() and np.isnan(matrix[:, 4]).all()
+        assert np.isfinite(matrix[2, [0, 1, 3]]).all()
