@@ -101,6 +101,10 @@ class RunConfig:
             raise ParameterError("need at least one product")
         if any(not 1 <= s <= self.n_products for s in self.products):
             raise ParameterError(f"products must lie in 1..{self.n_products}")
+        for key in ("trading_begin", "trading_end"):
+            bounds = getattr(self, key)
+            if bounds is not None and not set(self.products) <= set(bounds):
+                raise ParameterError(f"{key} must list every product in products")
         for s in self.products:
             begin, end = trading_bounds(s, self.trading_begin, self.trading_end)
             if not begin < self.t1 < self.t2 <= end:
@@ -173,13 +177,11 @@ def load_input(config: RunConfig) -> dict[tuple[date, int], ArrivalSeries]:
     with path.open(newline="") as handle:
         header = handle.readline()
     if "time_hours" in header:
-        series = load_store(path, config.trading_begin, config.trading_end)
-    else:
-        tz = ZoneInfo(config.timezone) if config.timezone else None
-        rows = parse_csv(path, config.csv, n_products=config.n_products)
-        rows = [r for r in rows if r.product in config.products]
-        series = build_series(rows, config.trading_begin, config.trading_end, tz)
-    return {key: s for key, s in series.items() if key[1] in config.products}
+        return load_store(path, config.trading_begin, config.trading_end, config.products)
+    tz = ZoneInfo(config.timezone) if config.timezone else None
+    rows = parse_csv(path, config.csv, n_products=config.n_products)
+    rows = [r for r in rows if r.product in config.products]
+    return build_series(rows, config.trading_begin, config.trading_end, tz)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _load_config(args)
+    config.validate()
     series = bt.load_input(config)
     day = date.fromisoformat(args.date)
     sample = bt.training_sample(config, series, day, args.product)

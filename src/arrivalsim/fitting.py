@@ -7,10 +7,15 @@ modeling window.  Infeasible parameter vectors (non-positive rate or shape
 anywhere they are evaluated) score ``-inf`` so the optimizer retreats
 instead of crashing.
 
-Optimization is a bounded Nelder-Mead simplex with jittered restarts,
-followed by an L-BFGS-B polish; the likelihood surfaces are low
-dimensional (at most 8 parameters) but can be multimodal, so richer
-models are warm-started from simpler ones (see :func:`fit_cascade`).
+Optimization is a bounded Nelder-Mead simplex followed by an L-BFGS-B
+polish; the likelihood surfaces are low dimensional (at most 8 parameters)
+but can be multimodal, so richer models are warm-started from simpler ones
+(see :func:`fit_cascade`).  Jittered restarts run for the 16 models with
+an Expon rate or shape function and for any start from the moment default.
+On synthetic cells, skipping them lost up to 2.8 LL units on Expon models
+and up to 3.0 on GenF models started from the default, while every other
+model started from a fitted donor reached its restart optimum to within
+3e-6 LL from that start alone.
 """
 
 from __future__ import annotations
@@ -57,6 +62,18 @@ class FitOptions:
     polish: bool = True
     seed: int = 0
     min_obs_per_param: int = 10
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("max_evals", self.max_evals >= 1, ">= 1"),
+            ("f_tol", self.f_tol > 0, "> 0"),
+            ("x_tol", self.x_tol > 0, "> 0"),
+            ("restarts", self.restarts >= 0, ">= 0"),
+            ("jitter_scale", self.jitter_scale >= 0, ">= 0"),
+            ("min_obs_per_param", self.min_obs_per_param >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ParameterError(f"fit.{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -301,9 +318,13 @@ def fit(
 ) -> FittedModel:
     """Maximize the log-likelihood of ``spec`` over its box bounds.
 
-    The optimizer runs from ``theta0`` (or a moment-based default) and from
-    jittered copies of it; the best local optimum wins.  A model that never
-    converged is still returned, flagged, with the best vector found.
+    The optimizer runs from ``theta0`` (or a moment-based default).  When
+    the rate or shape function is Expon, or ``start_source`` is
+    ``"default"``, it also runs from ``options.restarts`` jittered copies of
+    it and the best local optimum wins; a non-Expon model started from a
+    donor runs from ``theta0`` alone, since restarts did not improve those
+    optima (see the module docstring).  A model that never converged is
+    still returned, flagged, with the best vector found.
     """
     if sample.n < options.min_obs_per_param * spec.n_params:
         raise InsufficientDataError(
@@ -324,7 +345,9 @@ def fit(
     rng = np.random.default_rng(options.seed)
     starts = [theta0]
     scale = np.maximum(np.abs(theta0), 1.0)
-    for _ in range(options.restarts):
+    expon = FuncKind.EXPON in (spec.rate_kind, spec.shape_kind)
+    restarts = options.restarts if expon or start_source == "default" else 0
+    for _ in range(restarts):
         jitter = theta0 + options.jitter_scale * scale * rng.standard_normal(len(theta0))
         starts.append(np.clip(jitter, lo, hi))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections.abc import Collection
 from dataclasses import dataclass
 from datetime import date, datetime, time as dtime, timedelta, timezone
 from pathlib import Path
@@ -393,11 +394,14 @@ def load_store(
     path: str | Path,
     trading_begin: dict[int, float] | None = None,
     trading_end: dict[int, float] | None = None,
+    products: Collection[int] | None = None,
 ) -> dict[tuple[date, int], ArrivalSeries]:
     """Load a normalized arrival store written by :func:`write_store`.
 
-    Arrivals outside the given trading periods are dropped, as
-    :func:`build_series` drops them.
+    Only the cells of ``products`` (every product when ``None``) are kept.
+    Arrivals outside their trading periods are dropped, as
+    :func:`build_series` drops them.  Raises :class:`RowError` (with the
+    1-based file line) for the first unparseable row.
     """
     path = Path(path)
     cells: dict[tuple[date, int], list[float]] = {}
@@ -409,7 +413,15 @@ def load_store(
             raise SchemaError(f"{path} is not a normalized arrival store")
         i_date, i_product, i_hours = (header.index(c) for c in columns)
         for record in reader:
-            key = (date.fromisoformat(record[i_date]), int(record[i_product]))
-            cells.setdefault(key, []).append(float(record[i_hours]))
-    hours = {key: np.sort(np.array(values)) for key, values in cells.items()}
+            try:
+                key = (date.fromisoformat(record[i_date]), int(record[i_product]))
+                t = float(record[i_hours])
+            except (ValueError, IndexError) as exc:
+                raise RowError(reader.line_num, str(exc)) from exc
+            cells.setdefault(key, []).append(t)
+    hours = {
+        key: np.sort(np.array(values))
+        for key, values in cells.items()
+        if products is None or key[1] in products
+    }
     return _series(hours, trading_begin, trading_end)

@@ -153,6 +153,8 @@ class TestRunConfig:
             tiny_config("x.csv", None, t1=-20.0).validate()  # before trading begin
         with pytest.raises(ParameterError):
             tiny_config("x.csv", None, models=("Nope.Const",)).validate()
+        with pytest.raises(ParameterError, match="trading_begin"):
+            tiny_config("x.csv", None, trading_begin={5: -13.0}).validate()  # no product 6
 
     def test_cell_seed_stable(self):
         a = cell_seed(1, "Exp.Const", date(2017, 10, 1), 12)
@@ -277,4 +279,7 @@ def test_store_input_keeps_only_configured_products(tmp_path):
         "delivery_date,product,time_hours\n2017-09-03,5,-2.0\n2017-09-03,6,-2.0\n"
     )
     series = load_input(tiny_config(store, None, products=(5,)))
+    assert list(series) == [(date(2017, 9, 3), 5)]
+    # trading bounds need only list the analyzed products
+    series = load_input(tiny_config(store, None, products=(5,), trading_begin={5: -13.0}))
     assert list(series) == [(date(2017, 9, 3), 5)]

@@ -55,6 +55,14 @@ def test_ingest_writes_store(workspace, capsys):
     assert "arrivals" in capsys.readouterr().out
 
 
+def test_ingest_reports_the_line_of_a_bad_store_row(tmp_path, capsys):
+    store = tmp_path / "store.csv"
+    store.write_text("delivery_date,product,time_hours\n2017-09-03,5,-2.0\n2017-09-03,5,abc\n")
+    code = main(["ingest", "--input", str(store), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
 def test_fit_simulate_score_chain(workspace, capsys):
     fit_path = workspace / "fit.json"
     code = main([
@@ -127,3 +135,14 @@ def test_unknown_section_key_is_an_error(workspace, capsys, key):
     assert code == 1
     err = capsys.readouterr().err
     assert "unknown config keys" in err and key in err
+
+
+@pytest.mark.parametrize("command", [
+    ["backtest"], ["fit", "--date", "2017-09-08", "--product", "5", "--model", "Exp.Lin"],
+])
+def test_a_fit_option_that_breaks_the_fit_is_an_error(workspace, capsys, command):
+    code = main([
+        *command, "--config", str(workspace / "cfg.json"), "--set", "fit.max_evals=0",
+    ])
+    assert code == 1
+    assert "fit.max_evals" in capsys.readouterr().err

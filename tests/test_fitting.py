@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arrivalsim.distributions import Gamma, GenGam
-from arrivalsim.errors import InsufficientDataError
+from arrivalsim.errors import InsufficientDataError, ParameterError
 from arrivalsim.fitting import (
     FitOptions,
     FittedModel,
@@ -128,6 +128,14 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fit(model_from_name("Exp.Const"), sample, FitOptions(min_obs_per_param=10))
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_evals", 0), ("f_tol", -1.0), ("x_tol", 0.0), ("f_tol", math.nan),
+        ("restarts", -1), ("jitter_scale", -0.1), ("min_obs_per_param", 0),
+    ])
+    def test_options_that_break_the_fit_are_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=f"fit.{key}"):
+            FitOptions(**{key: value})
+
     def test_json_roundtrip(self):
         sample = draws_sample(Gamma(2.0, 100.0), 300, seed=5)
         result = fit(model_from_name("Gamma.Const.Const"), sample, FAST)
@@ -136,6 +144,34 @@ class TestFit:
         np.testing.assert_array_equal(back.theta, result.theta)
         assert back.log_likelihood == result.log_likelihood
         assert back.converged == result.converged
+
+
+class TestRestartRule:
+    """Jittered restarts run for models with an Expon rate or shape function
+    and for every start from the moment default, not for other donor starts."""
+
+    def fits(self, name, sample, start_source):
+        spec = model_from_name(name)
+        kw = {"theta0": default_start(spec, sample), "start_source": start_source}
+        return fit(spec, sample, **kw), fit(spec, sample, FitOptions(restarts=0), **kw)
+
+    def test_no_restarts_from_a_donor_start(self):
+        sample = draws_sample(Gamma(2.0, 100.0), 300, seed=10)
+        default, single = self.fits("Gamma.Lin.Const", sample, "Gamma.Const.Const")
+        np.testing.assert_array_equal(default.theta, single.theta)
+        assert default.n_evals == single.n_evals
+
+    def test_default_start_keeps_restarts(self):
+        sample = draws_sample(Gamma(2.0, 100.0), 300, seed=10)
+        default, single = self.fits("Gamma.Lin.Const", sample, "default")
+        assert default.n_evals > single.n_evals
+        assert default.log_likelihood >= single.log_likelihood
+
+    def test_expon_models_keep_restarts(self):
+        sample = draws_sample(Gamma(1.0, 100.0), 300, seed=11)
+        default, single = self.fits("Exp.Expon", sample, "Exp.Const")
+        assert default.n_evals > single.n_evals
+        assert default.log_likelihood >= single.log_likelihood
 
 
 class TestCascade:

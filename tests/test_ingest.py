@@ -336,6 +336,25 @@ class TestStore:
         assert loaded[key].trading_end == -1.0
         assert "excluded 2 transactions" in caplog.text
 
+    @pytest.mark.parametrize("row", [
+        "2017-13-03,1,-2.0", "2017-09-03,x,-2.0", "2017-09-03,1,abc", "2017-09-03,1",
+    ])
+    def test_bad_row_is_a_row_error(self, tmp_path, row):
+        path = tmp_path / "store.csv"
+        path.write_text(f"delivery_date,product,time_hours\n2017-09-03,1,-3.0\n{row}\n")
+        with pytest.raises(RowError) as info:
+            load_store(path)
+        assert info.value.line == 3
+
+    def test_other_products_dropped_before_clipping(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text(
+            "delivery_date,product,time_hours\n2017-09-03,5,-2.0\n2017-09-03,6,-2.0\n"
+        )
+        loaded = load_store(path, trading_begin={5: -13.0}, products=(5,))
+        assert list(loaded) == [(date(2017, 9, 3), 5)]
+        assert loaded[(date(2017, 9, 3), 5)].trading_begin == -13.0
+
     def test_not_a_store(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")
