@@ -221,8 +221,15 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
             path = _fit_dir(payload.outdir, name, payload.product, payload.day) / "fit.json"
             if path.exists():
                 record = FittedModel.load(path)
-                if record.spec.name == name:
+                if record.spec.name != name:
+                    continue
+                if _fitted_on(record, payload.sample):
                     preloaded[name] = record
+                else:
+                    logger.warning(
+                        "refitting %s: %s was fitted on %d days, %d spells, window %s",
+                        name, path, record.days, record.n_obs, record.window,
+                    )
     specs = [model_from_name(name) for name in payload.models]
     fitted = fit_cascade(specs, payload.sample, payload.fit_options, preloaded=preloaded)
     if payload.outdir is not None:
@@ -257,6 +264,16 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
             )
         out[name] = score_cell(obs_counts, ts.counts(grid), payload.taus)
     return out
+
+
+def _fitted_on(record: FittedModel, sample: InterArrivalSample) -> bool:
+    """Whether a fit record was made on a training sample like ``sample``:
+    the same number of days and spells and the same window."""
+    return (
+        record.days == sample.days
+        and record.n_obs == sample.n
+        and tuple(record.window) == (sample.window_start, sample.window_end)
+    )
 
 
 def observed_counts(arrivals: np.ndarray, t1: float, t2: float) -> np.ndarray:

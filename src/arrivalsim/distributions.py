@@ -97,11 +97,19 @@ def gengam_logpdf(x, mu, sigma, q):
 
 
 def _genf_shapes(q: float, p: float) -> tuple[float, float, float]:
-    """delta and the two beta-prime shapes (s1, s2) for GenF(q, p), p > 0."""
+    """delta and the two beta-prime shapes (s1, s2) for GenF(q, p), p > 0.
+
+    The smaller of ``delta + q`` and ``delta - q`` is taken as ``2p`` over
+    the larger, which stays exact as p -> 0, where its shape grows like 2/p.
+    """
     delta = math.sqrt(q * q + 2.0 * p)
-    s1 = 2.0 / (delta * (delta + q))
-    s2 = 2.0 / (delta * (delta - q))
-    return delta, s1, s2
+    if q >= 0.0:
+        plus = delta + q
+        minus = 2.0 * p / plus
+    else:
+        minus = delta - q
+        plus = 2.0 * p / minus
+    return delta, 2.0 / (delta * plus), 2.0 / (delta * minus)
 
 
 def genf_logpdf(x, mu, sigma, q, p):

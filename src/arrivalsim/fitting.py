@@ -7,15 +7,19 @@ modeling window.  Infeasible parameter vectors (non-positive rate or shape
 anywhere they are evaluated) score ``-inf`` so the optimizer retreats
 instead of crashing.
 
-Optimization is a bounded Nelder-Mead simplex followed by an L-BFGS-B
-polish; the likelihood surfaces are low dimensional (at most 8 parameters)
-but can be multimodal, so richer models are warm-started from simpler ones
-(see :func:`fit_cascade`).  Jittered restarts run for the 16 models with
-an Expon rate or shape function and for any start from the moment default.
-On synthetic cells, skipping them lost up to 2.8 LL units on Expon models
-and up to 3.0 on GenF models started from the default, while every other
-model started from a fitted donor reached its restart optimum to within
-3e-6 LL from that start alone.
+Optimization follows the analytic score: :func:`log_likelihood_and_score`
+returns the likelihood and its gradient in one vectorized pass, and
+L-BFGS-B climbs it inside the box bounds, each coordinate scaled by the
+score's curvature along it.  A bounded Nelder-Mead simplex runs only as a
+logged fallback, counted on the fit record, when a gradient run stops
+short of convergence.  The likelihood surfaces are low dimensional (at
+most 8 parameters) but can be multimodal, so richer models are
+warm-started from simpler ones (see :func:`fit_cascade`).  Jittered
+restarts run for the 16 models with an Expon rate or shape function and
+for any start from the moment default.  On synthetic cells, skipping them
+lost up to 2.8 LL units on Expon models and up to 3.0 on GenF models
+started from the default, while every other model started from a fitted
+donor reached its restart optimum to within 3e-6 LL from that start alone.
 """
 
 from __future__ import annotations
@@ -27,9 +31,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
-from .distributions import exp_logpdf, gamma_logpdf, gengam_logpdf, genf_logpdf
+from .distributions import (
+    GENGAM_P_EPS,
+    LOGNORMAL_Q_EPS,
+    _genf_shapes,
+    exp_logpdf,
+    gamma_logpdf,
+    gengam_logpdf,
+    genf_logpdf,
+)
 from .errors import InsufficientDataError, ParameterError
 from .ingest import InterArrivalSample
 from .models import Family, FuncKind, ModelSpec, model_from_name
@@ -38,6 +50,7 @@ __all__ = [
     "FitOptions",
     "FittedModel",
     "log_likelihood",
+    "log_likelihood_and_score",
     "fit",
     "default_start",
     "warm_start_candidates",
@@ -48,6 +61,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _BIG = 1e300  # finite stand-in for +inf so line searches stay well-defined
+_GRADIENT_RUNS = 4  # L-BFGS-B runs per start before the Nelder-Mead fallback
 _EXPON_SMALL_C = 1e-3
 _SHAPE_ONE_EXPON_A1 = math.log(1e-8)
 
@@ -90,6 +104,7 @@ class FittedModel:
     converged: bool = False
     start_source: str = ""
     fallback: bool = False
+    nm_fallbacks: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -108,6 +123,7 @@ class FittedModel:
                 "converged": self.converged,
                 "start_source": self.start_source,
                 "fallback": self.fallback,
+                "nm_fallbacks": self.nm_fallbacks,
             },
             indent=2,
             sort_keys=True,
@@ -129,6 +145,7 @@ class FittedModel:
             converged=data["converged"],
             start_source=data.get("start_source", ""),
             fallback=data.get("fallback", False),
+            nm_fallbacks=data.get("nm_fallbacks", 0),
         )
 
     def save(self, path: str | Path) -> None:
@@ -150,19 +167,190 @@ _LOGPDF = {
 
 def log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample) -> float:
     """Pooled log-likelihood; ``-inf`` when ``theta`` is infeasible."""
+    return _log_likelihood(spec, theta, sample)[0]
+
+
+def _log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample):
+    """The log-likelihood and the family parameters on the clamped spell
+    starts; ``(-inf, None)`` when ``theta`` is infeasible."""
     if sample.empty:
         raise ParameterError("cannot evaluate the likelihood of an empty sample")
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
-        return -math.inf
-    t = np.clip(sample.t, sample.window_start, sample.window_end)
+        return -math.inf, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        params, ok = spec.params_at(theta, t)
+        params, ok = spec.params_at(theta, sample.t_clamped)
         if not ok:
-            return -math.inf
-        terms = _LOGPDF[spec.family](sample.x, *params)
-    total = float(np.sum(terms))
-    return total if math.isfinite(total) else -math.inf
+            return -math.inf, None
+        total = float(np.sum(_LOGPDF[spec.family](sample.x, *params)))
+    return (total, params) if math.isfinite(total) else (-math.inf, None)
+
+
+def log_likelihood_and_score(
+    spec: ModelSpec, theta, sample: InterArrivalSample
+) -> tuple[float, np.ndarray | None]:
+    """Pooled log-likelihood and its gradient in ``theta``.
+
+    One pass over the spells: the value is :func:`log_likelihood`'s, and
+    the gradient chains the family log-density's derivatives in its
+    parameters through :meth:`ModelSpec.params_at`'s map and each parameter
+    function's coefficients.  Returns ``(-inf, None)`` when ``theta`` is
+    infeasible.  For a GenF at ``p`` below ``GENGAM_P_EPS``, where the
+    value is the generalized gamma's, the P entry is the one-sided
+    derivative at ``p = 0``.
+    """
+    total, params = _log_likelihood(spec, theta, sample)
+    if params is None:
+        return total, None
+    theta = np.asarray(theta, dtype=float)
+    t = sample.t_clamped
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d_rate, d_shape, extras = _param_scores(spec.family, sample, params)
+        grad = _coeff_scores(spec.rate_kind, theta[spec.rate_slice], t, d_rate)
+        if spec.shape_kind is not None:
+            grad += _coeff_scores(spec.shape_kind, theta[spec.shape_slice], t, d_shape)
+    return total, np.array(grad + extras)
+
+
+def _coeff_scores(kind: FuncKind, coeffs: np.ndarray, t: np.ndarray, g: np.ndarray) -> list[float]:
+    """Sums of per-spell derivatives ``g`` in a function's value, chained to
+    its coefficients: Const 1, Lin (1, t), Quadr (1, t, t^2), Expon (1, e, t e)."""
+    if kind is FuncKind.CONST:
+        return [float(np.sum(g))]
+    if kind is FuncKind.LIN:
+        return [float(np.sum(g)), float(g @ t)]
+    gt = g * (t if kind is FuncKind.QUADR else np.exp(coeffs[1] + coeffs[2] * t))
+    return [float(np.sum(g)), float(np.sum(gt)), float(gt @ t)]
+
+
+def _param_scores(family: Family, sample: InterArrivalSample, params: tuple):
+    """Per-spell derivatives of the log-density in the rate and the shape,
+    and the summed derivatives in Q and P."""
+    x = sample.x
+    if family is Family.EXP:
+        (rate,) = params
+        return 1.0 / rate - x, None, []
+    if family is Family.GAMMA:
+        shape, rate = params
+        return shape / rate - x, np.log(rate) - special.digamma(shape) + sample.log_x, []
+    mu, sigma, q = params[:3]
+    p = params[3] if family is Family.GENF else 0.0
+    u = (sample.log_x - mu) / sigma
+    if p >= GENGAM_P_EPS:
+        d_u, extras = _genf_scores(u, q, p)
+    else:
+        d_u, d_q = _gengam_scores(u, q)
+        extras = [d_q]
+        if family is Family.GENF:
+            extras.append(_genf_p0_score(u, q))
+    # mu = log(shape) - log(rate) and sigma = shape**-0.5, with d_u the
+    # derivative in u = (log x - mu) / sigma
+    d_rate = d_u * sigma * np.exp(mu)
+    d_shape = sigma * (0.5 * sigma * (1.0 + u * d_u) - d_u)
+    return d_rate, d_shape, extras
+
+
+def _gengam_scores(u: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """Generalized gamma: per-spell derivative in u, and the summed one in q.
+
+    With z = q u the log-density is ``-log(sigma x) - log(2 pi)/2 - R(q**-2)
+    - u**2 phi(z)``, ``phi(z) = (e**z - 1 - z) / z**2`` and R the Stirling
+    remainder of ``gammaln``; in the lognormal band the q-derivative is its
+    limit, ``-u**3 / 6``.
+    """
+    if abs(q) < LOGNORMAL_Q_EPS:
+        return -u, -float(np.sum(u * u * u)) / 6.0
+    z = q * u
+    d_q = 2.0 * q * u.size * _stirling_slope(q) - float(np.sum(u * u * u * _dphi(z)))
+    return -np.expm1(z) / q, d_q
+
+
+def _dphi(z: np.ndarray) -> np.ndarray:
+    """phi'(z) for phi(z) = (e**z - 1 - z) / z**2, by its series near 0."""
+    out = ((z - 2.0) * np.exp(z) + z + 2.0) / (z * z * z)
+    small = np.abs(z) < 0.1
+    if np.any(small):
+        zs = z[small]
+        out[small] = 1 / 6 + zs * (1 / 12 + zs * (1 / 40 + zs * (
+            1 / 180 + zs * (1 / 1008 + zs * (1 / 6720 + zs * (1 / 51840 + zs / 453600))))))
+    return out
+
+
+def _stirling_slope(q: float) -> float:
+    """R'(q**-2) / q**4 for the Stirling remainder R(a) = gammaln(a) - (a - 1/2)
+    log a + a - log(2 pi)/2, by its asymptotic series for small q."""
+    if abs(q) < 0.1:
+        q4 = q ** 4
+        return -1 / 12 + q4 * (1 / 120 + q4 * (-1 / 252 + q4 / 240))
+    a = q ** -2
+    return (float(special.digamma(a)) - math.log(a) + 0.5 / a) / q ** 4
+
+
+def _genf_p0_score(u: np.ndarray, q: float) -> float:
+    """d/dp at p = 0+ of the generalized F log-density, summed over spells.
+
+    It is ``u**4 Z(q u) / 4 + 3 R'(q**-2) / (2 q**4)`` per spell, with
+    ``Z(z) = (e**2z + 4 e**z - 4 z e**z - 2 z - 5) / z**4``, the first-order
+    term of the density's expansion in p; Z is taken from its series near 0.
+    """
+    z = q * u
+    ez, z2 = np.exp(z), z * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zz = (ez * (ez + 4.0 - 4.0 * z) - 2.0 * z - 5.0) / (z2 * z2)
+    small = np.abs(z) < 0.1
+    if np.any(small):
+        zs = z[small]
+        zz[small] = 1 / 6 + zs * (2 / 15 + zs * (11 / 180 + zs * (13 / 630 + zs * (
+            19 / 3360 + zs * (1 / 756 + zs * (247 / 907200 + zs * 251 / 4989600))))))
+    u2 = u * u
+    return float(np.sum(u2 * u2 * zz)) / 4.0 + 1.5 * u.size * _stirling_slope(q)
+
+
+def _genf_scores(u: np.ndarray, q: float, p: float) -> tuple[np.ndarray, list[float]]:
+    """Generalized F: per-spell derivative in u, and the summed ones in (q, p).
+
+    The log-density is ``log(delta / (sigma x)) + s1 v - (s1 + s2)
+    softplus(v) - betaln(s1, s2)`` with ``v = delta u + log(s1 / s2)``; its
+    partials in (delta, s1, s2) chain through ``d s1/dq = -2 / delta**3 =
+    -d s2/dq`` and ``d s_i/dp = -s_i**2 (2 delta +- q) / (2 delta)``.
+    """
+    delta, s1, s2 = _genf_shapes(q, p)
+    v = delta * u + math.log(s1 / s2)
+    # each shape's terms in the tail where it dominates, so that neither
+    # cancels when the other shape grows like 2/p
+    up, down = special.expit(v), special.expit(-v)
+    h = s1 * down - s2 * up  # d/dv
+    n = u.size
+    d_delta = n / delta + float(h @ u)
+    d_s1 = float(np.sum(down - np.logaddexp(0.0, -v))) - s2 / s1 * float(np.sum(up))
+    d_s2 = float(np.sum(up - np.logaddexp(0.0, v))) - s1 / s2 * float(np.sum(down))
+    d_s1 += n * _digamma_step(s1, s2)
+    d_s2 += n * _digamma_step(s2, s1)
+    d_q = d_delta * q / delta + 2.0 * (d_s2 - d_s1) / delta ** 3
+    if min(s1, s2) > 1e5:
+        # both shapes ~ 1/p: the (s1, s2) partials cancel to O(1/p**2), so
+        # the first-order expansion in p is the more accurate derivative
+        return delta * h, [d_q, _genf_p0_score(u, q)]
+    d_p = (
+        d_delta / delta
+        - d_s1 * s1 * s1 * (2.0 * delta + q) / (2.0 * delta)
+        - d_s2 * s2 * s2 * (2.0 * delta - q) / (2.0 * delta)
+    )
+    return delta * h, [d_q, d_p]
+
+
+def _digamma_step(x: float, s: float) -> float:
+    """digamma(x + s) - digamma(x), accurate relative to its size for large x."""
+    if x < 1e3:
+        return float(special.digamma(x + s) - special.digamma(x))
+    y = x + s
+    xy = x * y
+    return (
+        math.log1p(s / x)
+        + 0.5 * s / xy
+        + s * (x + y) / (12.0 * xy * xy)
+        - s * (x + y) * (x * x + y * y) / (120.0 * (xy * xy) ** 2)
+    )
 
 
 def _const_level_coeffs(kind: FuncKind, level: float) -> list[float]:
@@ -279,12 +467,105 @@ def warm_start_candidates(
     return out
 
 
-def _minimize(objective, theta0, bounds, options: FitOptions):
+def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, options: FitOptions):
+    """One optimizer run from ``theta0``: (theta, -LL, converged, evals, Nelder-Mead runs).
+
+    L-BFGS-B climbs the analytic score.  A run has converged when the
+    projected score at its end, through L-BFGS-B's own inverse-Hessian
+    model, promises less than ``options.f_tol`` more log-likelihood.  An
+    unconverged run that still gained at least ``f_tol`` is continued by a
+    fresh run from its end, up to ``_GRADIENT_RUNS`` runs.  Then a bounded
+    Nelder-Mead simplex (``options.x_tol``, ``options.f_tol``) runs from
+    that end, or from ``theta0`` where the likelihood is undefined, then
+    one more L-BFGS-B run when ``options.polish`` is set, and the best
+    point wins.  Every run stops after ``options.max_evals`` evaluations.
+    """
+    lo, hi = spec.bounds()
+
+    def value_and_grad(theta):
+        value, grad = log_likelihood_and_score(spec, theta, sample)
+        if grad is None or not np.all(np.isfinite(grad)):
+            return _BIG, np.zeros_like(theta)
+        return -value, -grad
+
+    def gradient_run(start):
+        f, g = value_and_grad(start)
+        evals = 1
+        if f >= _BIG:
+            return start, f, False, evals
+        # scale each coordinate by the score's own curvature along it, so
+        # that the first step is a diagonal Newton step instead of a unit
+        # step along the score
+        size = np.maximum(np.abs(start), 1.0)
+        curv = np.empty_like(start)
+        for k in range(start.size):
+            h = 1e-6 * size[k] * (1.0 if start[k] + 1e-6 * size[k] <= hi[k] else -1.0)
+            moved = start.copy()
+            moved[k] += h
+            curv[k] = abs((value_and_grad(moved)[1][k] - g[k]) / h)
+        evals += start.size
+        scale = 1.0 / np.sqrt(np.maximum.reduce([curv, np.abs(g) / size, 1e-12 / size ** 2]))
+        base = [start, f, g]  # the current iterate
+        last = [start, f, g]  # the latest feasible evaluation
+
+        def scaled(y):
+            theta = y * scale
+            f, g = value_and_grad(theta)
+            if f < _BIG:
+                last[:] = theta, f, g
+                return f, g * scale
+            # past the feasible region the objective rises by the decrease
+            # the current iterate's score predicts, so the line search
+            # backtracks by a bounded factor instead of collapsing its step
+            theta_b, f_b, g_b = base
+            return f_b + abs(float(g_b @ (theta - theta_b))), np.zeros_like(y)
+
+        def new_iterate(_):
+            base[:] = last
+
+        res = optimize.minimize(
+            scaled,
+            start / scale,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=optimize.Bounds(lo / scale, hi / scale),
+            callback=new_iterate,
+            options={"maxfun": options.max_evals, "maxiter": options.max_evals,
+                     "ftol": 0.0, "gtol": 1e-8},
+        )
+        x = np.clip(res.x * scale, lo, hi)
+        f, g = value_and_grad(x)
+        evals += int(res.nfev) + 1
+        if f >= _BIG:
+            return x, f, False, evals
+        pg = np.where(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)), 0.0, g) * scale
+        gain = 0.5 * float(pg @ res.hess_inv.matvec(pg))
+        return x, f, gain <= options.f_tol, evals
+
+    x, f, ok, evals = gradient_run(theta0)
+    for _ in range(_GRADIENT_RUNS - 1):
+        if ok or f >= _BIG:
+            break
+        x_new, f_new, ok_new, more = gradient_run(x)
+        evals += more
+        gained = f - f_new
+        if gained >= 0:
+            x, f, ok = x_new, f_new, ok_new
+        if not ok and gained < options.f_tol:
+            break
+    if ok:
+        return x, f, True, evals, 0
+    logger.info("%s: L-BFGS-B stopped at -LL %.12g, unconverged; Nelder-Mead fallback", spec.name, f)
+
+    def objective(theta):
+        value = log_likelihood(spec, theta, sample)
+        return -value if math.isfinite(value) else _BIG
+
     res = optimize.minimize(
         objective,
-        theta0,
+        x,
         method="Nelder-Mead",
-        bounds=bounds,
+        bounds=optimize.Bounds(lo, hi),
         options={
             "maxfev": options.max_evals,
             "fatol": options.f_tol,
@@ -292,21 +573,14 @@ def _minimize(objective, theta0, bounds, options: FitOptions):
             "adaptive": len(theta0) > 3,
         },
     )
-    evals = int(res.nfev)
-    best_x, best_f, success = res.x, float(res.fun), bool(res.success)
-    if options.polish and best_f < _BIG:
-        polish = optimize.minimize(
-            objective,
-            best_x,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        evals += int(polish.nfev)
-        if float(polish.fun) <= best_f:
-            best_x, best_f = polish.x, float(polish.fun)
-            success = success or bool(polish.success)
-    return best_x, best_f, success, evals
+    evals += int(res.nfev)
+    best = (x, f, False) if f <= float(res.fun) else (res.x, float(res.fun), bool(res.success))
+    if options.polish and best[1] < _BIG:
+        x, f, ok, more = gradient_run(best[0])
+        evals += more
+        if f <= best[1]:
+            best = (x, f, ok or best[2])
+    return *best, evals, 1
 
 
 def fit(
@@ -323,8 +597,12 @@ def fit(
     ``"default"``, it also runs from ``options.restarts`` jittered copies of
     it and the best local optimum wins; a non-Expon model started from a
     donor runs from ``theta0`` alone, since restarts did not improve those
-    optima (see the module docstring).  A model that never converged is
-    still returned, flagged, with the best vector found.
+    optima (see the module docstring).  A jittered start where the
+    likelihood is undefined is moved halfway back toward ``theta0`` until
+    it is defined.  Each start runs L-BFGS-B on the analytic score (see
+    :func:`_minimize`); ``nm_fallbacks`` on the result counts the starts
+    that needed Nelder-Mead.  A model that never converged is still
+    returned, flagged, with the best vector found.
     """
     if sample.n < options.min_obs_per_param * spec.n_params:
         raise InsufficientDataError(
@@ -332,31 +610,34 @@ def fit(
             f"(need >= {options.min_obs_per_param} per parameter)"
         )
     lo, hi = spec.bounds()
-    bounds = optimize.Bounds(lo, hi)
     if theta0 is None:
         theta0 = default_start(spec, sample)
         start_source = "default"
     theta0 = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-
-    def objective(theta):
-        value = log_likelihood(spec, theta, sample)
-        return -value if math.isfinite(value) else _BIG
 
     rng = np.random.default_rng(options.seed)
     starts = [theta0]
     scale = np.maximum(np.abs(theta0), 1.0)
     expon = FuncKind.EXPON in (spec.rate_kind, spec.shape_kind)
     restarts = options.restarts if expon or start_source == "default" else 0
+    theta0_feasible = restarts > 0 and math.isfinite(log_likelihood(spec, theta0, sample))
     for _ in range(restarts):
         jitter = theta0 + options.jitter_scale * scale * rng.standard_normal(len(theta0))
-        starts.append(np.clip(jitter, lo, hi))
+        jitter = np.clip(jitter, lo, hi)
+        # a gradient run needs a feasible start: move an infeasible jitter
+        # back toward theta0 until the likelihood is defined
+        while theta0_feasible and not math.isfinite(log_likelihood(spec, jitter, sample)):
+            jitter = 0.5 * (jitter + theta0)
+        starts.append(jitter)
 
     best = None
     total_evals = 0
+    nm_runs = 0
     converged = False
     for start in starts:
-        x, f, success, evals = _minimize(objective, start, bounds, options)
+        x, f, success, evals, nm = _minimize(spec, sample, start, options)
         total_evals += evals
+        nm_runs += nm
         if best is None or f < best[1]:
             best = (x, f)
             converged = success
@@ -373,6 +654,7 @@ def fit(
         n_evals=total_evals,
         converged=converged,
         start_source=start_source,
+        nm_fallbacks=nm_runs,
     )
 
 
@@ -433,6 +715,10 @@ def fit_cascade(
         try:
             result = fit(spec, sample, options, theta0=theta0, start_source=label0)
         except Exception:  # optimizer blow-up: fall back to the donor start
+            logger.warning(
+                "%s: fit failed; keeping its %s start as a fallback", spec.name, label0,
+                exc_info=True,
+            )
             result = FittedModel(
                 spec=spec,
                 theta=theta0,

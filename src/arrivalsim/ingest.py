@@ -15,6 +15,7 @@ import logging
 from collections.abc import Collection
 from dataclasses import dataclass
 from datetime import date, datetime, time as dtime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 from zoneinfo import ZoneInfo
@@ -266,6 +267,17 @@ class InterArrivalSample:
     @property
     def empty(self) -> bool:
         return self.n == 0
+
+    @cached_property
+    def t_clamped(self) -> np.ndarray:
+        """Spell starts clamped into the window, where models evaluate their
+        parameter functions."""
+        return np.clip(self.t, self.window_start, self.window_end)
+
+    @cached_property
+    def log_x(self) -> np.ndarray:
+        """Logs of the inter-arrivals."""
+        return np.log(self.x)
 
 
 def slice_window(series: ArrivalSeries, a: float) -> InterArrivalSample:

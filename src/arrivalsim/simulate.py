@@ -7,8 +7,8 @@ horizon), and every further arrival adds a fresh inter-arrival drawn with
 the parameter functions evaluated at the previous arrival time, clamped
 into the fit window.  Generation stops at the first draw landing at or
 beyond the horizon end, which is discarded.  A trajectory whose parameters
-are infeasible at its latest arrival, or whose inter-arrival is zero, ends
-there with a warning.
+are infeasible at its latest arrival (at the anchor: before its first
+arrival), or whose inter-arrival is zero, ends there with a warning.
 
 All trajectories of a set advance in lockstep.  The first gaps come from
 one vectorized truncated quantile.  Each further step evaluates
@@ -37,7 +37,7 @@ import numpy as np
 from .distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes
 from .errors import DomainError, TailExhaustedError
 from .fitting import FittedModel
-from .models import Family, FuncKind, ModelSpec, instantiate
+from .models import Family, FuncKind, ModelSpec, feasible_on_grid, instantiate
 
 __all__ = [
     "TrajectorySet",
@@ -103,7 +103,14 @@ def _simulate(
     lo, hi = fitted.window
     bounded = math.isfinite(lo) and math.isfinite(hi)
 
-    first = instantiate(spec, theta, min(max(anchor, lo), hi) if bounded else anchor)
+    t0 = min(max(anchor, lo), hi) if bounded else anchor
+    if not feasible_on_grid(spec, theta, t0):
+        for _ in range(m):
+            logger.warning(
+                "%s: parameters infeasible at t=%s; trajectory truncated", name, t0
+            )
+        return [np.empty(0) for _ in range(m)]
+    first = instantiate(spec, theta, t0)
     u = np.array([rng.uniform() for rng in rngs])
     try:
         t = anchor + first.truncated_quantile(t_start - anchor, u)

@@ -14,6 +14,7 @@ from arrivalsim.backtest import (
     load_input,
     merge_reports,
     run,
+    training_sample,
 )
 from arrivalsim.errors import ParameterError
 from arrivalsim.fitting import FitOptions, FittedModel
@@ -212,6 +213,21 @@ class TestRun:
         for p, mtime in fit_stats.items():
             assert p.stat().st_mtime_ns == mtime  # loaded, not refit
 
+    def test_resume_refits_records_of_another_window(self, synth_csv, tmp_path, caplog):
+        """Rerun in the same outdir with a longer window: every record of the
+        3-day study is refitted on the 4-day sample, with one warning each,
+        and the study equals a fresh 4-day one."""
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run(tiny_config(synth_csv, out, window_days=3))
+        with caplog.at_level("WARNING"):
+            run(tiny_config(synth_csv, out, window_days=4))
+        run(tiny_config(synth_csv, fresh, window_days=4))
+        records = sorted(out.rglob("fit.json"))
+        assert len(records) == 8
+        assert all(json.loads(p.read_text())["days"] == 4 for p in records)
+        assert sum("refitting" in r.getMessage() for r in caplog.records) == 8
+        assert tree_bytes(out) == tree_bytes(fresh)
+
     def test_infeasible_parameters_at_an_event_do_not_abort_the_run(
         self, synth_csv, tmp_path, caplog
     ):
@@ -219,17 +235,22 @@ class TestRun:
         horizon ends the affected trajectories; every cell is still scored."""
         out = tmp_path / "out"
         model = "GenF.Quadr.Const"
-        record = FittedModel(
-            spec=model_from_name(model),
-            theta=[15.0, 16.0, 4.0, 1.0, 0.5, 1.0],
-            log_likelihood=None,
-            window=(-3.25, -0.5),
-        )
+        cfg = tiny_config(synth_csv, out, models=(model,))
+        series = load_input(cfg)
         for product in (5, 6):
             for day in ("2017-09-08", "2017-09-09"):
+                sample = training_sample(cfg, series, date.fromisoformat(day), product)
+                record = FittedModel(
+                    spec=model_from_name(model),
+                    theta=[15.0, 16.0, 4.0, 1.0, 0.5, 1.0],
+                    log_likelihood=None,
+                    n_obs=sample.n,
+                    days=sample.days,
+                    window=(sample.window_start, sample.window_end),
+                )
                 record.save(out / model / str(product) / day / "fit.json")
         with caplog.at_level("WARNING"):
-            report = run(tiny_config(synth_csv, out, models=(model,)))
+            report = run(cfg)
         assert report.missing.sum() == 0
         assert np.isfinite(report.crps).all()
         assert "parameters infeasible at t=" in caplog.text

@@ -1,5 +1,6 @@
 """Likelihood and optimizer checks against closed forms and nesting bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from arrivalsim.distributions import Gamma, GenGam
 from arrivalsim.errors import InsufficientDataError, ParameterError
+import arrivalsim.fitting as fitting
 from arrivalsim.fitting import (
     FitOptions,
     FittedModel,
@@ -15,9 +17,11 @@ from arrivalsim.fitting import (
     fit,
     fit_cascade,
     log_likelihood,
+    log_likelihood_and_score,
 )
 from arrivalsim.ingest import InterArrivalSample
 from arrivalsim.models import enumerate_models, instantiate, model_from_name
+from arrivalsim.synth import synth_generate
 
 A, E = -3.25, -0.5
 FAST = FitOptions(min_obs_per_param=1, restarts=1)
@@ -74,6 +78,100 @@ class TestLogLikelihood:
         spec = model_from_name("Gamma.Const.Const")
         assert log_likelihood(spec, [1.0, -2.0], sample) == -math.inf
         assert log_likelihood(spec, [math.nan, 1.0], sample) == -math.inf
+
+
+def score_sample(seed=42, n=300):
+    rng = np.random.default_rng(seed)
+    x = rng.gamma(2.0, 0.01, size=n)
+    t = np.sort(rng.uniform(A - 0.5, E, size=n))  # some spells precede the window
+    return make_sample(x, t)
+
+
+def central_differences(spec, theta, sample):
+    """Central differences with one Richardson step: error O(h**4)."""
+
+    def diff(k, h):
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        return (log_likelihood(spec, up, sample) - log_likelihood(spec, down, sample)) / (2 * h)
+
+    out = []
+    for k in range(theta.size):
+        h = 1e-5 * max(abs(theta[k]), 1.0)
+        out.append((4 * diff(k, h / 2) - diff(k, h)) / 3)
+    return np.array(out)
+
+
+class TestScore:
+    """The analytic score against central differences of log_likelihood."""
+
+    @pytest.mark.parametrize("spec", enumerate_models(), ids=lambda s: s.name)
+    def test_matches_central_differences(self, spec):
+        from test_models import feasible_theta
+
+        sample = score_sample()
+        rng = np.random.default_rng(7)
+        thetas = [feasible_theta(spec, rng) for _ in range(2)]
+        if spec.q_index is not None:  # q outside the lognormal band, both signs
+            for q in (-0.7, 0.05, 1.5):
+                theta = feasible_theta(spec, rng)
+                theta[spec.q_index] = q
+                thetas.append(theta)
+        if spec.p_index is not None:
+            for p in (1e-3, 0.5, 2.0):
+                theta = feasible_theta(spec, rng)
+                theta[spec.p_index] = p
+                thetas.append(theta)
+        for theta in thetas:
+            value, grad = log_likelihood_and_score(spec, theta, sample)
+            assert value == log_likelihood(spec, theta, sample)  # bitwise
+            np.testing.assert_allclose(
+                grad, central_differences(spec, theta, sample), rtol=1e-5, atol=1e-3,
+                err_msg=f"{spec.name} at {theta}",
+            )
+
+    def test_lognormal_band_takes_the_limit(self):
+        """Inside the band the value ignores q; its q-derivative is the limit
+        -sum(w**3)/6 of the derivative outside it."""
+        spec = model_from_name("GenGam.Lin.Const")
+        sample = score_sample()
+        inside = log_likelihood_and_score(spec, [50.0, -3.0, 1.5, 1e-6], sample)[1][-1]
+        assert inside == log_likelihood_and_score(spec, [50.0, -3.0, 1.5, -1e-6], sample)[1][-1]
+        outside = [
+            log_likelihood_and_score(spec, [50.0, -3.0, 1.5, q], sample)[1][-1]
+            for q in (-1e-3, 1e-3)
+        ]
+        assert inside == pytest.approx(np.mean(outside), rel=1e-5)
+        h = 1e-3
+        theta = np.array([50.0, -3.0, 1.5, 2e-3])
+        up, down = theta.copy(), theta.copy()
+        up[-1] += h
+        down[-1] -= h
+        fd = (log_likelihood(spec, up, sample) - log_likelihood(spec, down, sample)) / (2 * h)
+        assert log_likelihood_and_score(spec, theta, sample)[1][-1] == pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("q", [-0.3, 0.0, 0.5, 1.5])
+    def test_genf_p_derivative_at_zero_is_one_sided(self, q):
+        """At the bound p = 0, where the value is the generalized gamma's, the
+        P entry is the derivative from above (second-order forward
+        difference)."""
+        spec = model_from_name("GenF.Lin.Const")
+        sample = score_sample()
+        theta = np.array([50.0, -3.0, 1.5, q, 0.0])
+
+        def ll(p):
+            return log_likelihood(spec, np.r_[theta[:-1], p], sample)
+
+        h = 1e-4
+        fd = (-3 * ll(0.0) + 4 * ll(h) - ll(2 * h)) / (2 * h)
+        score = log_likelihood_and_score(spec, theta, sample)[1][-1]
+        assert score == pytest.approx(fd, rel=1e-3)
+
+    def test_infeasible_theta_has_no_score(self):
+        spec = model_from_name("Exp.Lin")
+        sample = make_sample([0.1, 0.2, 0.3])
+        assert log_likelihood_and_score(spec, [0.1, 1.0], sample) == (-math.inf, None)
 
 
 class TestFit:
@@ -135,6 +233,29 @@ class TestFit:
     def test_options_that_break_the_fit_are_rejected(self, key, value):
         with pytest.raises(ParameterError, match=f"fit.{key}"):
             FitOptions(**{key: value})
+
+    def test_stalled_gradient_run_falls_back_to_nelder_mead(self, caplog):
+        """A gradient run cut short by max_evals is not converged: Nelder-Mead
+        runs from its end point, is logged, and is counted on the record."""
+        sample = draws_sample(Gamma(2.0, 100.0), 300, seed=3)
+        with caplog.at_level("INFO", logger="arrivalsim.fitting"):
+            result = fit(
+                model_from_name("Gamma.Const.Const"), sample,
+                FitOptions(max_evals=1, restarts=0, polish=False),
+            )
+        assert result.nm_fallbacks == 1
+        assert "Nelder-Mead fallback" in caplog.text
+
+    def test_reads_records_without_fallback_counts(self):
+        """Records written before nm_fallbacks existed still load."""
+        text = json.dumps({
+            "version": 1, "model": "Exp.Const", "theta": [2.0], "log_likelihood": -1.0,
+            "n_obs": 10, "days": 1, "window": [-3.25, -0.5], "n_evals": 30,
+            "converged": True, "start_source": "default", "fallback": False,
+        })
+        record = FittedModel.from_json(text)
+        assert record.nm_fallbacks == 0
+        assert json.loads(record.to_json())["nm_fallbacks"] == 0
 
     def test_json_roundtrip(self):
         sample = draws_sample(Gamma(2.0, 100.0), 300, seed=5)
@@ -210,6 +331,33 @@ class TestCascade:
         again = fit_cascade([spec], sample, FAST, preloaded={"Exp.Const": marker})
         assert again["Exp.Const"] is marker
         assert first["Exp.Const"].theta[0] != 123.0
+
+    def test_full_cascade_on_a_synthetic_cell_needs_no_fallback(self, tmp_path):
+        """All 37 models on one 7-day synth_generate cell: every fit converges
+        along the score, without a Nelder-Mead run or a fallback record."""
+        path = synth_generate(
+            model_from_name("GenF.Lin.Const"), [60.0, -5.0, 1.0, 0.5, 1.0],
+            days=7, seed=0, out_path=tmp_path / "raw.csv", gen_start=-4.25,
+        )
+        from arrivalsim.ingest import build_series, merge_samples, parse_csv, slice_window
+
+        series = build_series(parse_csv(path))
+        sample = merge_samples([slice_window(s, A) for s in series.values()])
+        fits = fit_cascade(enumerate_models(), sample)
+        assert len(fits) == 37
+        assert [name for name, f in fits.items() if f.fallback or f.nm_fallbacks] == []
+
+    def test_failed_fit_is_logged_as_a_fallback(self, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise FloatingPointError("broken score")
+
+        monkeypatch.setattr(fitting, "fit", broken)
+        sample = draws_sample(Gamma(2.0, 100.0), 300, seed=8)
+        with caplog.at_level("WARNING", logger="arrivalsim.fitting"):
+            fits = fit_cascade([model_from_name("Exp.Const")], sample, FAST)
+        assert fits["Exp.Const"].fallback
+        assert "Exp.Const: fit failed" in caplog.text
+        assert "FloatingPointError: broken score" in caplog.text
 
     def test_default_start_feasible_for_all_models(self):
         rng = np.random.default_rng(9)

@@ -236,6 +236,16 @@ def test_infeasible_parameters_end_the_trajectory(name, theta, caplog):
         assert np.all(4 * tr[:-1] ** 2 + 16 * tr[:-1] + 15 > 0)
 
 
+def test_infeasible_parameters_at_the_anchor_give_empty_trajectories(caplog):
+    """Exp.Lin rate 1 + 10t is negative at the clamped anchor -3.25: every
+    trajectory is empty, with one warning each, instead of an error."""
+    with caplog.at_level("WARNING"):
+        ts = simulate_set(fitted("Exp.Lin", [1.0, 10.0]), -4.0, T1, T2, m=3, seed=0)
+    assert [tr.size for tr in ts.trajectories] == [0, 0, 0]
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == ["Exp.Lin: parameters infeasible at t=-3.25; trajectory truncated"] * 3
+
+
 class TestTimeVarying:
     def test_rising_rate_concentrates_late_arrivals(self):
         fm = fitted("Exp.Expon", [1.0, 6.0, 1.5])
