@@ -46,9 +46,17 @@ from .scoring import (
     product_criteria,
     score_cell,
 )
-from .simulate import counts_on_grid, pick_anchor, simulate_set, write_trajectories
+from .simulate import (
+    counts_on_grid,
+    pick_anchor,
+    simulate_set,
+    simulate_sets,
+    write_trajectories,
+)
 
 __all__ = [
+    # re-exported: perfbench/sample.py resolves backtest.simulate_set by name
+    "simulate_set",
     "RunConfig",
     "run",
     "load_input",
@@ -242,20 +250,17 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
     obs_counts = observed_counts(payload.observed, payload.t1, payload.t2)
     anchor = pick_anchor(payload.observed, payload.t1)
 
-    out: dict[str, CellScores | None] = {}
-    for name in payload.models:
-        record = fitted.get(name)
-        if record is None:
-            out[name] = None
-            continue
-        ts = simulate_set(
-            record,
-            anchor,
-            payload.t1,
-            payload.t2,
-            payload.trajectories,
-            cell_seed(payload.master_seed, name, payload.day, payload.product),
-        )
+    out: dict[str, CellScores | None] = dict(empty)
+    names = [name for name in payload.models if name in fitted]
+    for i, ts in simulate_sets(
+        [fitted[name] for name in names],
+        anchor,
+        payload.t1,
+        payload.t2,
+        payload.trajectories,
+        [cell_seed(payload.master_seed, name, payload.day, payload.product) for name in names],
+    ):
+        name = names[i]
         if payload.dump_trajectories and payload.outdir is not None:
             write_trajectories(
                 ts,

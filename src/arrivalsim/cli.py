@@ -13,7 +13,6 @@ inside a backtest are reported in the outputs instead.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import date
@@ -22,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import backtest as bt
-from .errors import ArrivalSimError, ParameterError
+from .errors import ArrivalSimError
 from .fitting import FittedModel, fit_cascade
 from .ingest import write_store
 from .models import model_from_name
 from .scoring import default_tau_grid, minute_grid, score_cell
-from .simulate import counts_on_grid, simulate_set, write_trajectories
+from .simulate import counts_matrix, read_trajectories, simulate_set, write_trajectories
 from .synth import synth_generate
 
 __all__ = ["main"]
@@ -86,19 +85,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_trajectories(path: Path) -> list[np.ndarray]:
-    groups: dict[int, list[float]] = {}
-    with path.open(newline="") as handle:
-        for record in csv.DictReader(handle):
-            groups.setdefault(int(record["trajectory_index"]), []).append(
-                float(record["arrival_time_hours"])
-            )
-    if not groups:
-        raise ParameterError(f"no trajectories in {path}")
-    return [np.sort(np.asarray(groups.get(i, []), dtype=float))
-            for i in range(max(groups) + 1)]
-
-
 def _cmd_score(args) -> int:
     config = _load_config(args)
     series = bt.load_input(config)
@@ -109,8 +95,7 @@ def _cmd_score(args) -> int:
         return 1
     grid = minute_grid(config.t1, config.t2)
     obs_counts = bt.observed_counts(observed.arrivals, config.t1, config.t2)
-    trajectories = _read_trajectories(Path(args.trajectories))
-    sims = np.vstack([counts_on_grid(tr, grid) for tr in trajectories])
+    sims = counts_matrix(read_trajectories(args.trajectories), grid)
     taus = default_tau_grid(config.tau_grid_size)
     scores = score_cell(obs_counts, sims, taus)
     payload = {

@@ -79,12 +79,13 @@ class FuncKind(str, enum.Enum):
 def eval_func(kind: FuncKind, coeffs, t):
     """Evaluate a parameter function at time(s) ``t`` (hours to delivery).
 
-    Vectorized over ``t``; exponential overflow yields ``inf`` which callers
-    treat as infeasible.
+    Vectorized over ``t``, and over coefficients given as arrays shaped
+    like ``t``; exponential overflow yields ``inf`` which callers treat as
+    infeasible.
     """
     t = np.asarray(t, dtype=float)
     if kind is FuncKind.CONST:
-        return np.full(t.shape, float(coeffs[0])) if t.ndim else float(coeffs[0])
+        return np.full(t.shape, coeffs[0]) if t.ndim else float(coeffs[0])
     if kind is FuncKind.LIN:
         return coeffs[0] + coeffs[1] * t
     if kind is FuncKind.QUADR:
@@ -221,7 +222,9 @@ class ModelSpec:
         flag is false, and the parameters empty, when the rate or shape is
         non-positive or non-finite anywhere on ``t`` or when ``p < 0``.
         ``theta`` is taken as given: callers outside the likelihood check
-        it first with ``_check_theta``.
+        it first with ``_check_theta``.  It is one parameter vector, or an
+        ``(n_params, n)`` array whose columns pair with the n entries of
+        ``t``; then ``q`` and ``p`` are rows too.
         """
         rate = eval_func(self.rate_kind, theta[self.rate_slice], t)
         if not _positive_finite(rate):
@@ -235,11 +238,11 @@ class ModelSpec:
             return (shape, rate), True
         mu = np.log(shape) - np.log(rate)
         sigma = shape ** -0.5
-        q = float(theta[self.q_index])
+        q = theta[self.q_index]
         if self.family is Family.GENGAM:
             return (mu, sigma, q), True
-        p = float(theta[self.p_index])
-        if not p >= 0.0:
+        p = theta[self.p_index]
+        if np.count_nonzero(p >= 0.0) < np.size(p):
             return (), False
         return (mu, sigma, q, p), True
 

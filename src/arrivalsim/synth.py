@@ -18,7 +18,7 @@ from .fitting import FittedModel
 from .ingest import DEFAULT_TRADING_END, trading_bounds
 from .models import ModelSpec, feasible_on_grid
 from .scoring import minute_grid
-from .simulate import _simulate
+from .simulate import simulate_trajectories
 
 __all__ = ["synth_generate"]
 
@@ -63,7 +63,7 @@ def synth_generate(
             raise ParameterError(f"{spec.name}: theta is infeasible on [{a}, {gen_end})")
         fitted = FittedModel(spec=spec, theta=theta, log_likelihood=None, window=(a, gen_end))
         rngs = [_cell_rng(seed, day_index, product) for day_index in range(days)]
-        arrivals[product] = _simulate(fitted, a, a, gen_end, rngs)
+        arrivals[product] = next(simulate_trajectories([(fitted, rngs)], a, a, gen_end))[1]
 
     with out_path.open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -10,12 +10,18 @@ from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, Exp, GenGam,
 from arrivalsim.fitting import FittedModel
 from arrivalsim.models import Family, FuncKind, enumerate_models, instantiate, model_from_name
 from arrivalsim.scoring import minute_grid
+from arrivalsim import simulate
 from arrivalsim.simulate import (
     _BLOCK,
+    _ROWS,
+    TrajectorySet,
+    counts_matrix,
     counts_on_grid,
     pick_anchor,
+    read_trajectories,
     simulate_one,
     simulate_set,
+    simulate_sets,
     write_trajectories,
 )
 from test_models import feasible_theta
@@ -295,3 +301,134 @@ class TestHelpers:
         lines = path.read_text().splitlines()
         assert lines[0] == "trajectory_index,arrival_time_hours"
         assert len(lines) == 1 + sum(len(tr) for tr in ts.trajectories)
+
+
+def simulate_both(caplog, records, m, anchor=T1, max_events=1_000_000):
+    """Simulate ``records`` in one shared ``simulate_sets`` call and each in
+    its own ``simulate_set`` call; check that both ways give the same
+    trajectories and warnings, and return the shared call's sets and its
+    sorted warnings."""
+    seeds = list(range(100, 100 + len(records)))
+    runs = []
+    for run in (
+        lambda: dict(simulate_sets(records, anchor, T1, T2, m, seeds, max_events)),
+        lambda: dict(enumerate(
+            simulate_set(r, anchor, T1, T2, m, s, max_events) for r, s in zip(records, seeds)
+        )),
+    ):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            sets = run()
+        messages = sorted(r.getMessage() for r in caplog.records)
+        runs.append(([sets[i] for i in range(len(records))], messages))
+    (grouped, messages), (alone, alone_messages) = runs
+    for record, a, b in zip(records, grouped, alone):
+        assert (a.m, a.seed) == (b.m, b.seed), record.spec.name
+        for x, y in zip(a.trajectories, b.trajectories):
+            np.testing.assert_array_equal(x, y, err_msg=record.spec.name)
+    assert messages == alone_messages
+    return grouped, messages
+
+
+@pytest.fixture
+def lockstep_sizes(monkeypatch):
+    """Number of models in each lockstep run while the test runs."""
+    sizes = []
+    kernel = simulate._lockstep
+
+    def recording(members, *args):
+        sizes.append(len(members))
+        return kernel(members, *args)
+
+    monkeypatch.setattr(simulate, "_lockstep", recording)
+    return sizes
+
+
+class TestGroupedLocksteps:
+    """A model simulated in a group gives the trajectories and warnings it
+    gives alone."""
+
+    def test_every_model(self, caplog, lockstep_sizes):
+        rng = np.random.default_rng(5)
+        records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in enumerate_models()]
+        simulate_both(caplog, records, m=8, anchor=T1 - 0.01)
+        assert lockstep_sizes[-37:] == [1] * 37  # alone
+        assert sum(lockstep_sizes[:-37]) == 37 and len(lockstep_sizes) - 37 < 37
+
+    def test_rows_beyond_the_cap_split_into_locksteps(self, caplog, lockstep_sizes):
+        # one lockstep key, 7 * 60 rows > _ROWS: two locksteps of whole models
+        names = ["GenGam.Const.Const", "GenGam.Lin.Const", "GenGam.Lin.Lin", "GenF.Const.Const",
+                 "GenF.Lin.Const", "GenF.Quadr.Lin", "GenF.Quadr.Quadr"]
+        rng = np.random.default_rng(6)
+        records = [fitted(n, feasible_theta(model_from_name(n), rng)) for n in names]
+        simulate_both(caplog, records, m=60)
+        assert lockstep_sizes == [4, 3] + [1] * 7
+
+    def test_a_model_with_more_rows_than_the_cap_runs_alone(self, caplog, lockstep_sizes):
+        records = [fitted("Exp.Const", [40.0]), fitted("Exp.Lin", [40.0, 2.0])]
+        simulate_both(caplog, records, m=_ROWS + 1)
+        assert lockstep_sizes == [1, 1, 1, 1]
+
+    def test_infeasible_rows_end_with_one_warning_naming_their_model(self, caplog):
+        healthy = [
+            ("Exp.Const", [50.0]),
+            ("Gamma.Lin.Const", [60.0, -5.0, 1.5]),
+            ("GenGam.Lin.Const", [60.0, -5.0, 1.0, 0.5]),
+            ("GenF.Const.Const", [80.0, 1.0, 0.5, 1.0]),
+        ]
+        records = [fitted(n, theta) for n, theta in NEGATIVE_RATE_CASES + healthy]
+        grouped, messages = simulate_both(caplog, records, m=40)
+        for k, (record, ts) in enumerate(zip(records, grouped)):
+            ended = sum(
+                1 for tr in ts.trajectories if tr.size and 4 * tr[-1] ** 2 + 16 * tr[-1] + 15 <= 0
+            )
+            assert (ended > 0) == (k < len(NEGATIVE_RATE_CASES))
+            named = [msg for msg in messages if msg.startswith(record.spec.name + ":")]
+            assert len(named) == ended
+            assert all(msg.endswith("trajectory truncated") for msg in named)
+
+    def test_tail_exhaustion(self, caplog):
+        # from anchor -10 the rate-200 tail beyond t_start is exhausted
+        records = [
+            fitted("Exp.Const", [200.0]), fitted("Exp.Const", [0.5]), fitted("Exp.Lin", [3.0, 0.1])
+        ]
+        grouped, messages = simulate_both(caplog, records, m=6, anchor=-10.0)
+        assert [tr.size for tr in grouped[0].trajectories] == [0] * 6
+        assert sum(tr.size for ts in grouped[1:] for tr in ts.trajectories) > 0
+        assert len(messages) == 6
+        assert all("Exp.Const: truncated tail exhausted" in msg for msg in messages)
+
+    def test_max_events(self, caplog):
+        records = [fitted("Exp.Const", [5000.0]), fitted("Exp.Lin", [20.0, 1.0])]
+        grouped, messages = simulate_both(caplog, records, m=5, max_events=100)
+        assert [tr.size for tr in grouped[0].trajectories] == [100] * 5
+        assert all(0 < tr.size < 100 for tr in grouped[1].trajectories)
+        assert messages == ["Exp.Const: trajectory hit max_events=100 before -0.5"] * 5
+
+
+def test_counts_matrix_equals_counts_on_grid_per_row():
+    rng = np.random.default_rng(0)
+    grid = minute_grid(T1, T2)
+    trajectories = []
+    for k in range(40):
+        inside = rng.uniform(T1 - 0.1, T2 + 0.1, rng.integers(0, 15))
+        on_grid = rng.choice(grid, rng.integers(0, 4))  # exactly on grid points
+        trajectories.append(np.sort(np.concatenate([inside, on_grid])) if k % 4 else np.empty(0))
+    trajectories.append(np.empty(0))
+    want = np.vstack([counts_on_grid(tr, grid) for tr in trajectories])
+    got = TrajectorySet(trajectories, T1, T2, T1, 0).counts(grid)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(counts_matrix([np.empty(0)], grid), np.zeros((1, grid.size)))
+
+
+@pytest.mark.parametrize("sizes", [(3, 1, 0, 0), (0, 0, 0)])
+def test_dump_round_trip_keeps_empty_trajectories(tmp_path, sizes):
+    rng = np.random.default_rng(1)
+    trajectories = [np.sort(rng.uniform(T1, T2, n)) for n in sizes]
+    path = tmp_path / "traj.csv"
+    write_trajectories(TrajectorySet(trajectories, T1, T2, T1, 0), path)
+    back = read_trajectories(path)
+    assert [tr.size for tr in back] == list(sizes)
+    for got, want in zip(back, trajectories):
+        np.testing.assert_array_equal(got, want)
