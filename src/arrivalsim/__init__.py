@@ -1,10 +1,9 @@
 """Estimation, simulation and probabilistic evaluation of transaction
 arrival processes in continuous intraday markets."""
 
-from .distributions import DistParams, Exp, Gamma, GenF, GenGam
-from .models import FuncKind, ModelSpec, enumerate_models, instantiate, model_from_name
+from .models import FuncKind, ModelSpec, enumerate_models, model_from_name
 from .fitting import FitOptions, FittedModel, fit, fit_cascade, log_likelihood
-from .simulate import TrajectorySet, simulate_one, simulate_set
+from .simulate import TrajectorySet, simulate_set
 from .scoring import LossSpec, ScoreReport, argmin_process, dm_test, eval_functional, rho
 from .ingest import ArrivalSeries, InterArrivalSample, RawTransaction, slice_window
 from .backtest import RunConfig, run
@@ -12,23 +11,16 @@ from .backtest import RunConfig, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistParams",
-    "Exp",
-    "Gamma",
-    "GenGam",
-    "GenF",
     "FuncKind",
     "ModelSpec",
     "enumerate_models",
     "model_from_name",
-    "instantiate",
     "FitOptions",
     "FittedModel",
     "fit",
     "fit_cascade",
     "log_likelihood",
     "TrajectorySet",
-    "simulate_one",
     "simulate_set",
     "LossSpec",
     "ScoreReport",

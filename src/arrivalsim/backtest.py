@@ -228,7 +228,11 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
         for name in payload.models:
             path = _fit_dir(payload.outdir, name, payload.product, payload.day) / "fit.json"
             if path.exists():
-                record = FittedModel.load(path)
+                try:
+                    record = FittedModel.load(path)
+                except (ValueError, KeyError) as exc:  # ParameterError is a ValueError
+                    logger.warning("refitting %s: %s does not load: %s", name, path, exc)
+                    continue
                 if record.spec.name != name:
                     continue
                 if _fitted_on(record, payload.sample):

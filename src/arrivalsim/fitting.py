@@ -27,21 +27,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import optimize, special
 
-from .distributions import (
-    GENGAM_P_EPS,
-    LOGNORMAL_Q_EPS,
-    _genf_shapes,
-    exp_logpdf,
-    gamma_logpdf,
-    gengam_logpdf,
-    genf_logpdf,
-)
+from .distributions import GENGAM_P_EPS, KERNELS, LOGNORMAL_Q_EPS, _genf_shapes
 from .errors import InsufficientDataError, ParameterError
 from .ingest import InterArrivalSample
 from .models import Family, FuncKind, ModelSpec, model_from_name
@@ -149,20 +142,17 @@ class FittedModel:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(self.to_json())
+        """Write the record through a temporary file in the same directory,
+        so that a study killed mid-write leaves the old record or none."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(self.to_json())
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
         return cls.from_json(Path(path).read_text())
-
-
-_LOGPDF = {
-    Family.EXP: exp_logpdf,
-    Family.GAMMA: gamma_logpdf,
-    Family.GENGAM: gengam_logpdf,
-    Family.GENF: genf_logpdf,
-}
 
 
 def log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample) -> float:
@@ -182,7 +172,7 @@ def _log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample):
         params, ok = spec.params_at(theta, sample.t_clamped)
         if not ok:
             return -math.inf, None
-        total = float(np.sum(_LOGPDF[spec.family](sample.x, *params)))
+        total = float(np.sum(KERNELS[spec.family].logpdf(sample.x, *params)))
     return (total, params) if math.isfinite(total) else (-math.inf, None)
 
 

@@ -12,8 +12,10 @@ For the generalized families the gamma-style functions ``shape(t)`` and
 ``rate(t)`` are mapped into location/scale via
 ``mu(t) = log(shape(t)) - log(rate(t))`` and ``sigma(t) = shape(t)**-0.5``,
 with the extra shape parameters held constant over time.
-:meth:`ModelSpec.params_at` performs this mapping for the likelihood,
-instantiation, feasibility checks and the simulator's per-event step.
+:meth:`ModelSpec.params_at` is the one place that performs this mapping:
+the likelihood, the feasibility check and every simulation step, the
+first gap included, read the family parameters from it and pass them to
+the family kernels of :mod:`arrivalsim.distributions`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import DistParams, Exp, Gamma, GenF, GenGam
 from .errors import ParameterError
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "ModelSpec",
     "enumerate_models",
     "model_from_name",
-    "instantiate",
     "feasible_on_grid",
 ]
 
@@ -204,27 +204,20 @@ class ModelSpec:
             hi.append(b[1])
         return np.array(lo), np.array(hi)
 
-    def _check_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_params,):
-            raise ParameterError(
-                f"{self.name} expects {self.n_params} parameters, got shape {theta.shape}"
-            )
-        return theta
-
     def params_at(self, theta, t) -> tuple[tuple, bool]:
         """Family parameters at time(s) ``t`` and whether they are feasible.
 
         The parameters are ``(rate,)``, ``(shape, rate)``, ``(mu, sigma, q)``
         or ``(mu, sigma, q, p)`` in the argument order of the family's
-        distribution class, with the time-varying entries shaped like ``t``
-        and ``mu = log(shape) - log(rate)``, ``sigma = shape**-0.5``.  The
+        kernels (:data:`arrivalsim.distributions.KERNELS`), with the
+        time-varying entries shaped like ``t`` and
+        ``mu = log(shape) - log(rate)``, ``sigma = shape**-0.5``.  The
         flag is false, and the parameters empty, when the rate or shape is
         non-positive or non-finite anywhere on ``t`` or when ``p < 0``.
         ``theta`` is taken as given: callers outside the likelihood check
-        it first with ``_check_theta``.  It is one parameter vector, or an
-        ``(n_params, n)`` array whose columns pair with the n entries of
-        ``t``; then ``q`` and ``p`` are rows too.
+        it first with :func:`feasible_on_grid`.  It is one parameter
+        vector, or an ``(n_params, n)`` array whose columns pair with the n
+        entries of ``t``; then ``q`` and ``p`` are rows too.
         """
         rate = eval_func(self.rate_kind, theta[self.rate_slice], t)
         if not _positive_finite(rate):
@@ -277,21 +270,17 @@ def model_from_name(name: str) -> ModelSpec:
         raise ParameterError(f"not a valid model name: {name!r}") from exc
 
 
-_DIST = {Family.EXP: Exp, Family.GAMMA: Gamma, Family.GENGAM: GenGam, Family.GENF: GenF}
-
-
-def instantiate(spec: ModelSpec, theta, t: float) -> DistParams:
-    """Distribution parameters of ``spec`` at a single time ``t``.
-
-    Raises :class:`ParameterError` when ``theta`` has the wrong length or
-    its parameters are infeasible at ``t`` (see :meth:`ModelSpec.params_at`).
-    """
-    params, ok = spec.params_at(spec._check_theta(theta), t)
-    if not ok:
-        raise ParameterError(f"{spec.name}: parameters infeasible at t={t}")
-    return _DIST[spec.family](*(float(v) for v in params))
-
-
 def feasible_on_grid(spec: ModelSpec, theta, t_grid) -> bool:
-    """True when the parameters of ``spec`` are feasible everywhere on ``t_grid``."""
-    return spec.params_at(spec._check_theta(theta), t_grid)[1]
+    """True when every entry of ``theta`` is finite and the parameters of
+    ``spec`` are feasible everywhere on ``t_grid``.
+
+    ``params_at`` checks the rate, the shape and ``p``; a non-finite ``q``
+    is caught here.  Raises :class:`ParameterError` when ``theta`` does not
+    have ``spec.n_params`` entries.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (spec.n_params,):
+        raise ParameterError(
+            f"{spec.name} expects {spec.n_params} parameters, got shape {theta.shape}"
+        )
+    return bool(np.isfinite(theta).all()) and spec.params_at(theta, t_grid)[1]

@@ -11,8 +11,11 @@ are infeasible at its latest arrival (at the anchor: before its first
 arrival), or whose inter-arrival is zero, ends there with a warning.
 
 Trajectories advance in locksteps: step k gives every live trajectory of
-a lockstep its k-th arrival.  The first gaps of a model come from one
-vectorized truncated quantile.  Each further step evaluates
+a lockstep its k-th arrival.  The first gaps of a model take its family
+parameters from :meth:`ModelSpec.params_at` at the anchor, clamped into
+the fit window, and pass them with one uniform per trajectory to
+:func:`~arrivalsim.distributions.truncated_quantile`, which reads the
+family's cdf and quantile kernels.  Each further step evaluates
 :meth:`ModelSpec.params_at` once on the vector of current times of the
 live trajectories and turns one standardized innovation per trajectory
 into an inter-arrival: ``w / rate`` for Exp and Gamma,
@@ -49,15 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes
+from .distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes, truncated_quantile
 from .errors import DomainError, ParameterError, TailExhaustedError
 from .fitting import FittedModel
-from .models import Family, FuncKind, ModelSpec, feasible_on_grid, instantiate
+from .models import Family, FuncKind, ModelSpec, feasible_on_grid
 
 __all__ = [
     "TrajectorySet",
     "simulate_trajectories",
-    "simulate_one",
     "simulate_sets",
     "simulate_set",
     "counts_on_grid",
@@ -148,10 +150,10 @@ def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
                 "%s: parameters infeasible at t=%s; trajectory truncated", name, t0
             )
         return None
-    first = instantiate(spec, theta, t0)
+    params = [float(v) for v in spec.params_at(theta, t0)[0]]
     u = np.array([rng.uniform() for rng in rngs])
     try:
-        t = anchor + first.truncated_quantile(t_start - anchor, u)
+        t = anchor + truncated_quantile(spec.family, params, t_start - anchor, u)
     except TailExhaustedError:
         for _ in rngs:
             logger.warning(
@@ -314,18 +316,6 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     for k, (idx, values) in enumerate(steps):
         flat[starts[idx] + k] = values
     return np.split(flat, ends[:-1])
-
-
-def simulate_one(
-    fitted: FittedModel,
-    anchor: float,
-    t_start: float,
-    t_end: float,
-    rng: np.random.Generator,
-    max_events: int = 1_000_000,
-) -> np.ndarray:
-    """One simulated arrival-time trajectory on ``(t_start, t_end)``."""
-    return next(simulate_trajectories([(fitted, [rng])], anchor, t_start, t_end, max_events))[1][0]
 
 
 @dataclass(frozen=True)

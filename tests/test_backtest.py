@@ -228,6 +228,36 @@ class TestRun:
         assert sum("refitting" in r.getMessage() for r in caplog.records) == 8
         assert tree_bytes(out) == tree_bytes(fresh)
 
+    def test_resume_refits_a_truncated_record(self, synth_csv, tmp_path, caplog):
+        """A fit.json cut in half, as a study killed mid-write could leave
+        it, is refitted with one warning and overwritten; the rerun equals
+        the first run."""
+        out = tmp_path / "out"
+        cfg = tiny_config(synth_csv, out)
+        run(cfg)
+        before = tree_bytes(out)
+        record = sorted(out.rglob("fit.json"))[0]
+        record.write_text(record.read_text()[:60])
+        with caplog.at_level("WARNING"):
+            run(cfg)
+        refits = [r.getMessage() for r in caplog.records if "refitting" in r.getMessage()]
+        assert len(refits) == 1 and str(record) in refits[0]
+        assert tree_bytes(out) == before
+
+    def test_a_failed_record_write_keeps_the_old_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "fit.json"
+        old = FittedModel(model_from_name("Exp.Const"), [2.0], -1.0, n_obs=10, days=1)
+        old.save(path)
+        text = path.read_text()
+
+        def interrupted(*args):
+            raise OSError("interrupted before the replace")
+
+        monkeypatch.setattr("os.replace", interrupted)
+        with pytest.raises(OSError):
+            FittedModel(model_from_name("Exp.Const"), [3.0], -2.0, n_obs=10, days=1).save(path)
+        assert path.read_text() == text
+
     def test_infeasible_parameters_at_an_event_do_not_abort_the_run(
         self, synth_csv, tmp_path, caplog
     ):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, Exp, GenGam, _genf_shapes
+from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes, truncated_quantile
 from arrivalsim.fitting import FittedModel
-from arrivalsim.models import Family, FuncKind, enumerate_models, instantiate, model_from_name
+from arrivalsim.models import Family, FuncKind, enumerate_models, model_from_name
 from arrivalsim.scoring import minute_grid
 from arrivalsim import simulate
 from arrivalsim.simulate import (
@@ -19,12 +19,13 @@ from arrivalsim.simulate import (
     counts_on_grid,
     pick_anchor,
     read_trajectories,
-    simulate_one,
     simulate_set,
     simulate_sets,
+    simulate_trajectories,
     write_trajectories,
 )
-from test_models import feasible_theta
+from test_distributions import oracle
+from test_models import feasible_theta, params_at, scalar_func
 
 T1, T2 = -3.25, -0.5
 SPAN = T2 - T1
@@ -52,11 +53,9 @@ def fitted(name, theta, window=(T1, T2)):
     )
 
 
-def scalar_func(kind, coeffs):
-    c = [float(v) for v in coeffs] + [0.0, 0.0]
-    if kind is FuncKind.EXPON:
-        return lambda t: c[0] + math.exp(c[1] + c[2] * t)
-    return lambda t: c[0] + c[1] * t + c[2] * t * t
+def simulate_one(fm, anchor, t_start, t_end, rng, max_events=1_000_000):
+    """One trajectory from the kernel, on one generator."""
+    return next(simulate_trajectories([(fm, [rng])], anchor, t_start, t_end, max_events))[1][0]
 
 
 def reference_trajectory(fm, anchor, t_start, t_end, rng):
@@ -84,8 +83,8 @@ def reference_trajectory(fm, anchor, t_start, t_end, rng):
         else:
             draw = lambda n: rng.standard_normal(n)
 
-    first = instantiate(spec, theta, min(max(anchor, lo), hi))
-    t = anchor + first.sample_truncated(t_start - anchor, rng)
+    first = params_at(spec, theta, min(max(anchor, lo), hi))
+    t = anchor + float(truncated_quantile(family, first, t_start - anchor, rng.uniform()))
     out, block = [], []
     while t < t_end:
         out.append(t)
@@ -143,10 +142,10 @@ class TestFirstArrival:
         fm = fitted("GenGam.Const.Const", [150.0, 1.6, 0.8])
         ts = simulate_set(fm, T1, T1, T2, m=10_000, seed=7)
         firsts = np.array([tr[0] - T1 for tr in ts.trajectories if len(tr)])
-        kernel = GenGam(math.log(1.6 / 150.0), 1.6 ** -0.5, 0.8)
+        law = oracle(Family.GENGAM, (math.log(1.6 / 150.0), 1.6 ** -0.5, 0.8))
         # censor both sides at the horizon length to compare like with like
-        cens = kernel.cdf(SPAN)
-        d = stats.kstest(firsts, lambda x: kernel.cdf(x) / cens).statistic
+        cens = law.cdf(SPAN)
+        d = stats.kstest(firsts, lambda x: law.cdf(x) / cens).statistic
         assert d < 0.02
 
     def test_truncated_gap_memoryless_for_exp(self):
@@ -154,8 +153,9 @@ class TestFirstArrival:
         anchor = T1 - 0.3
         ts = simulate_set(fitted("Exp.Const", [lam]), anchor, T1, T2, m=5_000, seed=8)
         firsts = np.array([tr[0] - T1 for tr in ts.trajectories if len(tr)])
-        cens = Exp(lam).cdf(SPAN)
-        d = stats.kstest(firsts, lambda x: Exp(lam).cdf(x) / cens).statistic
+        law = stats.expon(scale=1.0 / lam)
+        cens = law.cdf(SPAN)
+        d = stats.kstest(firsts, lambda x: law.cdf(x) / cens).statistic
         assert d < 0.02
 
     def test_tail_exhausted_gives_empty_trajectory(self, caplog):
@@ -176,6 +176,18 @@ class TestFirstArrival:
         assert [tr.size for tr in ts.trajectories] == [0] * 5
         assert len(caplog.records) == 5
         assert all("truncated tail exhausted" in r.getMessage() for r in caplog.records)
+
+    def test_a_first_gap_probability_that_rounds_to_one_does_not_abort(self):
+        """From anchor -6.01 the rate-10 tail beyond t_start keeps 1.03e-12
+        of its mass, inside the tail check.  Seed 1609 gives one of 40
+        trajectories a uniform within about 5e-5 of 1, where F(y) + u(1 - F(y))
+        rounds to 1.0; the quantile takes the largest double below 1."""
+        anchor = -6.01
+        fy = -math.expm1(-10.0 * (T1 - anchor))
+        u = [np.random.default_rng(s).uniform() for s in np.random.SeedSequence(1609).spawn(40)]
+        assert sum(fy + v * (1.0 - fy) == 1.0 for v in u) == 1
+        ts = simulate_set(fitted("Exp.Const", [10.0]), anchor, T1, T2, m=40, seed=1609)
+        assert all(tr.size and T1 < tr[0] < T2 for tr in ts.trajectories)
 
 
 class TestDeterminism:
@@ -243,13 +255,17 @@ def test_infeasible_parameters_end_the_trajectory(name, theta, caplog):
 
 
 def test_infeasible_parameters_at_the_anchor_give_empty_trajectories(caplog):
-    """Exp.Lin rate 1 + 10t is negative at the clamped anchor -3.25: every
-    trajectory is empty, with one warning each, instead of an error."""
-    with caplog.at_level("WARNING"):
-        ts = simulate_set(fitted("Exp.Lin", [1.0, 10.0]), -4.0, T1, T2, m=3, seed=0)
-    assert [tr.size for tr in ts.trajectories] == [0, 0, 0]
-    messages = [r.getMessage() for r in caplog.records]
-    assert messages == ["Exp.Lin: parameters infeasible at t=-3.25; trajectory truncated"] * 3
+    """Exp.Lin rate 1 + 10t is negative at the clamped anchor -3.25, and a
+    GenGam q that is NaN (as a resumed fit record may hold) is infeasible
+    everywhere: every trajectory is empty, with one warning each, instead
+    of an error."""
+    for name, theta in [("Exp.Lin", [1.0, 10.0]), ("GenGam.Const.Const", [150.0, 1.6, math.nan])]:
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            ts = simulate_set(fitted(name, theta), -4.0, T1, T2, m=3, seed=0)
+        assert [tr.size for tr in ts.trajectories] == [0, 0, 0]
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [f"{name}: parameters infeasible at t=-3.25; trajectory truncated"] * 3
 
 
 class TestTimeVarying:
