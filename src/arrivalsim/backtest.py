@@ -63,7 +63,6 @@ __all__ = [
     "training_sample",
     "observed_counts",
     "write_report_csvs",
-    "merge_reports",
     "cell_seed",
 ]
 
@@ -200,17 +199,10 @@ def load_input(config: RunConfig) -> dict[tuple[date, int], ArrivalSeries]:
 class _CellPayload:
     day: date
     product: int
-    models: tuple[str, ...]
     sample: InterArrivalSample | None  # None: insufficient history
     observed: np.ndarray | None  # arrivals of the target day; None: day missing
-    t1: float
-    t2: float
     taus: np.ndarray
-    trajectories: int
-    master_seed: int
-    fit_options: FitOptions
-    outdir: str | None
-    dump_trajectories: bool
+    config: RunConfig
 
 
 def _fit_dir(outdir: str, model: str, product: int, day: date) -> Path:
@@ -219,14 +211,15 @@ def _fit_dir(outdir: str, model: str, product: int, day: date) -> Path:
 
 def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
     """Fit (or load), simulate and score every model of one (day, product)."""
-    empty = {name: None for name in payload.models}
+    config, day, product = payload.config, payload.day, payload.product
+    empty = {name: None for name in config.models}
     if payload.sample is None or payload.observed is None or payload.sample.empty:
         return empty
 
     preloaded: dict[str, FittedModel] = {}
-    if payload.outdir is not None:
-        for name in payload.models:
-            path = _fit_dir(payload.outdir, name, payload.product, payload.day) / "fit.json"
+    if config.outdir is not None:
+        for name in config.models:
+            path = _fit_dir(config.outdir, name, product, day) / "fit.json"
             if path.exists():
                 try:
                     record = FittedModel.load(path)
@@ -242,34 +235,32 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
                         "refitting %s: %s was fitted on %d days, %d spells, window %s",
                         name, path, record.days, record.n_obs, record.window,
                     )
-    specs = [model_from_name(name) for name in payload.models]
-    fitted = fit_cascade(specs, payload.sample, payload.fit_options, preloaded=preloaded)
-    if payload.outdir is not None:
+    specs = [model_from_name(name) for name in config.models]
+    fitted = fit_cascade(specs, payload.sample, config.fit, preloaded=preloaded)
+    if config.outdir is not None:
         for name, record in fitted.items():
             if name in preloaded:
                 continue
-            record.save(_fit_dir(payload.outdir, name, payload.product, payload.day) / "fit.json")
+            record.save(_fit_dir(config.outdir, name, product, day) / "fit.json")
 
-    grid = minute_grid(payload.t1, payload.t2)
-    obs_counts = observed_counts(payload.observed, payload.t1, payload.t2)
-    anchor = pick_anchor(payload.observed, payload.t1)
+    grid = minute_grid(config.t1, config.t2)
+    obs_counts = observed_counts(payload.observed, config.t1, config.t2)
+    anchor = pick_anchor(payload.observed, config.t1)
 
     out: dict[str, CellScores | None] = dict(empty)
-    names = [name for name in payload.models if name in fitted]
+    names = [name for name in config.models if name in fitted]
     for i, ts in simulate_sets(
         [fitted[name] for name in names],
         anchor,
-        payload.t1,
-        payload.t2,
-        payload.trajectories,
-        [cell_seed(payload.master_seed, name, payload.day, payload.product) for name in names],
+        config.t1,
+        config.t2,
+        config.trajectories,
+        [cell_seed(config.seed, name, day, product) for name in names],
     ):
         name = names[i]
-        if payload.dump_trajectories and payload.outdir is not None:
+        if config.dump_trajectories and config.outdir is not None:
             write_trajectories(
-                ts,
-                _fit_dir(payload.outdir, name, payload.product, payload.day)
-                / "trajectories.csv",
+                ts, _fit_dir(config.outdir, name, product, day) / "trajectories.csv"
             )
         out[name] = score_cell(obs_counts, ts.counts(grid), payload.taus)
     return out
@@ -341,17 +332,10 @@ def run(config: RunConfig) -> ScoreReport:
             payloads[(day, product)] = _CellPayload(
                 day=day,
                 product=product,
-                models=config.models,
                 sample=training_sample(config, series, day, product),
                 observed=None if observed is None else observed.arrivals,
-                t1=config.t1,
-                t2=config.t2,
                 taus=taus,
-                trajectories=config.trajectories,
-                master_seed=config.seed,
-                fit_options=config.fit,
-                outdir=config.outdir,
-                dump_trajectories=config.dump_trajectories,
+                config=config,
             )
 
     results: dict[tuple[date, int], dict[str, CellScores | None]] = {}
@@ -411,29 +395,6 @@ def _assemble(
         pb=pb,
         daily_crps=daily,
         missing=missing,
-    )
-
-
-def merge_reports(reports: list[ScoreReport]) -> ScoreReport:
-    """Join reports of disjoint product sets from one study."""
-    first = reports[0]
-    for other in reports[1:]:
-        if other.models != first.models or other.day_labels != first.day_labels:
-            raise ParameterError("reports to merge must share models and days")
-        if not np.array_equal(other.taus, first.taus):
-            raise ParameterError("reports to merge must share the tau grid")
-    return ScoreReport(
-        models=first.models,
-        products=[p for rep in reports for p in rep.products],
-        taus=first.taus,
-        day_labels=first.day_labels,
-        bias=np.concatenate([rep.bias for rep in reports], axis=1),
-        mae=np.concatenate([rep.mae for rep in reports], axis=1),
-        rmse=np.concatenate([rep.rmse for rep in reports], axis=1),
-        crps=np.concatenate([rep.crps for rep in reports], axis=1),
-        pb=np.concatenate([rep.pb for rep in reports], axis=1),
-        daily_crps=np.concatenate([rep.daily_crps for rep in reports], axis=2),
-        missing=np.concatenate([rep.missing for rep in reports], axis=1),
     )
 
 

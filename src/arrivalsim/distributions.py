@@ -12,16 +12,19 @@ Each extends the previous one: ``Exp(lam) == Gamma(1, lam)``,
 ``Gamma(a, b) == GenGam(-log(b/a), 1/sqrt(a), 1/sqrt(a))`` and
 ``GenGam(mu, sigma, q) == GenF(mu, sigma, q, 0)``.
 
-Each family is three kernels -- ``*_logpdf``, ``*_cdf`` and
-``*_quantile`` -- gathered in :data:`KERNELS`, keyed by
-:class:`~arrivalsim.models.Family`.  They take the family parameters in
-the order :meth:`ModelSpec.params_at` returns them, ``x`` or ``u`` first:
-the time-varying entries broadcast, ``q`` and ``p`` are scalars.  They do
-not validate their arguments: ``params_at`` decides feasibility, and
+Each family is six kernels -- its log-density, cdf, quantile, score,
+innovation sampler and simulation step (see :class:`Kernels`) -- gathered
+in :data:`KERNELS`, keyed by :class:`~arrivalsim.models.Family`; this
+module is the one place that defines a family.  The kernels take the
+family parameters in the order :meth:`ModelSpec.params_at` returns them:
+the time-varying entries broadcast, ``q`` and ``p`` are scalars (rows,
+in a simulation step).  They do not validate their arguments:
+``params_at`` decides feasibility, and
 :class:`~arrivalsim.ingest.InterArrivalSample` keeps every ``x`` positive
-and finite.  The likelihood reads the logpdf kernels and the simulator's
-first gap reads :func:`truncated_quantile`.  All density math happens in
-log space.
+and finite.  The likelihood reads the logpdf and score kernels; the
+simulator's first gap reads :func:`truncated_quantile` and every later
+step the innovations and step kernels.  All density math happens in log
+space.
 """
 
 from __future__ import annotations
@@ -224,20 +227,204 @@ def genf_quantile(u, mu, sigma, q, p):
     return x.reshape(np.broadcast_shapes(np.shape(u), np.shape(mu), np.shape(sigma)))
 
 
+def exp_score(x, log_x, rate):
+    return 1.0 / rate - x, None, []
+
+
+def gamma_score(x, log_x, shape, rate):
+    return shape / rate - x, np.log(rate) - special.digamma(shape) + log_x, []
+
+
+def gengam_score(x, log_x, mu, sigma, q):
+    u = (log_x - mu) / sigma
+    d_u, d_q = _gengam_scores(u, q)
+    return _gamma_style_scores(mu, sigma, u, d_u, [d_q])
+
+
+def genf_score(x, log_x, mu, sigma, q, p):
+    u = (log_x - mu) / sigma
+    if p >= GENGAM_P_EPS:
+        d_u, extras = _genf_scores(u, q, p)
+    else:
+        d_u, d_q = _gengam_scores(u, q)
+        extras = [d_q, _genf_p0_score(u, q)]
+    return _gamma_style_scores(mu, sigma, u, d_u, extras)
+
+
+def _gamma_style_scores(mu, sigma, u, d_u, extras):
+    """The score of a GenGam or GenF in the rate and the shape, from its
+    derivative ``d_u`` in ``u = (log x - mu) / sigma``."""
+    # mu = log(shape) - log(rate) and sigma = shape**-0.5
+    d_rate = d_u * sigma * np.exp(mu)
+    d_shape = sigma * (0.5 * sigma * (1.0 + u * d_u) - d_u)
+    return d_rate, d_shape, extras
+
+
+def _gengam_scores(u: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """Generalized gamma: per-spell derivative in u, and the summed one in q.
+
+    With z = q u the log-density is ``-log(sigma x) - log(2 pi)/2 - R(q**-2)
+    - u**2 phi(z)``, ``phi(z) = (e**z - 1 - z) / z**2`` and R the Stirling
+    remainder of ``gammaln``; in the lognormal band the q-derivative is its
+    limit, ``-u**3 / 6``.
+    """
+    if abs(q) < LOGNORMAL_Q_EPS:
+        return -u, -float(np.sum(u * u * u)) / 6.0
+    z = q * u
+    d_q = 2.0 * q * u.size * _stirling_slope(q) - float(np.sum(u * u * u * _dphi(z)))
+    return -np.expm1(z) / q, d_q
+
+
+def _dphi(z: np.ndarray) -> np.ndarray:
+    """phi'(z) for phi(z) = (e**z - 1 - z) / z**2, by its series near 0."""
+    out = ((z - 2.0) * np.exp(z) + z + 2.0) / (z * z * z)
+    small = np.abs(z) < 0.1
+    if np.any(small):
+        zs = z[small]
+        out[small] = 1 / 6 + zs * (1 / 12 + zs * (1 / 40 + zs * (
+            1 / 180 + zs * (1 / 1008 + zs * (1 / 6720 + zs * (1 / 51840 + zs / 453600))))))
+    return out
+
+
+def _stirling_slope(q: float) -> float:
+    """R'(q**-2) / q**4 for the Stirling remainder R(a) = gammaln(a) - (a - 1/2)
+    log a + a - log(2 pi)/2, by its asymptotic series for small q."""
+    if abs(q) < 0.1:
+        q4 = q ** 4
+        return -1 / 12 + q4 * (1 / 120 + q4 * (-1 / 252 + q4 / 240))
+    a = q ** -2
+    return (float(special.digamma(a)) - math.log(a) + 0.5 / a) / q ** 4
+
+
+def _genf_p0_score(u: np.ndarray, q: float) -> float:
+    """d/dp at p = 0+ of the generalized F log-density, summed over spells.
+
+    It is ``u**4 Z(q u) / 4 + 3 R'(q**-2) / (2 q**4)`` per spell, with
+    ``Z(z) = (e**2z + 4 e**z - 4 z e**z - 2 z - 5) / z**4``, the first-order
+    term of the density's expansion in p; Z is taken from its series near 0.
+    """
+    z = q * u
+    ez, z2 = np.exp(z), z * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zz = (ez * (ez + 4.0 - 4.0 * z) - 2.0 * z - 5.0) / (z2 * z2)
+    small = np.abs(z) < 0.1
+    if np.any(small):
+        zs = z[small]
+        zz[small] = 1 / 6 + zs * (2 / 15 + zs * (11 / 180 + zs * (13 / 630 + zs * (
+            19 / 3360 + zs * (1 / 756 + zs * (247 / 907200 + zs * 251 / 4989600))))))
+    u2 = u * u
+    return float(np.sum(u2 * u2 * zz)) / 4.0 + 1.5 * u.size * _stirling_slope(q)
+
+
+def _genf_scores(u: np.ndarray, q: float, p: float) -> tuple[np.ndarray, list[float]]:
+    """Generalized F: per-spell derivative in u, and the summed ones in (q, p).
+
+    The log-density is ``log(delta / (sigma x)) + s1 v - (s1 + s2)
+    softplus(v) - betaln(s1, s2)`` with ``v = delta u + log(s1 / s2)``; its
+    partials in (delta, s1, s2) chain through ``d s1/dq = -2 / delta**3 =
+    -d s2/dq`` and ``d s_i/dp = -s_i**2 (2 delta +- q) / (2 delta)``.
+    """
+    delta, s1, s2 = _genf_shapes(q, p)
+    v = delta * u + math.log(s1 / s2)
+    # each shape's terms in the tail where it dominates, so that neither
+    # cancels when the other shape grows like 2/p
+    up, down = special.expit(v), special.expit(-v)
+    h = s1 * down - s2 * up  # d/dv
+    n = u.size
+    d_delta = n / delta + float(h @ u)
+    d_s1 = float(np.sum(down - np.logaddexp(0.0, -v))) - s2 / s1 * float(np.sum(up))
+    d_s2 = float(np.sum(up - np.logaddexp(0.0, v))) - s1 / s2 * float(np.sum(down))
+    d_s1 += n * _digamma_step(s1, s2)
+    d_s2 += n * _digamma_step(s2, s1)
+    d_q = d_delta * q / delta + 2.0 * (d_s2 - d_s1) / delta ** 3
+    if min(s1, s2) > 1e5:
+        # both shapes ~ 1/p: the (s1, s2) partials cancel to O(1/p**2), so
+        # the first-order expansion in p is the more accurate derivative
+        return delta * h, [d_q, _genf_p0_score(u, q)]
+    d_p = (
+        d_delta / delta
+        - d_s1 * s1 * s1 * (2.0 * delta + q) / (2.0 * delta)
+        - d_s2 * s2 * s2 * (2.0 * delta - q) / (2.0 * delta)
+    )
+    return delta * h, [d_q, d_p]
+
+
+def _digamma_step(x: float, s: float) -> float:
+    """digamma(x + s) - digamma(x), accurate relative to its size for large x."""
+    if x < 1e3:
+        return float(special.digamma(x + s) - special.digamma(x))
+    y = x + s
+    xy = x * y
+    return (
+        math.log1p(s / x)
+        + 0.5 * s / xy
+        + s * (x + y) / (12.0 * xy * xy)
+        - s * (x + y) * (x * x + y * y) / (120.0 * (xy * xy) ** 2)
+    )
+
+
+def exp_innovations(rate):
+    return lambda r, n: r.exponential(1.0, n)
+
+
+def gamma_innovations(shape, rate):
+    return lambda r, n: r.gamma(shape, 1.0, n)
+
+
+def gengam_innovations(mu, sigma, q):
+    if abs(q) >= LOGNORMAL_Q_EPS:
+        a = q ** -2
+        return lambda r, n: np.log(r.gamma(a, 1.0, n) / a) / q
+    return lambda r, n: r.standard_normal(n)
+
+
+def genf_innovations(mu, sigma, q, p):
+    if p < GENGAM_P_EPS:
+        return gengam_innovations(mu, sigma, q)
+    delta, s1, s2 = _genf_shapes(q, p)
+    ratio = s2 / s1
+    return lambda r, n: np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
+
+
+def _rate_step(w, *params):
+    """Exp and Gamma: the innovation over the rate, the last parameter."""
+    return w / params[-1]
+
+
+def _location_scale_step(w, mu, sigma, *shapes):
+    """GenGam and GenF: the innovation in log-x, located and scaled."""
+    return np.exp(mu + sigma * w)
+
+
 class Kernels(NamedTuple):
-    """The kernels of one family: ``logpdf(x, *params)``,
-    ``cdf(x, *params)`` and ``quantile(u, *params)``."""
+    """The six kernels of one family, on the parameters of ``params_at``.
+
+    ``logpdf(x, *params)``, ``cdf(x, *params)``, ``quantile(u, *params)``;
+    ``score(x, log_x, *params)``: the per-spell derivatives of the
+    log-density in the gamma-style rate and shape that ``params_at`` maps
+    from (None for Exp's shape), and a list of the summed derivatives in
+    Q and P; ``innovations(*params)``: ``draw(rng, n)``, n standardized
+    innovations, reading only the constant entries (Gamma's shape, q and
+    p); ``step(w, *params)``: the inter-arrivals of innovations ``w``.
+    """
 
     logpdf: Callable
     cdf: Callable
     quantile: Callable
+    score: Callable
+    innovations: Callable
+    step: Callable
 
 
 KERNELS = {
-    Family.EXP: Kernels(exp_logpdf, exp_cdf, exp_quantile),
-    Family.GAMMA: Kernels(gamma_logpdf, gamma_cdf, gamma_quantile),
-    Family.GENGAM: Kernels(gengam_logpdf, gengam_cdf, gengam_quantile),
-    Family.GENF: Kernels(genf_logpdf, genf_cdf, genf_quantile),
+    Family.EXP: Kernels(
+        exp_logpdf, exp_cdf, exp_quantile, exp_score, exp_innovations, _rate_step),
+    Family.GAMMA: Kernels(
+        gamma_logpdf, gamma_cdf, gamma_quantile, gamma_score, gamma_innovations, _rate_step),
+    Family.GENGAM: Kernels(gengam_logpdf, gengam_cdf, gengam_quantile, gengam_score,
+                           gengam_innovations, _location_scale_step),
+    Family.GENF: Kernels(genf_logpdf, genf_cdf, genf_quantile, genf_score,
+                         genf_innovations, _location_scale_step),
 }
 
 # The largest double below 1.  A probability that rounds up to 1 is

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
-from .distributions import GENGAM_P_EPS, KERNELS, LOGNORMAL_Q_EPS, _genf_shapes
+from .distributions import KERNELS
 from .errors import InsufficientDataError, ParameterError
 from .ingest import InterArrivalSample
 from .models import Family, FuncKind, ModelSpec, model_from_name
@@ -195,7 +195,7 @@ def log_likelihood_and_score(
     theta = np.asarray(theta, dtype=float)
     t = sample.t_clamped
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d_rate, d_shape, extras = _param_scores(spec.family, sample, params)
+        d_rate, d_shape, extras = KERNELS[spec.family].score(sample.x, sample.log_x, *params)
         grad = _coeff_scores(spec.rate_kind, theta[spec.rate_slice], t, d_rate)
         if spec.shape_kind is not None:
             grad += _coeff_scores(spec.shape_kind, theta[spec.shape_slice], t, d_shape)
@@ -211,136 +211,6 @@ def _coeff_scores(kind: FuncKind, coeffs: np.ndarray, t: np.ndarray, g: np.ndarr
         return [float(np.sum(g)), float(g @ t)]
     gt = g * (t if kind is FuncKind.QUADR else np.exp(coeffs[1] + coeffs[2] * t))
     return [float(np.sum(g)), float(np.sum(gt)), float(gt @ t)]
-
-
-def _param_scores(family: Family, sample: InterArrivalSample, params: tuple):
-    """Per-spell derivatives of the log-density in the rate and the shape,
-    and the summed derivatives in Q and P."""
-    x = sample.x
-    if family is Family.EXP:
-        (rate,) = params
-        return 1.0 / rate - x, None, []
-    if family is Family.GAMMA:
-        shape, rate = params
-        return shape / rate - x, np.log(rate) - special.digamma(shape) + sample.log_x, []
-    mu, sigma, q = params[:3]
-    p = params[3] if family is Family.GENF else 0.0
-    u = (sample.log_x - mu) / sigma
-    if p >= GENGAM_P_EPS:
-        d_u, extras = _genf_scores(u, q, p)
-    else:
-        d_u, d_q = _gengam_scores(u, q)
-        extras = [d_q]
-        if family is Family.GENF:
-            extras.append(_genf_p0_score(u, q))
-    # mu = log(shape) - log(rate) and sigma = shape**-0.5, with d_u the
-    # derivative in u = (log x - mu) / sigma
-    d_rate = d_u * sigma * np.exp(mu)
-    d_shape = sigma * (0.5 * sigma * (1.0 + u * d_u) - d_u)
-    return d_rate, d_shape, extras
-
-
-def _gengam_scores(u: np.ndarray, q: float) -> tuple[np.ndarray, float]:
-    """Generalized gamma: per-spell derivative in u, and the summed one in q.
-
-    With z = q u the log-density is ``-log(sigma x) - log(2 pi)/2 - R(q**-2)
-    - u**2 phi(z)``, ``phi(z) = (e**z - 1 - z) / z**2`` and R the Stirling
-    remainder of ``gammaln``; in the lognormal band the q-derivative is its
-    limit, ``-u**3 / 6``.
-    """
-    if abs(q) < LOGNORMAL_Q_EPS:
-        return -u, -float(np.sum(u * u * u)) / 6.0
-    z = q * u
-    d_q = 2.0 * q * u.size * _stirling_slope(q) - float(np.sum(u * u * u * _dphi(z)))
-    return -np.expm1(z) / q, d_q
-
-
-def _dphi(z: np.ndarray) -> np.ndarray:
-    """phi'(z) for phi(z) = (e**z - 1 - z) / z**2, by its series near 0."""
-    out = ((z - 2.0) * np.exp(z) + z + 2.0) / (z * z * z)
-    small = np.abs(z) < 0.1
-    if np.any(small):
-        zs = z[small]
-        out[small] = 1 / 6 + zs * (1 / 12 + zs * (1 / 40 + zs * (
-            1 / 180 + zs * (1 / 1008 + zs * (1 / 6720 + zs * (1 / 51840 + zs / 453600))))))
-    return out
-
-
-def _stirling_slope(q: float) -> float:
-    """R'(q**-2) / q**4 for the Stirling remainder R(a) = gammaln(a) - (a - 1/2)
-    log a + a - log(2 pi)/2, by its asymptotic series for small q."""
-    if abs(q) < 0.1:
-        q4 = q ** 4
-        return -1 / 12 + q4 * (1 / 120 + q4 * (-1 / 252 + q4 / 240))
-    a = q ** -2
-    return (float(special.digamma(a)) - math.log(a) + 0.5 / a) / q ** 4
-
-
-def _genf_p0_score(u: np.ndarray, q: float) -> float:
-    """d/dp at p = 0+ of the generalized F log-density, summed over spells.
-
-    It is ``u**4 Z(q u) / 4 + 3 R'(q**-2) / (2 q**4)`` per spell, with
-    ``Z(z) = (e**2z + 4 e**z - 4 z e**z - 2 z - 5) / z**4``, the first-order
-    term of the density's expansion in p; Z is taken from its series near 0.
-    """
-    z = q * u
-    ez, z2 = np.exp(z), z * z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zz = (ez * (ez + 4.0 - 4.0 * z) - 2.0 * z - 5.0) / (z2 * z2)
-    small = np.abs(z) < 0.1
-    if np.any(small):
-        zs = z[small]
-        zz[small] = 1 / 6 + zs * (2 / 15 + zs * (11 / 180 + zs * (13 / 630 + zs * (
-            19 / 3360 + zs * (1 / 756 + zs * (247 / 907200 + zs * 251 / 4989600))))))
-    u2 = u * u
-    return float(np.sum(u2 * u2 * zz)) / 4.0 + 1.5 * u.size * _stirling_slope(q)
-
-
-def _genf_scores(u: np.ndarray, q: float, p: float) -> tuple[np.ndarray, list[float]]:
-    """Generalized F: per-spell derivative in u, and the summed ones in (q, p).
-
-    The log-density is ``log(delta / (sigma x)) + s1 v - (s1 + s2)
-    softplus(v) - betaln(s1, s2)`` with ``v = delta u + log(s1 / s2)``; its
-    partials in (delta, s1, s2) chain through ``d s1/dq = -2 / delta**3 =
-    -d s2/dq`` and ``d s_i/dp = -s_i**2 (2 delta +- q) / (2 delta)``.
-    """
-    delta, s1, s2 = _genf_shapes(q, p)
-    v = delta * u + math.log(s1 / s2)
-    # each shape's terms in the tail where it dominates, so that neither
-    # cancels when the other shape grows like 2/p
-    up, down = special.expit(v), special.expit(-v)
-    h = s1 * down - s2 * up  # d/dv
-    n = u.size
-    d_delta = n / delta + float(h @ u)
-    d_s1 = float(np.sum(down - np.logaddexp(0.0, -v))) - s2 / s1 * float(np.sum(up))
-    d_s2 = float(np.sum(up - np.logaddexp(0.0, v))) - s1 / s2 * float(np.sum(down))
-    d_s1 += n * _digamma_step(s1, s2)
-    d_s2 += n * _digamma_step(s2, s1)
-    d_q = d_delta * q / delta + 2.0 * (d_s2 - d_s1) / delta ** 3
-    if min(s1, s2) > 1e5:
-        # both shapes ~ 1/p: the (s1, s2) partials cancel to O(1/p**2), so
-        # the first-order expansion in p is the more accurate derivative
-        return delta * h, [d_q, _genf_p0_score(u, q)]
-    d_p = (
-        d_delta / delta
-        - d_s1 * s1 * s1 * (2.0 * delta + q) / (2.0 * delta)
-        - d_s2 * s2 * s2 * (2.0 * delta - q) / (2.0 * delta)
-    )
-    return delta * h, [d_q, d_p]
-
-
-def _digamma_step(x: float, s: float) -> float:
-    """digamma(x + s) - digamma(x), accurate relative to its size for large x."""
-    if x < 1e3:
-        return float(special.digamma(x + s) - special.digamma(x))
-    y = x + s
-    xy = x * y
-    return (
-        math.log1p(s / x)
-        + 0.5 * s / xy
-        + s * (x + y) / (12.0 * xy * xy)
-        - s * (x + y) * (x * x + y * y) / (120.0 * (xy * xy) ** 2)
-    )
 
 
 def _const_level_coeffs(kind: FuncKind, level: float) -> list[float]:
@@ -387,12 +257,7 @@ def _embed_func(kind_from: FuncKind, coeffs: np.ndarray, kind_to: FuncKind) -> l
     if kind_from is kind_to:
         return c
     if kind_from is FuncKind.CONST:
-        if kind_to is FuncKind.LIN:
-            return [c[0], 0.0]
-        if kind_to is FuncKind.QUADR:
-            return [c[0], 0.0, 0.0]
-        if kind_to is FuncKind.EXPON:
-            return [_EXPON_SMALL_C, math.log(max(c[0], 1e-3)), 0.0]
+        return _const_level_coeffs(kind_to, c[0])
     if kind_from is FuncKind.LIN and kind_to is FuncKind.QUADR:
         return [c[0], c[1], 0.0]
     return None
@@ -650,16 +515,15 @@ def fit(
 
 def cascade_sort(specs: list[ModelSpec]) -> list[ModelSpec]:
     """Order specs so every potential warm-start donor precedes its user."""
-    family_rank = {Family.EXP: 0, Family.GAMMA: 1, Family.GENGAM: 2, Family.GENF: 3}
-    kind_rank = {FuncKind.CONST: 0, FuncKind.LIN: 1, FuncKind.QUADR: 2, FuncKind.EXPON: 3}
+    families, kinds = list(Family), list(FuncKind)
     return sorted(
         specs,
         key=lambda s: (
-            family_rank[s.family],
+            families.index(s.family),
             s.rate_kind.complexity,
-            kind_rank[s.rate_kind],
+            kinds.index(s.rate_kind),
             s.shape_kind.complexity if s.shape_kind else 0,
-            kind_rank[s.shape_kind] if s.shape_kind else 0,
+            kinds.index(s.shape_kind) if s.shape_kind else 0,
         ),
     )
 

@@ -50,7 +50,9 @@ _N_COEFFS = {"Const": 1, "Lin": 2, "Quadr": 3, "Expon": 3}
 
 
 class FuncKind(str, enum.Enum):
-    """Shape of a deterministic parameter function of time."""
+    """Shape of a deterministic parameter function of time, declared in the
+    catalogue's order, which :func:`enumerate_models` and the fit cascade
+    iterate."""
 
     CONST = "Const"
     LIN = "Lin"
@@ -101,6 +103,10 @@ def _positive_finite(values) -> bool:
 
 
 class Family(str, enum.Enum):
+    """Inter-arrival family, declared in nesting order (each extends the
+    one before), which :func:`enumerate_models` and the fit cascade
+    iterate."""
+
     EXP = "Exp"
     GAMMA = "Gamma"
     GENGAM = "GenGam"
@@ -110,10 +116,6 @@ class Family(str, enum.Enum):
     def extra_shape_params(self) -> tuple[str, ...]:
         # constant-over-time distribution shape parameters
         return {"Exp": (), "Gamma": (), "GenGam": ("Q",), "GenF": ("Q", "P")}[self.value]
-
-
-_KIND_ORDER = [FuncKind.CONST, FuncKind.LIN, FuncKind.QUADR, FuncKind.EXPON]
-_FAMILY_ORDER = [Family.EXP, Family.GAMMA, Family.GENGAM, Family.GENF]
 
 
 @dataclass(frozen=True)
@@ -243,12 +245,12 @@ class ModelSpec:
 def enumerate_models() -> list[ModelSpec]:
     """The full 37-model catalogue in canonical (table) order."""
     specs: list[ModelSpec] = []
-    for family in _FAMILY_ORDER:
+    for family in Family:
         if family is Family.EXP:
-            specs.extend(ModelSpec(family, k) for k in _KIND_ORDER)
+            specs.extend(ModelSpec(family, k) for k in FuncKind)
             continue
-        for rate_kind in _KIND_ORDER:
-            for shape_kind in _KIND_ORDER:
+        for rate_kind in FuncKind:
+            for shape_kind in FuncKind:
                 if shape_kind.complexity <= rate_kind.complexity:
                     specs.append(ModelSpec(family, rate_kind, shape_kind))
     return specs

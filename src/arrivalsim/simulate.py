@@ -18,8 +18,11 @@ the fit window, and pass them with one uniform per trajectory to
 family's cdf and quantile kernels.  Each further step evaluates
 :meth:`ModelSpec.params_at` once on the vector of current times of the
 live trajectories and turns one standardized innovation per trajectory
-into an inter-arrival: ``w / rate`` for Exp and Gamma,
-``exp(mu + sigma * w)`` for GenGam and GenF.
+into an inter-arrival through the family's ``step`` kernel: ``w / rate``
+for Exp and Gamma, ``exp(mu + sigma * w)`` for GenGam and GenF.  The
+innovations come from the family's ``innovations`` kernel at the
+anchor's parameters, or, for a gamma with a time-varying shape, one gamma
+variate per event at the current shape.
 
 A step costs about twenty small numpy calls whatever its width, so the
 models of a cell share locksteps: each row (trajectory) carries its own
@@ -29,7 +32,10 @@ Expon.  Models of one family (GenGam counted as GenF with p = 0, since a
 step uses only mu and sigma), innovation kind and fit window share a
 lockstep of at most ``_ROWS`` rows.  The cap bounds memory: every row
 holds ``_BLOCK`` pre-drawn innovations besides its arrivals.  A model
-with ``_ROWS`` or more trajectories runs alone, under its own spec.
+with ``_ROWS`` or more trajectories fills a lockstep of its own, and
+steps the same way.  A trajectory ends, with a warning, after
+``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside the
+horizon costs bounded time and memory.
 
 Each trajectory owns an rng stream, which ``simulate_set`` derives from
 (seed, trajectory index).  The stream first yields the uniform of the
@@ -52,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes, truncated_quantile
+from .distributions import KERNELS, truncated_quantile
 from .errors import DomainError, ParameterError, TailExhaustedError
 from .fitting import FittedModel
 from .models import Family, FuncKind, ModelSpec, feasible_on_grid
@@ -76,40 +82,22 @@ _BLOCK = 512  # standardized innovations drawn per rng call
 # innovations (4 KiB) besides its arrivals, so the cap bounds the memory
 # a lockstep adds over simulating its models one at a time.
 _ROWS = 256
-
-
-def _innovation_draw(spec: ModelSpec, theta: np.ndarray):
-    """``draw(rng, n)``: n standardized innovations of ``spec`` at ``theta``.
-
-    None for a gamma with a time-varying shape, whose innovation
-    distribution changes from event to event.
-    """
-    if spec.family is Family.EXP:
-        return lambda r, n: r.exponential(1.0, n)
-    if spec.family is Family.GAMMA:
-        if spec.shape_kind is not FuncKind.CONST:
-            return None
-        alpha = float(theta[spec.shape_slice][0])
-        return lambda r, n: r.gamma(alpha, 1.0, n)
-    q = float(theta[spec.q_index])
-    p = float(theta[spec.p_index]) if spec.family is Family.GENF else 0.0
-    if p >= GENGAM_P_EPS:
-        delta, s1, s2 = _genf_shapes(q, p)
-        ratio = s2 / s1
-        return lambda r, n: np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
-    if abs(q) >= LOGNORMAL_Q_EPS:
-        a = q ** -2
-        return lambda r, n: np.log(r.gamma(a, 1.0, n) / a) / q
-    return lambda r, n: r.standard_normal(n)
+# Most arrivals of one trajectory.  The longest healthy trajectory of the
+# benchmark inputs has about 200; a fit whose rate explodes inside the
+# horizon runs every trajectory to this bound, which then holds about
+# 160 MB (a row index and a time per arrival) for M = 1,000.
+_MAX_EVENTS = 10_000
 
 
 class _Member:
     """The trajectories of one group, one lockstep row each."""
 
-    def __init__(self, index, key, fitted, rngs, live, t):
+    def __init__(self, index, key, fitted, rngs, params, live, t):
         self.index, self.key = index, key
         self.spec, self.theta = fitted.spec, fitted.theta
-        self.draw = _innovation_draw(self.spec, self.theta)  # None: one gamma per event
+        # the innovation sampler at the anchor's parameters; None: one
+        # gamma variate per event
+        self.draw = None if key[1] else KERNELS[self.spec.family].innovations(*params)
         self.rngs = rngs
         self.live = live  # rows whose first arrival lands before the horizon end
         self.t = t  # and those arrivals
@@ -132,16 +120,17 @@ def _lockstep_key(fitted: FittedModel) -> tuple:
     lo, hi = fitted.window
     return (
         ModelSpec(family, wide(spec.rate_kind), wide(spec.shape_kind)),
-        _innovation_draw(spec, fitted.theta) is None,
+        spec.family is Family.GAMMA and spec.shape_kind is not FuncKind.CONST,
         (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None,
     )
 
 
 def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
-    """Indices of the trajectories whose first arrival lands before
-    ``t_end``, and those arrivals.  None, with one warning per trajectory,
-    when the parameters are infeasible at the anchor, clamped into
-    ``bounds``, or the truncated tail is exhausted."""
+    """The family parameters at the anchor, clamped into ``bounds``, as
+    floats; the indices of the trajectories whose first arrival lands
+    before ``t_end``; and those arrivals.  None, with one warning per
+    trajectory, when the parameters are infeasible there or the truncated
+    tail is exhausted."""
     spec, theta, name = fitted.spec, fitted.theta, fitted.spec.name
     t0 = min(max(anchor, bounds[0]), bounds[1]) if bounds else anchor
     if not feasible_on_grid(spec, theta, t0):
@@ -162,7 +151,7 @@ def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
             )
         return None
     live = np.flatnonzero(t < t_end)
-    return live, t[live]
+    return params, live, t[live]
 
 
 def simulate_trajectories(
@@ -170,7 +159,7 @@ def simulate_trajectories(
     anchor: float,
     t_start: float,
     t_end: float,
-    max_events: int = 1_000_000,
+    max_events: int = _MAX_EVENTS,
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
     """One trajectory on ``(t_start, t_end)`` per generator, for each
     ``(fitted, rngs)`` group.
@@ -204,7 +193,7 @@ def simulate_trajectories(
         key = _lockstep_key(fitted)
         bounds = key[2]
         first = _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs)
-        if first is None or not first[0].size:
+        if first is None or not first[1].size:
             yield g, [np.empty(0) for _ in rngs]
             continue
         if batch and (key != batch[0].key or rows() + len(rngs) > _ROWS):
@@ -216,20 +205,13 @@ def simulate_trajectories(
         yield from run()
 
 
-def _columns(theta: np.ndarray, index) -> np.ndarray:
-    """The parameter columns of the rows at ``index``; a single parameter
-    vector serves every row."""
-    return theta[:, index] if theta.ndim == 2 else theta
-
-
 def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.ndarray]:
     """One trajectory per generator of ``members``, which share one key, in
     order; a row per trajectory, advanced in lockstep.
 
-    Step k gives every live row its k-th arrival.  Several members step
-    under the key's spec, each row with its own parameter column, which is
-    kept compacted to the live rows and compacted only on steps where rows
-    end.  A single member steps under its own spec and parameter vector.
+    Step k gives every live row its k-th arrival.  The rows step under
+    the key's spec, each with its own parameter column, which is kept
+    compacted to the live rows and compacted only on steps where rows end.
     """
     spec, per_event, bounds = members[0].key
     sizes = [len(m.rngs) for m in members]
@@ -239,20 +221,17 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     offsets = np.cumsum(sizes) - sizes
     live = np.concatenate([offset + m.live for offset, m in zip(offsets, members)])
     t = np.concatenate([m.t for m in members])
-    if len(members) == 1:
-        spec, theta = members[0].spec, members[0].theta
-    else:
-        layout = spec.param_names
-        theta = np.zeros((len(layout), len(members)))
-        for j, m in enumerate(members):
-            theta[[layout.index(name) for name in m.spec.param_names], j] = m.theta
-        theta = np.repeat(theta, sizes, axis=1)[:, live]
+    layout = spec.param_names
+    theta = np.zeros((len(layout), len(members)))
+    for j, m in enumerate(members):
+        theta[[layout.index(name) for name in m.spec.param_names], j] = m.theta
+    theta = np.repeat(theta, sizes, axis=1)[:, live]
     if not per_event:
         innov = np.empty((len(rngs), _BLOCK))
         for i in live.tolist():
             innov[i] = draws[i](rngs[i], _BLOCK)
         pos = 0
-    scale_by_rate = spec.family in (Family.EXP, Family.GAMMA)
+    step = KERNELS[spec.family].step
     lengths = np.zeros(len(rngs), dtype=np.intp)  # filled in as rows end
     steps = [(live, t)]  # live rows and their k-th arrivals, per step k
     with np.errstate(over="ignore"):
@@ -261,7 +240,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
             params, ok = spec.params_at(theta, tc)
             if not ok:
                 feasible = np.array(
-                    [spec.params_at(_columns(theta, slice(k, k + 1)), tc[k:k + 1])[1]
+                    [spec.params_at(theta[:, k:k + 1], tc[k:k + 1])[1]
                      for k in range(live.size)]
                 )
                 for k in (~feasible).nonzero()[0]:
@@ -271,7 +250,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
                     )
                 lengths[live[~feasible]] = len(steps)
                 live, t, tc = live[feasible], t[feasible], tc[feasible]
-                theta = _columns(theta, feasible)
+                theta = theta[:, feasible]
                 if not live.size:
                     break
                 params, _ = spec.params_at(theta, tc)
@@ -286,8 +265,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
                     pos = 0
                 w = innov[live, pos]
                 pos += 1
-            gap = w / params[-1] if scale_by_rate else np.exp(params[0] + params[1] * w)
-            nxt = t + gap
+            nxt = t + step(w, *params)
             keep = (nxt > t) & (nxt < t_end)
             if np.count_nonzero(keep) == live.size:
                 t = nxt
@@ -298,7 +276,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
                         names[live[k]], t[k],
                     )
                 lengths[live[~keep]] = len(steps)
-                live, t, theta = live[keep], nxt[keep], _columns(theta, keep)
+                live, t, theta = live[keep], nxt[keep], theta[:, keep]
                 if not live.size:
                     break
             steps.append((live, t))
@@ -344,7 +322,7 @@ def simulate_sets(
     t_end: float,
     m: int,
     seeds: list[int],
-    max_events: int = 1_000_000,
+    max_events: int = _MAX_EVENTS,
 ) -> Iterator[tuple[int, TrajectorySet]]:
     """M independent trajectories per record, from rng streams derived
     from (its seed, trajectory index).
@@ -375,7 +353,7 @@ def simulate_set(
     t_end: float,
     m: int,
     seed: int,
-    max_events: int = 1_000_000,
+    max_events: int = _MAX_EVENTS,
 ) -> TrajectorySet:
     """M independent trajectories from per-index derived rng streams."""
     return next(simulate_sets([fitted], anchor, t_start, t_end, m, [seed], max_events))[1]

@@ -12,7 +12,6 @@ from arrivalsim.backtest import (
     RunConfig,
     cell_seed,
     load_input,
-    merge_reports,
     run,
     training_sample,
 )
@@ -285,14 +284,14 @@ class TestRun:
         assert np.isfinite(report.crps).all()
         assert "parameters infeasible at t=" in caplog.text
 
-    def test_split_products_merge_to_single_run(self, synth_csv, tmp_path):
+    def test_split_products_reproduce_the_single_run(self, synth_csv, tmp_path):
         full = run(tiny_config(synth_csv, None))
-        part_a = run(tiny_config(synth_csv, None, products=(5,)))
-        part_b = run(tiny_config(synth_csv, None, products=(6,)))
-        merged = merge_reports([part_a, part_b])
-        assert merged.products == full.products
-        np.testing.assert_array_equal(merged.crps, full.crps)
-        np.testing.assert_array_equal(merged.daily_crps, full.daily_crps)
+        assert full.products == [5, 6]
+        for j, product in enumerate(full.products):
+            part = run(tiny_config(synth_csv, None, products=(product,)))
+            assert part.products == [product]
+            np.testing.assert_array_equal(part.crps[:, 0], full.crps[:, j])
+            np.testing.assert_array_equal(part.daily_crps[:, :, 0], full.daily_crps[:, :, j])
 
     def test_emitted_table_satisfies_pinball_identity(self, synth_csv, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,5 @@
 """Family kernel checks: analytic values, scipy oracles, nesting maps,
-the truncated quantile and the simulator's innovation sampler."""
+the truncated quantile and the simulator's innovation and step kernels."""
 
 import math
 
@@ -11,7 +11,6 @@ from arrivalsim.distributions import KERNELS, truncated_quantile
 from arrivalsim.errors import DomainError, ParameterError, TailExhaustedError
 from arrivalsim.ingest import InterArrivalSample
 from arrivalsim.models import Family, feasible_on_grid, model_from_name
-from arrivalsim.simulate import _innovation_draw
 
 EXP, GAMMA, GENGAM, GENF = Family.EXP, Family.GAMMA, Family.GENGAM, Family.GENF
 _NEST_ORDER = [EXP, GAMMA, GENGAM, GENF]
@@ -100,27 +99,11 @@ def random_params(rng, family):
     return params if family is GENGAM else (*params, rng.uniform(0.0, 6.0))
 
 
-_CONST_MODEL = {
-    EXP: "Exp.Const",
-    GAMMA: "Gamma.Const.Const",
-    GENGAM: "GenGam.Const.Const",
-    GENF: "GenF.Const.Const",
-}
-
-
 def sample(family, params, rng, n):
     """n draws of ``family`` at ``params`` from the simulator's innovation
-    sampler, scaled into inter-arrivals as a simulation step scales them."""
-    if family is EXP:
-        theta = [params[0]]
-    elif family is GAMMA:
-        theta = [params[1], params[0]]
-    else:
-        theta = [1.0, 1.0, *params[2:]]  # the draw reads only q and p
-    w = _innovation_draw(model_from_name(_CONST_MODEL[family]), np.asarray(theta))(rng, n)
-    if family in (EXP, GAMMA):
-        return w / params[-1]
-    return np.exp(params[0] + params[1] * w)
+    sampler, scaled into inter-arrivals by its step kernel."""
+    kernels = KERNELS[family]
+    return kernels.step(kernels.innovations(*params)(rng, n), *params)
 
 
 def pdf(family, params, x):

@@ -1,5 +1,6 @@
-"""Every imported name under src/ and tests/ is used in its module, and
-every ``__all__`` entry under src/ names something its module defines."""
+"""Every imported name under src/ and tests/ is used in its module, every
+``__all__`` entry under src/ names something its module defines, and no
+module under src/ imports another module's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,17 @@ def unused_imports(tree: ast.Module) -> list[str]:
         ):
             used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names that ``from ... import`` takes from another module."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
 
 
 def stale_exports(tree: ast.Module) -> list[str]:
@@ -83,3 +95,20 @@ def test_check_flags_a_stale_export():
         "__all__ = ['pi', 'os', 'LIMIT', 'f', 'C', 'gone']\n"
     )
     assert stale_exports(tree) == ["gone"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_private_imports(path):
+    assert private_imports(ast.parse(path.read_text())) == []
+
+
+def test_check_flags_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .distributions import KERNELS, _genf_shapes as shapes\n"
+        "def f():\n"
+        "    from .simulate import _BLOCK\n"
+    )
+    assert private_imports(tree) == ["_genf_shapes (line 2)", "_BLOCK (line 4)"]

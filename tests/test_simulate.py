@@ -309,6 +309,18 @@ class TestHelpers:
         assert tr.size == 100
         assert "max_events" in caplog.text
 
+    def test_an_exploding_rate_ends_its_trajectories_at_the_event_bound(self, caplog):
+        # a fitted rate that explodes after t = -0.509: a trajectory that
+        # lands where the rate is large but finite runs into the default
+        # event bound, with one warning, instead of toward a million events
+        record = fitted("Exp.Expon", [80.5, 4051.65, 7963.2])
+        with caplog.at_level("WARNING"):
+            ts = simulate_set(record, T1, T1, T2, m=8, seed=0)
+        sizes = [tr.size for tr in ts.trajectories]
+        assert max(sizes) == 10_000 and sizes.count(10_000) == 4
+        messages = [r.getMessage() for r in caplog.records if "max_events" in r.getMessage()]
+        assert messages == ["Exp.Expon: trajectory hit max_events=10000 before -0.5"] * 4
+
     def test_write_trajectories(self, tmp_path):
         fm = fitted("Exp.Const", [10.0])
         ts = simulate_set(fm, T1, T1, T2, m=3, seed=0)
