@@ -42,6 +42,7 @@ from .models import Family
 __all__ = [
     "Kernels",
     "KERNELS",
+    "Sampler",
     "truncated_quantile",
     "LOGNORMAL_Q_EPS",
     "GENGAM_P_EPS",
@@ -363,27 +364,90 @@ def _digamma_step(x: float, s: float) -> float:
     )
 
 
-def exp_innovations(rate):
-    return lambda r, n: r.exponential(1.0, n)
+class Sampler(NamedTuple):
+    """Standardized innovations, drawn in blocks of slots.
+
+    ``draw(rng, n)`` is a ``(width, n)`` block of n slots;
+    ``take(slots, *params)`` turns a ``(width, rows)`` array of slots into
+    the rows' innovations at their current family parameters, and gives a
+    mask of the slots it accepts (None: every slot).  A rejected slot is
+    spent, and its row takes its next slot.
+    """
+
+    draw: Callable
+    take: Callable
+    width: int
 
 
-def gamma_innovations(shape, rate):
-    return lambda r, n: r.gamma(shape, 1.0, n)
+def _accept_all(slots, *params):
+    """A slot holds one innovation."""
+    return slots[0], None
 
 
-def gengam_innovations(mu, sigma, q):
+def _one_per_slot(draw):
+    return Sampler(lambda r, n: draw(r, n)[np.newaxis], _accept_all, 1)
+
+
+def _marsaglia_tsang(slots, shape, rate):
+    """Gamma(shape, 1) variates, one attempt per (normal x, uniform u,
+    uniform v) slot, by Marsaglia and Tsang (ACM TOMS 26, 2000).
+
+    With ``d = shape - 1/3`` and ``y = 1 + x / sqrt(9 d)`` the attempt
+    gives ``d y**3`` and is accepted when ``y > 0`` and ``log u < x**2 / 2
+    + d (1 - y**3 + log y**3)``; their squeeze ``u < 1 - 0.0331 x**4`` only
+    shortcuts that test, so a vectorized pass evaluates the test alone (at
+    ``y <= 0`` its log is NaN or -inf, and the test fails).  A shape below
+    1 draws at ``shape + 1`` and scales by ``v**(1/shape)``.
+    """
+    x, u, v = slots
+    boost = shape < 1.0
+    d = np.where(boost, shape + 1.0, shape) - 1.0 / 3.0
+    y = 1.0 + x / np.sqrt(9.0 * d)
+    y3 = y * y * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = np.log(u) < 0.5 * x * x + d * (1.0 - y3 + np.log(y3))
+    w = d * y3
+    if boost.any():
+        w[boost] *= v[boost] ** (1.0 / shape[boost])
+    return w, ok
+
+
+def _gamma_attempts(r, n):
+    """n normals, then 2n uniforms: the (x, u, v) of n attempts."""
+    slots = np.empty((3, n))
+    r.standard_normal(n, out=slots[0])
+    r.random(out=slots[1:])
+    return slots
+
+
+_GAMMA_ATTEMPTS = Sampler(_gamma_attempts, _marsaglia_tsang, 3)
+
+
+def exp_innovations(varying, rate):
+    return _one_per_slot(lambda r, n: r.exponential(1.0, n))
+
+
+def gamma_innovations(varying, shape, rate):
+    if varying:
+        return _GAMMA_ATTEMPTS
+    return _one_per_slot(lambda r, n: r.gamma(shape, 1.0, n))
+
+
+def gengam_innovations(varying, mu, sigma, q):
     if abs(q) >= LOGNORMAL_Q_EPS:
         a = q ** -2
-        return lambda r, n: np.log(r.gamma(a, 1.0, n) / a) / q
-    return lambda r, n: r.standard_normal(n)
+        return _one_per_slot(lambda r, n: np.log(r.gamma(a, 1.0, n) / a) / q)
+    return _one_per_slot(lambda r, n: r.standard_normal(n))
 
 
-def genf_innovations(mu, sigma, q, p):
+def genf_innovations(varying, mu, sigma, q, p):
     if p < GENGAM_P_EPS:
-        return gengam_innovations(mu, sigma, q)
+        return gengam_innovations(varying, mu, sigma, q)
     delta, s1, s2 = _genf_shapes(q, p)
     ratio = s2 / s1
-    return lambda r, n: np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
+    return _one_per_slot(
+        lambda r, n: np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
+    )
 
 
 def _rate_step(w, *params):
@@ -403,9 +467,13 @@ class Kernels(NamedTuple):
     ``score(x, log_x, *params)``: the per-spell derivatives of the
     log-density in the gamma-style rate and shape that ``params_at`` maps
     from (None for Exp's shape), and a list of the summed derivatives in
-    Q and P; ``innovations(*params)``: ``draw(rng, n)``, n standardized
-    innovations, reading only the constant entries (Gamma's shape, q and
-    p); ``step(w, *params)``: the inter-arrivals of innovations ``w``.
+    Q and P; ``innovations(varying, *params)``: the :class:`Sampler` of a
+    model whose shape function varies in time or not (``varying``), built
+    from the entries that do not vary (a constant Gamma shape, q and p);
+    ``step(w, *params)``: the inter-arrivals of innovations ``w``.  Only a
+    Gamma with a varying shape reads its current shape to draw, in
+    Marsaglia-Tsang attempts; every other sampler gives one innovation per
+    slot.
     """
 
     logpdf: Callable

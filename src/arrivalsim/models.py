@@ -175,6 +175,18 @@ class ModelSpec:
             return self.q_index + 1
         return None
 
+    @cached_property
+    def widest(self) -> ModelSpec:
+        """The widest spec whose parameter layout holds this model: Const
+        and Lin functions become Quadr, and a GenGam a GenF.  This model's
+        θ, padded with zeros by parameter name, gives bitwise its own
+        parameters there at finite t (a GenGam's with p = 0 appended)."""
+        def wide(kind):
+            return kind if kind in (None, FuncKind.EXPON) else FuncKind.QUADR
+
+        family = Family.GENF if self.family is Family.GENGAM else self.family
+        return ModelSpec(family, wide(self.rate_kind), wide(self.shape_kind))
+
     @property
     def n_params(self) -> int:
         n = self.rate_kind.n_coeffs

@@ -20,29 +20,34 @@ family's cdf and quantile kernels.  Each further step evaluates
 live trajectories and turns one standardized innovation per trajectory
 into an inter-arrival through the family's ``step`` kernel: ``w / rate``
 for Exp and Gamma, ``exp(mu + sigma * w)`` for GenGam and GenF.  The
-innovations come from the family's ``innovations`` kernel at the
-anchor's parameters, or, for a gamma with a time-varying shape, one gamma
-variate per event at the current shape.
+innovations come from the family's ``innovations`` sampler, built at the
+anchor's parameters: one innovation per pre-drawn slot, or, for a gamma
+whose shape varies in time, Marsaglia-Tsang attempts at the current
+shape, which a row repeats on its own slots until one is accepted.
 
 A step costs about twenty small numpy calls whatever its width, so the
 models of a cell share locksteps: each row (trajectory) carries its own
-parameter column in a layout common to the lockstep, whose functions are
-Quadr (Const and Lin padded with zeros, bitwise the same values) or
-Expon.  Models of one family (GenGam counted as GenF with p = 0, since a
-step uses only mu and sigma), innovation kind and fit window share a
-lockstep of at most ``_ROWS`` rows.  The cap bounds memory: every row
-holds ``_BLOCK`` pre-drawn innovations besides its arrivals.  A model
-with ``_ROWS`` or more trajectories fills a lockstep of its own, and
-steps the same way.  A trajectory ends, with a warning, after
-``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside the
-horizon costs bounded time and memory.
+parameter column in the layout of the widest spec of its model
+(:attr:`ModelSpec.widest`: Const and Lin functions padded with zeros to
+Quadr, bitwise the same values, and GenGam as GenF with p = 0, since a
+step uses only mu and sigma).  Models with one widest spec and fit window
+share a lockstep of at most ``_ROWS`` rows, whatever their samplers.  The
+cap bounds memory: every row holds ``_BLOCK`` pre-drawn slots besides its
+arrivals.  A model with ``_ROWS`` or more trajectories fills a lockstep
+of its own, and steps the same way.  A trajectory ends, with a warning,
+after ``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside
+the horizon costs bounded time and memory.
 
-Each trajectory owns an rng stream, which ``simulate_set`` derives from
-(seed, trajectory index).  The stream first yields the uniform of the
-first gap.  Once the first arrival lands before the horizon end it yields
-the trajectory's standardized innovations in blocks of ``_BLOCK``, or,
-for a gamma with a time-varying shape, one gamma variate per event.  A
-trajectory therefore does not depend on the rest of its set nor on the
+Each trajectory owns an rng stream, which ``simulate_sets`` derives from
+(seed, trajectory index) as ``SeedSequence(seed).spawn(m)[i]`` does, in
+one vectorized pass.  The stream first yields the uniform of the first
+gap.  Once the first arrival lands before the horizon end it yields the
+trajectory's slots in blocks of ``_BLOCK``: ``_BLOCK`` innovations (a
+GenF with p >= ``GENGAM_P_EPS`` draws ``_BLOCK`` gamma variates at each
+of its two shapes for them), or, for a gamma whose shape varies in time,
+``_BLOCK`` normals and then ``2 * _BLOCK`` uniforms, the (x, u, v) of
+``_BLOCK`` attempts.  A row draws its next block when it has spent the
+last, so a trajectory does not depend on the rest of its set nor on the
 models it shares a lockstep with, and a set is bitwise reproducible
 however the work is scheduled and grouped and however large M is.
 """
@@ -57,11 +62,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import KERNELS, truncated_quantile
 from .errors import DomainError, ParameterError, TailExhaustedError
 from .fitting import FittedModel
-from .models import Family, FuncKind, ModelSpec, feasible_on_grid
+from .models import FuncKind, feasible_on_grid
 
 __all__ = [
     "TrajectorySet",
@@ -77,16 +83,76 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BLOCK = 512  # standardized innovations drawn per rng call
+# Slots a row draws per rng call.  A healthy trajectory has about 140 to
+# 230 arrivals, so it draws one block or two; of 64, 128, 256 and 512,
+# 256 simulated a 37-model cell fastest at M = 40 and M = 1,000.
+_BLOCK = 256
 # Most trajectories in one lockstep.  Each row holds _BLOCK pre-drawn
-# innovations (4 KiB) besides its arrivals, so the cap bounds the memory
-# a lockstep adds over simulating its models one at a time.
+# slots of one or three innovations (2 or 6 KiB) besides its arrivals, so
+# the cap bounds the memory a lockstep adds over simulating its models
+# one at a time.
 _ROWS = 256
 # Most arrivals of one trajectory.  The longest healthy trajectory of the
 # benchmark inputs has about 200; a fit whose rate explodes inside the
 # horizon runs every trajectory to this bound, which then holds about
 # 160 MB (a row index and a time per arrival) for M = 1,000.
 _MAX_EVENTS = 10_000
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+class _State(ISeedSequence):
+    """A precomputed seed state for ``np.random.PCG64``, which asks for 4
+    uint64 words and reads them from the array's memory: a C-contiguous
+    row."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _streams(seed: int, m: int) -> list[np.random.Generator]:
+    """The generators ``default_rng(SeedSequence(seed).spawn(m)[i])``, bit
+    for bit, i < m < 2**32, from one vectorized pass over i.
+
+    Child i's entropy is the seed's 32-bit words, zero-padded to the
+    4-word pool, then i.  Mixing the padded words gives the pool of
+    ``SeedSequence(seed)``, which a seed of more than 4 words has already
+    mixed its further words into.  i is then hashed into each pool word,
+    with the hash constant advanced past the 16 hashes of the pool's own
+    mixing and the 4 of each further word, and the pool is hashed out
+    into 8 words: the 4 uint64 of the child's
+    ``generate_state(4, np.uint64)``.
+    """
+    words = max(1, -(-seed.bit_length() // 32))
+    pool = np.random.SeedSequence(seed).pool
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    i = np.arange(m, dtype=np.uint32)
+    mixed = []
+    for word in pool.tolist():
+        h = i ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        h *= np.uint32(const)
+        h ^= h >> np.uint32(16)
+        h = np.uint32(_MIX_L * word & _MASK32) - np.uint32(_MIX_R) * h
+        h ^= h >> np.uint32(16)
+        mixed.append(h)
+    state = np.empty((m, 8), dtype=np.uint32)
+    const = _INIT_B
+    for k in range(8):
+        h = mixed[k % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        h *= np.uint32(const)
+        h ^= h >> np.uint32(16)
+        state[:, k] = h
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_State(row))) for row in state]
 
 
 class _Member:
@@ -95,32 +161,21 @@ class _Member:
     def __init__(self, index, key, fitted, rngs, params, live, t):
         self.index, self.key = index, key
         self.spec, self.theta = fitted.spec, fitted.theta
-        # the innovation sampler at the anchor's parameters; None: one
-        # gamma variate per event
-        self.draw = None if key[1] else KERNELS[self.spec.family].innovations(*params)
+        # the innovation sampler at the anchor's parameters
+        varying = self.spec.shape_kind not in (None, FuncKind.CONST)
+        self.sampler = KERNELS[self.spec.family].innovations(varying, *params)
         self.rngs = rngs
         self.live = live  # rows whose first arrival lands before the horizon end
         self.t = t  # and those arrivals
 
 
 def _lockstep_key(fitted: FittedModel) -> tuple:
-    """Models with one key can share a lockstep: ``(spec, per-event draw,
-    clamp bounds)``, where every row's parameters follow ``spec``.
-
-    Const and Lin coefficients padded with zeros give bitwise the values of
-    the Quadr formula at finite t, so ``spec`` widens both to Quadr.  A
-    step uses only (mu, sigma) of a GenGam or GenF, so a GenGam row steps
-    as a GenF with p = 0.
-    """
-    def wide(kind):
-        return kind if kind in (None, FuncKind.EXPON) else FuncKind.QUADR
-
-    spec = fitted.spec
-    family = Family.GENF if spec.family is Family.GENGAM else spec.family
+    """Models with one key can share a lockstep: ``(spec, clamp bounds)``,
+    where every row's parameters follow ``spec``, the widest spec of the
+    model (:attr:`ModelSpec.widest`)."""
     lo, hi = fitted.window
     return (
-        ModelSpec(family, wide(spec.rate_kind), wide(spec.shape_kind)),
-        spec.family is Family.GAMMA and spec.shape_kind is not FuncKind.CONST,
+        fitted.spec.widest,
         (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None,
     )
 
@@ -140,7 +195,7 @@ def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
             )
         return None
     params = [float(v) for v in spec.params_at(theta, t0)[0]]
-    u = np.array([rng.uniform() for rng in rngs])
+    u = np.array([rng.random() for rng in rngs])
     try:
         t = anchor + truncated_quantile(spec.family, params, t_start - anchor, u)
     except TailExhaustedError:
@@ -191,8 +246,7 @@ def simulate_trajectories(
 
     for g, (fitted, rngs) in enumerate(groups):
         key = _lockstep_key(fitted)
-        bounds = key[2]
-        first = _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs)
+        first = _first_arrivals(fitted, key[1], anchor, t_start, t_end, rngs)
         if first is None or not first[1].size:
             yield g, [np.empty(0) for _ in rngs]
             continue
@@ -205,6 +259,77 @@ def simulate_trajectories(
         yield from run()
 
 
+class _Innovations:
+    """Per-row blocks of ``_BLOCK`` pre-drawn slots, each row read at its
+    own position.
+
+    A row draws its next block from its own generator once it has spent
+    its last slot, so a rejected slot costs that row's stream only.  Rows
+    whose samplers share one ``take`` step together, at one position until
+    the first of them has a slot rejected.
+    """
+
+    def __init__(self, rngs, samplers):
+        self.rngs, self.draws = rngs, [s.draw for s in samplers]
+        self.blocks = np.empty((len(rngs), max(s.width for s in samplers), _BLOCK))
+        self.pos = np.empty(len(rngs), dtype=np.intp)
+        takes = [s.take for s in samplers]
+        # per take: [take, mask of its rows, the position its rows share
+        # (None once they have moved apart)]; the first step draws a block
+        self.kinds = [[take, np.array([t is take for t in takes]), _BLOCK]
+                      for take in dict.fromkeys(takes)]
+
+    def next(self, live, params):
+        """One innovation per row of ``live`` at its current parameters."""
+        if len(self.kinds) == 1:
+            return self._take(self.kinds[0], live, params)
+        w = np.empty(live.size)
+        for kind in self.kinds:
+            sel = kind[1][live]
+            if sel.any():
+                w[sel] = self._take(kind, live[sel], [v[sel] for v in params])
+        return w
+
+    def _take(self, kind, rows, params):
+        """The innovations of ``rows``, the live rows of ``kind``."""
+        take, _, at = kind
+        if at is None:
+            slots = self._advance(rows)
+        else:
+            if at == _BLOCK:
+                self._draw(rows.tolist())
+                at = 0
+            kind[2] = at + 1
+            slots = self.blocks[rows, :, at].T
+        w, ok = take(slots, *params)
+        if ok is None:
+            return w
+        if at is not None:
+            self.pos[rows] = kind[2]
+            kind[2] = None
+        todo = np.flatnonzero(~ok)
+        while todo.size:
+            value, ok = take(self._advance(rows[todo]), *[v[todo] for v in params])
+            w[todo[ok]] = value[ok]
+            todo = todo[~ok]
+        return w
+
+    def _advance(self, rows):
+        """The current slots of ``rows``, as (width, rows); each row moves on."""
+        pos = self.pos[rows]
+        spent = pos == _BLOCK
+        if spent.any():
+            self._draw(rows[spent].tolist())
+            pos[spent] = 0
+        self.pos[rows] = pos + 1
+        return self.blocks[rows, :, pos].T
+
+    def _draw(self, rows):
+        for i in rows:
+            block = self.draws[i](self.rngs[i], _BLOCK)
+            self.blocks[i, :len(block)] = block
+
+
 def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.ndarray]:
     """One trajectory per generator of ``members``, which share one key, in
     order; a row per trajectory, advanced in lockstep.
@@ -213,11 +338,13 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     the key's spec, each with its own parameter column, which is kept
     compacted to the live rows and compacted only on steps where rows end.
     """
-    spec, per_event, bounds = members[0].key
+    spec, bounds = members[0].key
     sizes = [len(m.rngs) for m in members]
     names = [name for m in members for name in [m.spec.name] * len(m.rngs)]
     rngs = [rng for m in members for rng in m.rngs]
-    draws = [draw for m in members for draw in [m.draw] * len(m.rngs)]
+    innovations = _Innovations(
+        rngs, [sampler for m in members for sampler in [m.sampler] * len(m.rngs)]
+    )
     offsets = np.cumsum(sizes) - sizes
     live = np.concatenate([offset + m.live for offset, m in zip(offsets, members)])
     t = np.concatenate([m.t for m in members])
@@ -226,11 +353,6 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     for j, m in enumerate(members):
         theta[[layout.index(name) for name in m.spec.param_names], j] = m.theta
     theta = np.repeat(theta, sizes, axis=1)[:, live]
-    if not per_event:
-        innov = np.empty((len(rngs), _BLOCK))
-        for i in live.tolist():
-            innov[i] = draws[i](rngs[i], _BLOCK)
-        pos = 0
     step = KERNELS[spec.family].step
     lengths = np.zeros(len(rngs), dtype=np.intp)  # filled in as rows end
     steps = [(live, t)]  # live rows and their k-th arrivals, per step k
@@ -254,18 +376,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
                 if not live.size:
                     break
                 params, _ = spec.params_at(theta, tc)
-            if per_event:
-                w = np.array(
-                    [rngs[i].gamma(a, 1.0) for i, a in zip(live.tolist(), params[0].tolist())]
-                )
-            else:
-                if pos == _BLOCK:
-                    for i in live.tolist():
-                        innov[i] = draws[i](rngs[i], _BLOCK)
-                    pos = 0
-                w = innov[live, pos]
-                pos += 1
-            nxt = t + step(w, *params)
+            nxt = t + step(innovations.next(live, params), *params)
             keep = (nxt > t) & (nxt < t_end)
             if np.count_nonzero(keep) == live.size:
                 t = nxt
@@ -333,14 +444,15 @@ def simulate_sets(
     """
     if m < 1:
         raise DomainError("need at least one trajectory")
+    if len(seeds) != len(records):
+        raise DomainError(f"need one seed per record, got {len(seeds)} for {len(records)}")
+    if any(seed < 0 for seed in seeds):
+        raise DomainError(f"seeds must be non-negative, got {min(seeds)}")
     by_key: dict[tuple, list[int]] = {}
     for i, record in enumerate(records):
         by_key.setdefault(_lockstep_key(record), []).append(i)
     order = [i for indices in by_key.values() for i in indices]
-    groups = (
-        (records[i], [np.random.default_rng(s) for s in np.random.SeedSequence(seeds[i]).spawn(m)])
-        for i in order
-    )
+    groups = ((records[i], _streams(seeds[i], m)) for i in order)
     for g, trajectories in simulate_trajectories(groups, anchor, t_start, t_end, max_events):
         i = order[g]
         yield i, TrajectorySet(trajectories, t_start, t_end, anchor, seeds[i])

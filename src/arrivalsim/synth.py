@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .fitting import FittedModel
 from .ingest import DEFAULT_TRADING_END, trading_bounds
 from .models import ModelSpec, feasible_on_grid
@@ -24,6 +24,8 @@ __all__ = ["synth_generate"]
 
 
 def _cell_rng(seed: int, day_index: int, product: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"a seed must be non-negative, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(day_index, product))
     )

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from arrivalsim.cli import main
+from arrivalsim.fitting import FittedModel
+from arrivalsim.models import model_from_name
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,23 @@ def test_synth_rejects_bad_model(tmp_path, capsys):
                  "--days", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_a_negative_seed_is_an_error(tmp_path, capsys):
+    fit_path = tmp_path / "fit.json"
+    FittedModel(
+        spec=model_from_name("Exp.Const"), theta=np.array([10.0]), log_likelihood=None,
+        window=(-3.25, -0.5),
+    ).save(fit_path)
+    for command in (
+        ["simulate", "--fit", str(fit_path), "--anchor", "-3.3", "--t-start", "-3.25",
+         "--t-end", "-0.5", "-m", "5", "--seed", "-1", "--out", str(tmp_path / "traj.csv")],
+        ["synth", "--model", "Exp.Const", "--theta", "10", "--days", "2", "--seed", "-1",
+         "--out", str(tmp_path / "raw.csv")],
+    ):
+        capsys.readouterr()
+        assert main(command) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ingest_writes_store(workspace, capsys):

@@ -100,10 +100,13 @@ def random_params(rng, family):
 
 
 def sample(family, params, rng, n):
-    """n draws of ``family`` at ``params`` from the simulator's innovation
-    sampler, scaled into inter-arrivals by its step kernel."""
+    """n draws of ``family`` at constant ``params`` from the simulator's
+    innovation sampler, scaled into inter-arrivals by its step kernel."""
     kernels = KERNELS[family]
-    return kernels.step(kernels.innovations(*params)(rng, n), *params)
+    sampler = kernels.innovations(False, *params)
+    w, ok = sampler.take(sampler.draw(rng, n), *params)
+    assert ok is None  # one innovation per slot
+    return kernels.step(w, *params)
 
 
 def pdf(family, params, x):
@@ -338,6 +341,19 @@ class TestSampling:
         params = (0.0, 0.5, -0.9)
         draws = sample(GENGAM, params, np.random.default_rng(4), 10**5)
         assert stats.kstest(draws, oracle(GENGAM, params).cdf).statistic < 0.01
+
+    @pytest.mark.parametrize("shape", [0.3, 0.75, 1.0, 2.5, 50.0])
+    def test_gamma_attempts_match_gamma_law(self, shape):
+        """A gamma whose shape varies in time draws Marsaglia-Tsang attempts
+        at each slot's own shape; the accepted ones follow scipy's law."""
+        sampler = KERNELS[GAMMA].innovations(True, shape, 2.0)
+        n = 400_000
+        shapes = np.where(np.arange(n) % 2, shape, 4.0)  # companions at another shape
+        w, ok = sampler.take(sampler.draw(np.random.default_rng(17), n), shapes, np.full(n, 2.0))
+        draws = w[ok & (shapes == shape)]
+        assert draws.size > 0.45 * n  # under 10% of the attempts are rejected
+        # about the 1e-4 critical value of the KS distance at 180,000 draws
+        assert stats.kstest(draws, oracle(GAMMA, (shape, 1.0)).cdf).statistic < 0.005
 
     def test_mean_against_monte_carlo(self):
         rng = np.random.default_rng(8)

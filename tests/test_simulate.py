@@ -10,7 +10,8 @@ from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes
 from arrivalsim.fitting import FittedModel
 from arrivalsim.models import Family, FuncKind, enumerate_models, model_from_name
 from arrivalsim.scoring import minute_grid
-from arrivalsim import simulate
+from arrivalsim import distributions, simulate
+from arrivalsim.errors import DomainError
 from arrivalsim.simulate import (
     _BLOCK,
     _ROWS,
@@ -30,12 +31,28 @@ from test_models import feasible_theta, params_at, scalar_func
 T1, T2 = -3.25, -0.5
 SPAN = T2 - T1
 
-# models of each family whose stream use differs: pre-drawn exponential
-# innovations, pre-drawn beta-prime innovations, one gamma draw per event
+# models of each family whose stream use differs: blocks of exponential
+# innovations, of beta-prime innovations (a block of gamma draws at each
+# of two shapes), and of Marsaglia-Tsang attempts for a gamma shape that
+# varies in time, below 1 (boosted) and above it; every trajectory runs
+# past its first block
 STREAM_CASES = [
     ("Exp.Const", [100.0]),
-    ("GenF.Lin.Const", [60.0, -5.0, 1.0, 0.5, 1.0]),
-    ("Gamma.Lin.Lin", [60.0, -5.0, 1.0, 0.1]),
+    ("GenF.Lin.Const", [200.0, -5.0, 1.0, 0.5, 1.0]),
+    ("Gamma.Lin.Lin", [120.0, -5.0, 1.0, 0.1]),
+    ("Gamma.Lin.Lin", [300.0, -5.0, 3.0, 0.5]),
+]
+
+# the 7 Gamma models whose shape varies in time, at a rate of 150/h, so
+# that their rows reach the end of a block at different steps
+VARYING_GAMMA = [
+    ("Gamma.Lin.Lin", [150.0, 0.0, 3.0, 0.5]),
+    ("Gamma.Quadr.Lin", [150.0, 0.0, 0.0, 1.0, 0.1]),
+    ("Gamma.Quadr.Quadr", [150.0, 0.0, 0.0, 2.0, 0.0, 0.1]),
+    ("Gamma.Quadr.Expon", [150.0, 0.0, 0.0, 0.2, 0.0, 0.5]),
+    ("Gamma.Expon.Lin", [149.0, 0.0, 0.0, 1.5, -0.2]),
+    ("Gamma.Expon.Quadr", [149.0, 0.0, 0.0, 0.5, 0.1, 0.05]),
+    ("Gamma.Expon.Expon", [149.0, 0.0, 0.0, 0.1, 1.0, 0.3]),
 ]
 
 # rate 4t^2 + 16t + 15 is negative on (-2.5, -1.5), inside the window
@@ -58,20 +75,39 @@ def simulate_one(fm, anchor, t_start, t_end, rng, max_events=1_000_000):
     return next(simulate_trajectories([(fm, [rng])], anchor, t_start, t_end, max_events))[1][0]
 
 
+def marsaglia_tsang(a, slots):
+    """One Gamma(a, 1) variate from ``slots``, an iterator of (normal,
+    uniform, uniform) attempts, by the scalar algorithm of Marsaglia and
+    Tsang (ACM TOMS 26, 2000); a below 1 takes the a + 1 boost."""
+    d = (a + 1.0 if a < 1.0 else a) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    for x, u, v in slots:
+        y = 1.0 + c * x
+        if y <= 0.0:
+            continue
+        y3 = y ** 3
+        if u < 1.0 - 0.0331 * x ** 4 or math.log(u) < 0.5 * x * x + d * (1.0 - y3 + math.log(y3)):
+            return d * y3 * (v ** (1.0 / a) if a < 1.0 else 1.0)
+
+
 def reference_trajectory(fm, anchor, t_start, t_end, rng):
     """One trajectory from a sequential stepper on scalars: the oracle of the
-    lockstep kernel, with the same use of ``rng``."""
+    lockstep kernel, with the same use of ``rng``: the first gap's uniform,
+    then blocks of ``_BLOCK`` innovations, or, for a gamma with a
+    time-varying shape, blocks of ``_BLOCK`` normals, ``_BLOCK`` uniforms
+    and ``_BLOCK`` uniforms read as (normal, uniform, uniform) attempts."""
     spec, theta, family = fm.spec, fm.theta, fm.spec.family
     lo, hi = fm.window
     rate = scalar_func(spec.rate_kind, theta[spec.rate_slice])
     if spec.shape_kind is not None:
         shape = scalar_func(spec.shape_kind, theta[spec.shape_slice])
-    draw = None  # gamma with a time-varying shape: one draw per event
     if family is Family.EXP:
         draw = lambda n: rng.exponential(1.0, n)
     elif family is Family.GAMMA and spec.shape_kind is FuncKind.CONST:
         draw = lambda n: rng.gamma(shape(0.0), 1.0, n)
-    elif family in (Family.GENGAM, Family.GENF):
+    elif family is Family.GAMMA:
+        draw = lambda n: zip(rng.standard_normal(n), rng.random(n), rng.random(n))
+    else:
         q = float(theta[spec.q_index])
         p = float(theta[spec.p_index]) if family is Family.GENF else 0.0
         if p >= GENGAM_P_EPS:
@@ -83,22 +119,23 @@ def reference_trajectory(fm, anchor, t_start, t_end, rng):
         else:
             draw = lambda n: rng.standard_normal(n)
 
+    def slots():
+        while True:
+            yield from draw(_BLOCK)
+
+    stream = slots()
     first = params_at(spec, theta, min(max(anchor, lo), hi))
     t = anchor + float(truncated_quantile(family, first, t_start - anchor, rng.uniform()))
-    out, block = [], []
+    out = []
     while t < t_end:
         out.append(t)
         tc = min(max(t, lo), hi)
-        if draw is None:
-            t += rng.gamma(shape(tc), 1.0) / rate(tc)
-            continue
-        if not block:
-            block = list(draw(_BLOCK))[::-1]
-        w = block.pop()
-        if family in (Family.EXP, Family.GAMMA):
-            t += w / rate(tc)
+        if family is Family.GAMMA and spec.shape_kind is not FuncKind.CONST:
+            t += marsaglia_tsang(shape(tc), stream) / rate(tc)
+        elif family in (Family.EXP, Family.GAMMA):
+            t += next(stream) / rate(tc)
         else:
-            t += math.exp(math.log(shape(tc) / rate(tc)) + shape(tc) ** -0.5 * w)
+            t += math.exp(math.log(shape(tc) / rate(tc)) + shape(tc) ** -0.5 * next(stream))
     return np.array(out)
 
 
@@ -190,6 +227,32 @@ class TestFirstArrival:
         assert all(tr.size and T1 < tr[0] < T2 for tr in ts.trajectories)
 
 
+class TestStreams:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 12345, 2**130 + 7] + [
+        int(s) for s in np.random.default_rng(31).integers(0, 2**63, 4, dtype=np.uint64)
+    ]
+
+    @pytest.mark.parametrize("m", [1, 7, 300, 1000])
+    def test_streams_are_numpy_spawned_streams(self, m):
+        """Trajectory i's generator is default_rng(SeedSequence(seed).spawn(m)[i]),
+        bit for bit: numpy's own SeedSequence is the reference."""
+        for seed in self.SEEDS:
+            got = simulate._streams(seed, m)
+            want = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
+            assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
+            assert [g.random() for g in got[:3]] == [w.random() for w in want[:3]]
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            simulate_set(fitted("Exp.Const", [10.0]), T1, T1, T2, m=3, seed=-1)
+
+    def test_one_seed_per_record(self):
+        records = [fitted("Exp.Const", [10.0]), fitted("Exp.Lin", [10.0, 1.0])]
+        for seeds in ([1], [1, 2, 3]):
+            with pytest.raises(DomainError, match="one seed per record"):
+                next(simulate_sets(records, T1, T1, T2, 3, seeds))
+
+
 class TestDeterminism:
     def test_same_seed_identical(self):
         fm = fitted("Gamma.Expon.Lin", [5.0, 5.0, 0.9, 1.5, 0.1])
@@ -205,7 +268,7 @@ class TestDeterminism:
             one = simulate_set(fm, T1, T1, T2, m=1, seed=5)
             stream = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
             direct = simulate_one(fm, T1, T1, T2, stream)
-            assert direct.size > 0
+            assert direct.size > _BLOCK
             np.testing.assert_array_equal(one.trajectories[0], direct, err_msg=name)
 
     def test_prefix_stable_in_m(self):
@@ -219,13 +282,16 @@ class TestDeterminism:
 
 
 def test_lockstep_matches_scalar_reference_on_every_model():
-    """All 37 models: the kernel's arrivals equal the sequential oracle's
-    up to the last bits of np.exp/np.log against math.exp/math.log."""
+    """All 37 models, and the Gamma models with a time-varying shape at a
+    rate that spends more than a block: the kernel's arrivals equal the
+    sequential oracle's up to the last bits of np.exp/np.log against
+    math.exp/math.log."""
     rng = np.random.default_rng(3)
     grid = minute_grid(T1, T2)
     anchor = T1 - 0.01
-    for spec in enumerate_models():
-        fm = fitted(spec.name, feasible_theta(spec, rng))
+    records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in enumerate_models()]
+    for fm in records + [fitted(name, theta) for name, theta in VARYING_GAMMA]:
+        spec = fm.spec
         ts = simulate_set(fm, anchor, T1, T2, m=8, seed=21)
         streams = np.random.SeedSequence(21).spawn(8)
         for got, stream in zip(ts.trajectories, streams):
@@ -382,6 +448,31 @@ class TestGroupedLocksteps:
         simulate_both(caplog, records, m=8, anchor=T1 - 0.01)
         assert lockstep_sizes[-37:] == [1] * 37  # alone
         assert sum(lockstep_sizes[:-37]) == 37 and len(lockstep_sizes) - 37 < 37
+
+    def test_gamma_attempts_do_not_depend_on_companions(self, caplog, lockstep_sizes, monkeypatch):
+        """The 7 Gamma models with a time-varying shape, beside the 4 with a
+        constant one, share locksteps; rows reject attempts at different
+        steps, and each reads only its own stream."""
+        attempts = distributions._GAMMA_ATTEMPTS
+        rejected = []
+
+        def take(slots, *params):
+            w, ok = attempts.take(slots, *params)
+            rejected.append(int(np.count_nonzero(~ok)))
+            return w, ok
+
+        monkeypatch.setattr(distributions, "_GAMMA_ATTEMPTS", attempts._replace(take=take))
+        constant = [(n, feasible_theta(model_from_name(n), np.random.default_rng(8)))
+                    for n in ["Gamma.Const.Const", "Gamma.Lin.Const", "Gamma.Quadr.Const",
+                              "Gamma.Expon.Const"]]
+        records = [fitted(n, theta) for n, theta in VARYING_GAMMA + constant]
+        grouped, _ = simulate_both(caplog, records, m=20)
+        assert sum(rejected) > 0
+        sizes = [tr.size for ts in grouped[:7] for tr in ts.trajectories]
+        assert min(sizes) < _BLOCK < max(sizes)
+        # the rate and shape functions widened to (Quadr, Quadr), (Quadr, Expon),
+        # (Expon, Quadr) and (Expon, Expon): 3 varying and 3 constant shapes share one
+        assert lockstep_sizes[:-11] == [6, 1, 3, 1]
 
     def test_rows_beyond_the_cap_split_into_locksteps(self, caplog, lockstep_sizes):
         # one lockstep key, 7 * 60 rows > _ROWS: two locksteps of whole models
