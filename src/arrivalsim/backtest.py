@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
@@ -98,12 +98,21 @@ class RunConfig:
     csv: CsvSchema = field(default_factory=CsvSchema)
 
     def validate(self) -> None:
-        if self.window_days < 1 or self.out_days < 1 or self.trajectories < 1:
-            raise ParameterError("window_days, out_days and trajectories must be >= 1")
-        if self.parallelism < 1:
-            raise ParameterError("parallelism must be >= 1")
-        if self.tau_grid_size < 1:
-            raise ParameterError("tau_grid_size must be >= 1")
+        for name, low in (("window_days", 1), ("out_days", 1), ("trajectories", 1),
+                          ("parallelism", 1), ("tau_grid_size", 1), ("max_gap_days", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.start_date is not None:
+            try:
+                date.fromisoformat(self.start_date)
+            except (TypeError, ValueError):
+                raise ParameterError(f"not an ISO start_date: {self.start_date!r}") from None
+        if self.timezone:
+            try:
+                ZoneInfo(self.timezone)
+            except (ZoneInfoNotFoundError, ValueError):
+                raise ParameterError(f"unknown timezone {self.timezone!r}") from None
         if not self.products:
             raise ParameterError("need at least one product")
         if any(not 1 <= s <= self.n_products for s in self.products):
@@ -167,7 +176,10 @@ def _from_fields(cls, data: dict, prefix: str = ""):
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a value of the wrong type, e.g. fit.restarts = "2"
+        raise ParameterError(f"bad value in {prefix.rstrip('.') or 'config'}: {exc}") from None
 
 
 def cell_seed(master_seed: int, model: str, day: date, product: int) -> int:

@@ -14,12 +14,12 @@ score's curvature along it.  A bounded Nelder-Mead simplex runs only as a
 logged fallback, counted on the fit record, when a gradient run stops
 short of convergence.  The likelihood surfaces are low dimensional (at
 most 8 parameters) but can be multimodal, so richer models are
-warm-started from simpler ones (see :func:`fit_cascade`).  Jittered
-restarts run for the 16 models with an Expon rate or shape function and
-for any start from the moment default.  On synthetic cells, skipping them
-lost up to 2.8 LL units on Expon models and up to 3.0 on GenF models
-started from the default, while every other model started from a fitted
-donor reached its restart optimum to within 3e-6 LL from that start alone.
+warm-started from simpler ones (see :func:`fit_cascade`).  The 16 models
+with an Expon rate or shape function, and any fit from the moment default,
+also run from the next-ranked candidate starts.  On synthetic cells,
+skipping those starts lost up to 2.8 LL units on Expon models and up to 3.0
+on GenF models started from the default, while every other model started
+from a fitted donor reached its multi-start optimum to within 3e-6 LL.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ _BIG = 1e300  # finite stand-in for +inf so line searches stay well-defined
 _GRADIENT_RUNS = 4  # L-BFGS-B runs per start before the Nelder-Mead fallback
 _EXPON_SMALL_C = 1e-3
 _SHAPE_ONE_EXPON_A1 = math.log(1e-8)
+# fixed perturbations of the best start fill the starts candidates leave empty
+_JITTER_SEED = 0
+_JITTER_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,7 @@ class FitOptions:
     f_tol: float = 1e-8
     x_tol: float = 1e-8
     restarts: int = 3
-    jitter_scale: float = 0.1
     polish: bool = True
-    seed: int = 0
     min_obs_per_param: int = 10
 
     def __post_init__(self):
@@ -76,7 +77,6 @@ class FitOptions:
             ("f_tol", self.f_tol > 0, "> 0"),
             ("x_tol", self.x_tol > 0, "> 0"),
             ("restarts", self.restarts >= 0, ">= 0"),
-            ("jitter_scale", self.jitter_scale >= 0, ">= 0"),
             ("min_obs_per_param", self.min_obs_per_param >= 1, ">= 1"),
         ):
             if not ok:
@@ -442,22 +442,22 @@ def fit(
     spec: ModelSpec,
     sample: InterArrivalSample,
     options: FitOptions = FitOptions(),
-    theta0: np.ndarray | None = None,
-    start_source: str = "default",
+    starts: list[tuple[str, np.ndarray]] | None = None,
 ) -> FittedModel:
     """Maximize the log-likelihood of ``spec`` over its box bounds.
 
-    The optimizer runs from ``theta0`` (or a moment-based default).  When
-    the rate or shape function is Expon, or ``start_source`` is
-    ``"default"``, it also runs from ``options.restarts`` jittered copies of
-    it and the best local optimum wins; a non-Expon model started from a
-    donor runs from ``theta0`` alone, since restarts did not improve those
-    optima (see the module docstring).  A jittered start where the
-    likelihood is undefined is moved halfway back toward ``theta0`` until
-    it is defined.  Each start runs L-BFGS-B on the analytic score (see
-    :func:`_minimize`); ``nm_fallbacks`` on the result counts the starts
-    that needed Nelder-Mead.  A model that never converged is still
-    returned, flagged, with the best vector found.
+    ``starts`` holds ``(label, theta)`` candidates, best-ranked first (see
+    :func:`fit_cascade`); ``None`` means the moment default alone.  The
+    best-ranked start always runs and labels the record's ``start_source``.
+    When the rate or shape function is Expon, or that start is the moment
+    default, up to ``options.restarts`` more run: the next-ranked distinct
+    candidates where the likelihood is defined, then fixed perturbations of
+    the best start, each moved halfway back toward it until the likelihood
+    is defined.  Other models run from their donor start alone, since more
+    starts did not improve those optima (see the module docstring).  Each
+    start runs :func:`_minimize` and the best local optimum wins;
+    ``nm_fallbacks`` counts the starts that needed Nelder-Mead.  A model
+    that never converged is still returned, flagged, with the best vector.
     """
     if sample.n < options.min_obs_per_param * spec.n_params:
         raise InsufficientDataError(
@@ -465,37 +465,32 @@ def fit(
             f"(need >= {options.min_obs_per_param} per parameter)"
         )
     lo, hi = spec.bounds()
-    if theta0 is None:
-        theta0 = default_start(spec, sample)
-        start_source = "default"
+    start_source, theta0 = starts[0] if starts else ("default", default_start(spec, sample))
     theta0 = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-
-    rng = np.random.default_rng(options.seed)
-    starts = [theta0]
-    scale = np.maximum(np.abs(theta0), 1.0)
     expon = FuncKind.EXPON in (spec.rate_kind, spec.shape_kind)
-    restarts = options.restarts if expon or start_source == "default" else 0
-    theta0_feasible = restarts > 0 and math.isfinite(log_likelihood(spec, theta0, sample))
-    for _ in range(restarts):
-        jitter = theta0 + options.jitter_scale * scale * rng.standard_normal(len(theta0))
-        jitter = np.clip(jitter, lo, hi)
+    n_starts = 1 + (options.restarts if expon or start_source == "default" else 0)
+    runs = [theta0]
+    for _, theta in (starts or [])[1:]:
+        theta = np.clip(np.asarray(theta, dtype=float), lo, hi)
+        if len(runs) < n_starts and not any(np.array_equal(theta, run) for run in runs):
+            if math.isfinite(log_likelihood(spec, theta, sample)):
+                runs.append(theta)
+    rng = np.random.default_rng(_JITTER_SEED)
+    scale = np.maximum(np.abs(theta0), 1.0)
+    theta0_feasible = len(runs) < n_starts and math.isfinite(log_likelihood(spec, theta0, sample))
+    while len(runs) < n_starts:
+        jitter = np.clip(theta0 + _JITTER_SCALE * scale * rng.standard_normal(len(theta0)), lo, hi)
         # a gradient run needs a feasible start: move an infeasible jitter
         # back toward theta0 until the likelihood is defined
         while theta0_feasible and not math.isfinite(log_likelihood(spec, jitter, sample)):
             jitter = 0.5 * (jitter + theta0)
-        starts.append(jitter)
+        runs.append(jitter)
 
-    best = None
-    total_evals = 0
-    nm_runs = 0
-    converged = False
-    for start in starts:
-        x, f, success, evals, nm = _minimize(spec, sample, start, options)
-        total_evals += evals
-        nm_runs += nm
+    results = [_minimize(spec, sample, start, options) for start in runs]
+    best, converged = None, False
+    for x, f, success, _, _ in results:
         if best is None or f < best[1]:
-            best = (x, f)
-            converged = success
+            best, converged = (x, f), success
         elif success and math.isclose(f, best[1], rel_tol=1e-9, abs_tol=1e-9):
             converged = True
     theta_hat = np.asarray(best[0], dtype=float)
@@ -506,10 +501,10 @@ def fit(
         n_obs=sample.n,
         days=sample.days,
         window=(sample.window_start, sample.window_end),
-        n_evals=total_evals,
+        n_evals=sum(r[3] for r in results),
         converged=converged,
         start_source=start_source,
-        nm_fallbacks=nm_runs,
+        nm_fallbacks=sum(r[4] for r in results),
     )
 
 
@@ -537,11 +532,11 @@ def fit_cascade(
     """Fit a set of models, warm-starting each from its fitted ancestors.
 
     Candidate starts (donor embeddings plus the moment default) are ranked
-    by their likelihood and the best one seeds the optimizer.  Entries in
-    ``preloaded`` are taken as-is (they still act as donors).  Models with
-    too few observations are skipped; if an optimizer run fails outright,
-    the best candidate start is returned as a flagged fallback so model
-    comparisons stay balanced.
+    by their likelihood and :func:`fit` takes them in that order.  Entries
+    in ``preloaded`` are taken as-is (they still act as donors).  Models
+    with too few observations are skipped; if an optimizer run fails
+    outright, the best candidate start is returned as a flagged fallback so
+    model comparisons stay balanced.
     """
     t_ref = 0.5 * (sample.window_start + sample.window_end)
     fitted: dict[str, FittedModel] = {}
@@ -550,24 +545,18 @@ def fit_cascade(
         if spec.name in preloaded:
             fitted[spec.name] = preloaded[spec.name]
             continue
-        if sample.n < options.min_obs_per_param * spec.n_params:
-            logger.warning(
-                "skipping %s: %d observations for %d parameters",
-                spec.name,
-                sample.n,
-                spec.n_params,
-            )
-            continue
         candidates = warm_start_candidates(spec, fitted, t_ref)
         candidates.append(("default", default_start(spec, sample)))
-        scored = [
-            (log_likelihood(spec, theta, sample), label, theta)
-            for label, theta in candidates
-        ]
-        scored.sort(key=lambda item: item[0], reverse=True)
+        scored = sorted(
+            ((log_likelihood(spec, theta, sample), label, theta) for label, theta in candidates),
+            key=lambda item: item[0], reverse=True,
+        )
         ll0, label0, theta0 = scored[0]
         try:
-            result = fit(spec, sample, options, theta0=theta0, start_source=label0)
+            result = fit(spec, sample, options, [(label, theta) for _, label, theta in scored])
+        except InsufficientDataError as exc:
+            logger.warning("skipping %s", exc)
+            continue
         except Exception:  # optimizer blow-up: fall back to the donor start
             logger.warning(
                 "%s: fit failed; keeping its %s start as a fallback", spec.name, label0,

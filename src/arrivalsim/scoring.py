@@ -41,7 +41,6 @@ MINUTES_PER_HOUR = 60
 DT = 1.0 / MINUTES_PER_HOUR
 
 LOSS_MEAN = (0, 0.5, 2)
-LOSS_MEDIAN = (0, 0.5, 1)
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,8 @@ def score_cell(obs: np.ndarray, sims: np.ndarray, taus: np.ndarray) -> CellScore
         raise ParameterError("obs (J,) and sims (M, J) must share the grid length")
     m = sims.shape[0]
     mean_path = argmin_process(sims, LOSS_MEAN)
-    median_path = argmin_process(sims, LOSS_MEDIAN)
     sims_sorted = np.sort(sims, axis=0)
+    median_path = 0.5 * (sims_sorted[(m - 1) // 2] + sims_sorted[m // 2])  # np.median's midpoint
 
     bias = 2.0 * eval_functional(obs, mean_path, (1, 0.5, 1))
     mae = 2.0 * eval_functional(obs, median_path, (0, 0.5, 1))

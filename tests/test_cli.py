@@ -166,3 +166,17 @@ def test_a_fit_option_that_breaks_the_fit_is_an_error(workspace, capsys, command
     ])
     assert code == 1
     assert "fit.max_evals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, field", [
+    ('start_date="2017-13-01"', "start_date"),
+    ('timezone="Mars/Base"', "timezone"),
+    ("max_gap_days=-30", "max_gap_days"),
+    ("trajectories=2.5", "trajectories"),
+    ('fit.restarts="2"', "fit"),
+])
+def test_a_bad_config_value_is_an_error(workspace, capsys, setting, field):
+    code = main(["backtest", "--config", str(workspace / "cfg.json"), "--set", setting])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

@@ -2,6 +2,7 @@
 
 import json
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -17,9 +18,16 @@ from arrivalsim.fitting import (
     fit_cascade,
     log_likelihood,
     log_likelihood_and_score,
+    warm_start_candidates,
 )
-from arrivalsim.ingest import InterArrivalSample
-from arrivalsim.models import enumerate_models, model_from_name
+from arrivalsim.ingest import (
+    InterArrivalSample,
+    build_series,
+    merge_samples,
+    parse_csv,
+    slice_window,
+)
+from arrivalsim.models import FuncKind, enumerate_models, model_from_name
 from arrivalsim.synth import synth_generate
 
 A, E = -3.25, -0.5
@@ -230,7 +238,7 @@ class TestFit:
 
     @pytest.mark.parametrize("key, value", [
         ("max_evals", 0), ("f_tol", -1.0), ("x_tol", 0.0), ("f_tol", math.nan),
-        ("restarts", -1), ("jitter_scale", -0.1), ("min_obs_per_param", 0),
+        ("restarts", -1), ("min_obs_per_param", 0),
     ])
     def test_options_that_break_the_fit_are_rejected(self, key, value):
         with pytest.raises(ParameterError, match=f"fit.{key}"):
@@ -270,13 +278,14 @@ class TestFit:
 
 
 class TestRestartRule:
-    """Jittered restarts run for models with an Expon rate or shape function
-    and for every start from the moment default, not for other donor starts."""
+    """Further starts run for models with an Expon rate or shape function and
+    for every fit whose best-ranked start is the moment default: first the
+    next-ranked candidates, then fixed perturbations of the best one."""
 
     def fits(self, name, sample, start_source):
         spec = model_from_name(name)
-        kw = {"theta0": default_start(spec, sample), "start_source": start_source}
-        return fit(spec, sample, **kw), fit(spec, sample, FitOptions(restarts=0), **kw)
+        starts = [(start_source, default_start(spec, sample))]
+        return fit(spec, sample, starts=starts), fit(spec, sample, FitOptions(restarts=0), starts)
 
     def test_no_restarts_from_a_donor_start(self):
         sample = draws_sample(2.0, 100.0, 300, seed=10)
@@ -295,6 +304,43 @@ class TestRestartRule:
         default, single = self.fits("Exp.Expon", sample, "Exp.Const")
         assert default.n_evals > single.n_evals
         assert default.log_likelihood >= single.log_likelihood
+
+    def test_no_starts_means_the_moment_default(self):
+        sample = draws_sample(1.0, 100.0, 300, seed=11)
+        spec = model_from_name("Exp.Expon")
+        lone = fit(spec, sample)
+        given = fit(spec, sample, starts=[("default", default_start(spec, sample))])
+        np.testing.assert_array_equal(lone.theta, given.theta)
+        assert (lone.n_evals, lone.start_source) == (given.n_evals, "default")
+
+    def test_ranked_candidates_run_before_perturbations(self):
+        """With one further start and two candidates, the fit runs from
+        exactly the two candidates and keeps the better optimum; the label
+        stays the best-ranked one's."""
+        sample = draws_sample(1.0, 100.0, 300, seed=12)
+        spec = model_from_name("Exp.Expon")
+        starts = [
+            ("Exp.Const", np.array([1e-3, 4.0, 0.0])),
+            ("default", default_start(spec, sample)),
+        ]
+        both = fit(spec, sample, FitOptions(restarts=1), starts)
+        alone = [fit(spec, sample, FitOptions(restarts=0), [start]) for start in starts]
+        assert both.n_evals == sum(f.n_evals for f in alone)
+        assert both.log_likelihood == max(f.log_likelihood for f in alone)
+        assert both.start_source == "Exp.Const"
+
+    def test_repeated_and_infeasible_candidates_are_passed_over(self):
+        """A candidate equal to an earlier one, or where the likelihood is
+        undefined, takes no start: perturbations fill in as for a lone start."""
+        sample = draws_sample(1.0, 100.0, 300, seed=12)
+        spec = model_from_name("Exp.Expon")
+        best = ("Exp.Const", default_start(spec, sample))
+        infeasible = ("default", np.array([1e-3, 1e4, 0.0]))
+        assert log_likelihood(spec, infeasible[1], sample) == -math.inf
+        passed_over = fit(spec, sample, starts=[best, best, infeasible])
+        lone = fit(spec, sample, starts=[best])
+        np.testing.assert_array_equal(passed_over.theta, lone.theta)
+        assert passed_over.n_evals == lone.n_evals
 
 
 class TestCascade:
@@ -341,13 +387,37 @@ class TestCascade:
             model_from_name("GenF.Lin.Const"), [60.0, -5.0, 1.0, 0.5, 1.0],
             days=7, seed=0, out_path=tmp_path / "raw.csv", gen_start=-4.25,
         )
-        from arrivalsim.ingest import build_series, merge_samples, parse_csv, slice_window
-
         series = build_series(parse_csv(path))
         sample = merge_samples([slice_window(s, A) for s in series.values()])
         fits = fit_cascade(enumerate_models(), sample)
         assert len(fits) == 37
         assert [name for name, f in fits.items() if f.fallback or f.nm_fallbacks] == []
+
+    def test_expon_fits_reach_the_optima_of_their_ranked_starts(self, tmp_path):
+        """On a 7-day GenF.Const.Const cell, each Expon model of the 37-model
+        cascade ends at least as high as a single-start fit from each of its
+        restarts + 1 best-ranked candidate starts."""
+        path = synth_generate(
+            model_from_name("GenF.Const.Const"), [80.0, 1.0, 0.5, 1.0],
+            days=8, seed=0, out_path=tmp_path / "raw.csv", gen_start=-4.25,
+        )
+        series = build_series(parse_csv(path))
+        sample = merge_samples(
+            [slice_window(s, A) for (day, _), s in series.items() if day < date(2017, 9, 10)]
+        )
+        assert (sample.n, sample.days) == (1051, 7)
+        options = FitOptions()
+        fits = fit_cascade(enumerate_models(), sample, options)
+        t_ref = 0.5 * (sample.window_start + sample.window_end)
+        for spec in enumerate_models():
+            if FuncKind.EXPON not in (spec.rate_kind, spec.shape_kind):
+                continue
+            starts = warm_start_candidates(spec, fits, t_ref)
+            starts.append(("default", default_start(spec, sample)))
+            starts.sort(key=lambda start: log_likelihood(spec, start[1], sample), reverse=True)
+            for start in starts[: options.restarts + 1]:
+                single = fit(spec, sample, FitOptions(restarts=0), [start])
+                assert fits[spec.name].log_likelihood >= single.log_likelihood, spec.name
 
     def test_failed_fit_is_logged_as_a_fallback(self, monkeypatch, caplog):
         def broken(*args, **kwargs):

@@ -191,6 +191,18 @@ class TestScoreCell:
             assert 2.0 * scores.pb[49] == scores.mae
             assert taus[49] == 0.5
 
+    def test_mae_is_that_of_the_median_process(self):
+        """The median path taken from the sorted sample is argmin_process's
+        midpoint median, bitwise, for odd and even M."""
+        rng = np.random.default_rng(4)
+        taus = default_tau_grid(9)
+        obs = rng.uniform(0.0, 50.0, GRID.size)
+        for m in (1, 2, 7, 24):
+            sims = rng.uniform(0.0, 50.0, size=(m, GRID.size))
+            median = argmin_process(sims, (0, 0.5, 1))
+            mae = 2.0 * eval_functional(obs, median, (0, 0.5, 1))
+            assert score_cell(obs, sims, taus).mae == mae
+
     def test_crps_invariant_under_trajectory_permutation(self):
         rng = np.random.default_rng(3)
         obs = np.cumsum(rng.poisson(0.6, GRID.size)).astype(float)
