@@ -6,7 +6,10 @@ of trajectories is simulated over the forecast horizon anchored at the
 last transaction before it, and the realized counting path is scored.
 Per-cell work is independent, seeded from (master seed, model, day,
 product), and persisted fit records are reloaded on rerun, so a study is
-resumable and bitwise reproducible at any parallelism degree.
+resumable and bitwise reproducible at any parallelism degree.  A cell
+builds its training sample when it runs, and pool workers receive the
+config, the series and the tau grid once, so a cell's ``skipping ...``
+warning comes from the process that runs the cell.
 """
 
 from __future__ import annotations
@@ -99,10 +102,14 @@ class RunConfig:
 
     def validate(self) -> None:
         for name, low in (("window_days", 1), ("out_days", 1), ("trajectories", 1),
-                          ("parallelism", 1), ("tau_grid_size", 1), ("max_gap_days", 0)):
+                          ("parallelism", 1), ("tau_grid_size", 1), ("max_gap_days", 0),
+                          ("n_products", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if not _is_int(value) or value < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("t1", "t2"):
+            if not _is_real(getattr(self, name)):
+                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.start_date is not None:
             try:
                 date.fromisoformat(self.start_date)
@@ -113,14 +120,18 @@ class RunConfig:
                 ZoneInfo(self.timezone)
             except (ZoneInfoNotFoundError, ValueError):
                 raise ParameterError(f"unknown timezone {self.timezone!r}") from None
-        if not self.products:
-            raise ParameterError("need at least one product")
-        if any(not 1 <= s <= self.n_products for s in self.products):
-            raise ParameterError(f"products must lie in 1..{self.n_products}")
+        products = self.products if isinstance(self.products, (list, tuple)) else ()
+        if (not products or any(not _is_int(s) or not 1 <= s <= self.n_products for s in products)
+                or len(set(products)) < len(products)):
+            raise ParameterError(f"products must be a nonempty list of distinct integers in "
+                                 f"1..{self.n_products}, got {self.products!r}")
         for key in ("trading_begin", "trading_end"):
             bounds = getattr(self, key)
-            if bounds is not None and not set(self.products) <= set(bounds):
-                raise ParameterError(f"{key} must list every product in products")
+            if bounds is not None and not (
+                isinstance(bounds, dict) and set(products) <= set(bounds)
+                and all(map(_is_real, bounds.values()))
+            ):
+                raise ParameterError(f"{key} must map every product in products to a number")
         for s in self.products:
             begin, end = trading_bounds(s, self.trading_begin, self.trading_end)
             if not begin < self.t1 < self.t2 <= end:
@@ -139,11 +150,16 @@ class RunConfig:
             data["models"] = ALL_MODEL_NAMES
         else:
             data["models"] = tuple(data["models"])
-        if "products" in data:
-            data["products"] = tuple(int(s) for s in data["products"])
+        if isinstance(data.get("products"), list):
+            data["products"] = tuple(data["products"])
         for key in ("trading_begin", "trading_end"):
-            if data.get(key) is not None:
-                data[key] = {int(k): float(v) for k, v in data[key].items()}
+            bounds = data.get(key)
+            if isinstance(bounds, dict):
+                try:  # JSON keys are strings; validate() checks the values
+                    data[key] = {int(k): float(v) if _is_real(v) else v
+                                 for k, v in bounds.items()}
+                except ValueError:
+                    raise ParameterError(f"{key} must map products to numbers") from None
         for section, section_cls in (("fit", FitOptions), ("csv", CsvSchema)):
             if isinstance(data.get(section), dict):
                 data[section] = _from_fields(section_cls, data[section], f"{section}.")
@@ -169,6 +185,14 @@ class RunConfig:
             else:
                 data[key] = value
         return RunConfig.from_dict(data)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _from_fields(cls, data: dict, prefix: str = ""):
@@ -207,26 +231,23 @@ def load_input(config: RunConfig) -> dict[tuple[date, int], ArrivalSeries]:
 # per-cell work
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CellPayload:
-    day: date
-    product: int
-    sample: InterArrivalSample | None  # None: insufficient history
-    observed: np.ndarray | None  # arrivals of the target day; None: day missing
-    taus: np.ndarray
-    config: RunConfig
-
-
 def _fit_dir(outdir: str, model: str, product: int, day: date) -> Path:
     return Path(outdir) / model / str(product) / day.isoformat()
 
 
-def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
+def _run_cell(
+    config: RunConfig,
+    series: dict[tuple[date, int], ArrivalSeries],
+    taus: np.ndarray,
+    day: date,
+    product: int,
+) -> dict[str, CellScores | None]:
     """Fit (or load), simulate and score every model of one (day, product)."""
-    config, day, product = payload.config, payload.day, payload.product
-    empty = {name: None for name in config.models}
-    if payload.sample is None or payload.observed is None or payload.sample.empty:
-        return empty
+    out: dict[str, CellScores | None] = dict.fromkeys(config.models)
+    sample = training_sample(config, series, day, product)
+    observed = series.get((day, product))
+    if sample is None or observed is None or sample.empty:
+        return out
 
     preloaded: dict[str, FittedModel] = {}
     if config.outdir is not None:
@@ -240,7 +261,9 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
                     continue
                 if record.spec.name != name:
                     continue
-                if _fitted_on(record, payload.sample):
+                if (record.days, record.n_obs, tuple(record.window)) == (
+                    sample.days, sample.n, (sample.window_start, sample.window_end)
+                ):  # fitted on as many days and spells, in the same window
                     preloaded[name] = record
                 else:
                     logger.warning(
@@ -248,25 +271,19 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
                         name, path, record.days, record.n_obs, record.window,
                     )
     specs = [model_from_name(name) for name in config.models]
-    fitted = fit_cascade(specs, payload.sample, config.fit, preloaded=preloaded)
+    fitted = fit_cascade(specs, sample, config.fit, preloaded=preloaded)
     if config.outdir is not None:
         for name, record in fitted.items():
-            if name in preloaded:
-                continue
-            record.save(_fit_dir(config.outdir, name, product, day) / "fit.json")
+            if name not in preloaded:
+                record.save(_fit_dir(config.outdir, name, product, day) / "fit.json")
 
     grid = minute_grid(config.t1, config.t2)
-    obs_counts = observed_counts(payload.observed, config.t1, config.t2)
-    anchor = pick_anchor(payload.observed, config.t1)
+    obs_counts = observed_counts(observed.arrivals, config.t1, config.t2)
+    anchor = pick_anchor(observed.arrivals, config.t1)
 
-    out: dict[str, CellScores | None] = dict(empty)
     names = [name for name in config.models if name in fitted]
     for i, ts in simulate_sets(
-        [fitted[name] for name in names],
-        anchor,
-        config.t1,
-        config.t2,
-        config.trajectories,
+        [fitted[name] for name in names], anchor, config.t1, config.t2, config.trajectories,
         [cell_seed(config.seed, name, day, product) for name in names],
     ):
         name = names[i]
@@ -274,18 +291,8 @@ def _run_cell(payload: _CellPayload) -> dict[str, CellScores | None]:
             write_trajectories(
                 ts, _fit_dir(config.outdir, name, product, day) / "trajectories.csv"
             )
-        out[name] = score_cell(obs_counts, ts.counts(grid), payload.taus)
+        out[name] = score_cell(obs_counts, ts.counts(grid), taus)
     return out
-
-
-def _fitted_on(record: FittedModel, sample: InterArrivalSample) -> bool:
-    """Whether a fit record was made on a training sample like ``sample``:
-    the same number of days and spells and the same window."""
-    return (
-        record.days == sample.days
-        and record.n_obs == sample.n
-        and tuple(record.window) == (sample.window_start, sample.window_end)
-    )
 
 
 def observed_counts(arrivals: np.ndarray, t1: float, t2: float) -> np.ndarray:
@@ -323,6 +330,18 @@ def training_sample(
     return merge_samples(samples)
 
 
+_worker_study: tuple = ()  # a pool worker's (config, series, taus), set once
+
+
+def _init_worker(*study) -> None:
+    global _worker_study
+    _worker_study = study
+
+
+def _run_worker_cell(key: tuple[date, int]) -> dict[str, CellScores | None]:
+    return _run_cell(*_worker_study, *key)
+
+
 def run(config: RunConfig) -> ScoreReport:
     """Execute the configured study and write report CSVs to the outdir."""
     config.validate()
@@ -337,32 +356,17 @@ def run(config: RunConfig) -> ScoreReport:
     out_days = [start + timedelta(days=i) for i in range(config.out_days)]
     taus = default_tau_grid(config.tau_grid_size)
 
-    payloads: dict[tuple[date, int], _CellPayload] = {}
-    for day in out_days:
-        for product in config.products:
-            observed = series.get((day, product))
-            payloads[(day, product)] = _CellPayload(
-                day=day,
-                product=product,
-                sample=training_sample(config, series, day, product),
-                observed=None if observed is None else observed.arrivals,
-                taus=taus,
-                config=config,
-            )
-
-    results: dict[tuple[date, int], dict[str, CellScores | None]] = {}
+    study = (config, series, taus)
+    keys = [(day, product) for day in out_days for product in config.products]
     if config.parallelism == 1:
-        for key, payload in payloads.items():
-            results[key] = _run_cell(payload)
+        cells = [_run_cell(*study, *key) for key in keys]
     else:
-        with concurrent.futures.ProcessPoolExecutor(config.parallelism) as pool:
-            futures = {
-                pool.submit(_run_cell, payload): key for key, payload in payloads.items()
-            }
-            for future in concurrent.futures.as_completed(futures):
-                results[futures[future]] = future.result()
+        with concurrent.futures.ProcessPoolExecutor(
+            config.parallelism, initializer=_init_worker, initargs=study
+        ) as pool:
+            cells = list(pool.map(_run_worker_cell, keys))
 
-    report = _assemble(config, out_days, taus, results)
+    report = _assemble(config, out_days, taus, dict(zip(keys, cells)))
     if config.outdir is not None:
         write_report_csvs(report, config.outdir)
     return report
@@ -374,39 +378,28 @@ def _assemble(
     taus: np.ndarray,
     results: dict[tuple[date, int], dict[str, CellScores | None]],
 ) -> ScoreReport:
-    models = list(config.models)
-    products = list(config.products)
-    k, s, n, r = len(models), len(products), len(out_days), taus.size
-    bias = np.empty((k, s))
-    mae = np.empty((k, s))
-    rmse = np.empty((k, s))
-    crps = np.empty((k, s))
-    pb = np.empty((k, s, r))
-    daily = np.full((k, n, s), np.nan)
-    missing = np.zeros((k, s), dtype=int)
-    for i, model in enumerate(models):
-        for j, product in enumerate(products):
-            cells = [results[(day, product)][model] for day in out_days]
-            pc = product_criteria(cells, r)
-            bias[i, j] = pc.bias
-            mae[i, j] = pc.mae
-            rmse[i, j] = pc.rmse
-            crps[i, j] = pc.crps
-            pb[i, j] = pc.pb
-            daily[i, :, j] = pc.daily_crps
-            missing[i, j] = pc.n_missing
+    models, products = list(config.models), list(config.products)
+    criteria = [
+        [product_criteria([results[(day, product)][model] for day in out_days], taus.size)
+         for product in products]
+        for model in models
+    ]
+
+    def stack(attr: str) -> np.ndarray:  # (K, S, ...)
+        return np.array([[getattr(pc, attr) for pc in row] for row in criteria])
+
     return ScoreReport(
         models=models,
         products=products,
         taus=taus,
         day_labels=[d.isoformat() for d in out_days],
-        bias=bias,
-        mae=mae,
-        rmse=rmse,
-        crps=crps,
-        pb=pb,
-        daily_crps=daily,
-        missing=missing,
+        bias=stack("bias"),
+        mae=stack("mae"),
+        rmse=stack("rmse"),
+        crps=stack("crps"),
+        pb=stack("pb"),
+        daily_crps=np.ascontiguousarray(stack("daily_crps").transpose(0, 2, 1)),
+        missing=stack("n_missing"),
     )
 
 

@@ -6,8 +6,11 @@ draws trajectories from a persisted fit, ``score`` evaluates a trajectory
 dump against the realized path, ``backtest`` runs the full rolling study
 and ``synth`` writes synthetic data from a known model.
 
-The process exits nonzero only when a command aborts; per-cell failures
-inside a backtest are reported in the outputs instead.
+The process exits nonzero only when a command aborts.  Inside a backtest,
+a cell without a training sample or an observed day is counted in
+``missing_cells.csv``, as is a model with too few observations for its
+parameters; a model whose optimizer raises keeps a ``fallback`` fit
+record; any other exception aborts the run.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ def _load_config(args) -> bt.RunConfig:
         overrides.setdefault("outdir", json.dumps(args.outdir))
     if overrides:
         config = config.with_overrides(overrides)
+    config.validate()
     return config
 
 
@@ -57,7 +61,6 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _load_config(args)
-    config.validate()
     series = bt.load_input(config)
     day = date.fromisoformat(args.date)
     sample = bt.training_sample(config, series, day, args.product)

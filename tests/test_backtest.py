@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from datetime import date
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from arrivalsim.backtest import (
     training_sample,
 )
 from arrivalsim.errors import ParameterError
-from arrivalsim.fitting import FitOptions, FittedModel
+from arrivalsim.fitting import FitOptions, FittedModel, fit_cascade
 from arrivalsim.ingest import build_series, parse_csv, slice_window
 from arrivalsim.models import model_from_name
 from arrivalsim.synth import synth_generate
@@ -197,6 +198,34 @@ class TestRun:
         run(tiny_config(synth_csv, out_a, parallelism=1))
         run(tiny_config(synth_csv, out_b, parallelism=4))
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    def test_parallelism_invariant_with_skipped_cells(self, synth_csv, tmp_path):
+        """Product 7 has no data, so each of its cells lacks history, and
+        2017-09-13 is past the data, so its cells lack an observed day; the
+        cells are skipped in the workers as they are in a serial run."""
+        out_a, out_b = tmp_path / "p1", tmp_path / "p2"
+        kw = dict(products=(5, 6, 7), start_date="2017-09-11", out_days=3)
+        report = run(tiny_config(synth_csv, out_a, parallelism=1, **kw))
+        run(tiny_config(synth_csv, out_b, parallelism=2, **kw))
+        assert report.missing.tolist() == [[1, 1, 3], [1, 1, 3]]
+        assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    def test_a_serial_run_holds_one_training_sample_at_a_time(self, synth_csv, monkeypatch):
+        samples = []
+
+        def tracked_sample(*args):
+            sample = training_sample(*args)
+            samples.append(weakref.ref(sample))
+            return sample
+
+        def checked_cascade(*args, **kwargs):
+            assert sum(ref() is not None for ref in samples) <= 1
+            return fit_cascade(*args, **kwargs)
+
+        monkeypatch.setattr("arrivalsim.backtest.training_sample", tracked_sample)
+        monkeypatch.setattr("arrivalsim.backtest.fit_cascade", checked_cascade)
+        report = run(tiny_config(synth_csv, None, out_days=4))
+        assert len(samples) == 8 and report.missing.sum() == 0
 
     def test_resumable_without_refitting(self, synth_csv, tmp_path):
         out = tmp_path / "out"

@@ -174,6 +174,11 @@ def test_a_fit_option_that_breaks_the_fit_is_an_error(workspace, capsys, command
     ("max_gap_days=-30", "max_gap_days"),
     ("trajectories=2.5", "trajectories"),
     ('fit.restarts="2"', "fit"),
+    ('t2="x"', "t2"),
+    ('n_products="24"', "n_products"),
+    ('trading_begin={"12": "x"}', "trading_begin"),
+    ('products=["a"]', "products"),
+    ("products=[5,5]", "products"),
 ])
 def test_a_bad_config_value_is_an_error(workspace, capsys, setting, field):
     code = main(["backtest", "--config", str(workspace / "cfg.json"), "--set", setting])
