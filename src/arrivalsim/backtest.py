@@ -256,7 +256,7 @@ def _run_cell(
             if path.exists():
                 try:
                     record = FittedModel.load(path)
-                except (ValueError, KeyError) as exc:  # ParameterError is a ValueError
+                except ValueError as exc:  # a ParameterError, or bytes that are not text
                     logger.warning("refitting %s: %s does not load: %s", name, path, exc)
                     continue
                 if record.spec.name != name:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backtest as bt
-from .errors import ArrivalSimError
+from .errors import ArrivalSimError, ParameterError
 from .fitting import FittedModel, fit_cascade
 from .ingest import write_store
 from .models import model_from_name
@@ -51,6 +51,20 @@ def _load_config(args) -> bt.RunConfig:
     return config
 
 
+def _iso_date(text: str, option: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError as exc:
+        raise ParameterError(f"{option} must be an ISO date, got {text!r}") from exc
+
+
+def _number_list(text: str, option: str, kind=float) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"{option} must be comma-separated numbers, got {text!r}") from exc
+
+
 def _cmd_ingest(args) -> int:
     series = bt.load_input(_load_config(args))
     write_store(series, args.out)
@@ -62,7 +76,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     series = bt.load_input(config)
-    day = date.fromisoformat(args.date)
+    day = _iso_date(args.date, "--date")
     sample = bt.training_sample(config, series, day, args.product)
     if sample is None or sample.empty:
         print(f"insufficient history before {day} for product {args.product}",
@@ -91,7 +105,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_score(args) -> int:
     config = _load_config(args)
     series = bt.load_input(config)
-    day = date.fromisoformat(args.date)
+    day = _iso_date(args.date, "--date")
     observed = series.get((day, args.product))
     if observed is None:
         print(f"no observed data for {day} product {args.product}", file=sys.stderr)
@@ -133,15 +147,14 @@ def _cmd_backtest(args) -> int:
 
 def _cmd_synth(args) -> int:
     spec = model_from_name(args.model)
-    theta = np.asarray([float(v) for v in args.theta.split(",")], dtype=float)
     path = synth_generate(
         spec,
-        theta,
+        _number_list(args.theta, "--theta"),
         args.days,
         args.seed,
         args.out,
-        products=tuple(int(s) for s in args.products.split(",")),
-        start_date=date.fromisoformat(args.start_date),
+        products=tuple(_number_list(args.products, "--products", int)),
+        start_date=_iso_date(args.start_date, "--start-date"),
         gen_start=args.gen_start,
         gen_end=args.gen_end,
     )

@@ -124,16 +124,35 @@ class FittedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FittedModel":
-        data = json.loads(text)
+        """The record of :meth:`to_json` text.  Raises
+        :class:`ParameterError` for text that is not JSON, a record that is
+        not an object or lacks a key, a ``window`` that is not two numbers
+        and a ``theta`` that is not ``spec.n_params`` numbers."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"fit record is not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParameterError(f"fit record must be a JSON object, got {type(data).__name__}")
         if data.get("version") != 1:
             raise ParameterError(f"unsupported fit record version {data.get('version')!r}")
+        missing = [key for key in _RECORD_KEYS if key not in data]
+        if missing:
+            raise ParameterError(f"fit record lacks {missing}")
+        spec, theta, window = model_from_name(data["model"]), data["theta"], data["window"]
+        if not _numbers(window, 2):
+            raise ParameterError(f"fit record window must be two numbers, got {window!r}")
+        if not _numbers(theta, spec.n_params):
+            raise ParameterError(
+                f"{spec.name} fit record needs {spec.n_params} theta numbers, got {theta!r}"
+            )
         return cls(
-            spec=model_from_name(data["model"]),
-            theta=np.asarray(data["theta"], dtype=float),
+            spec=spec,
+            theta=np.asarray(theta, dtype=float),
             log_likelihood=data["log_likelihood"],
             n_obs=data["n_obs"],
             days=data["days"],
-            window=(data["window"][0], data["window"][1]),
+            window=(window[0], window[1]),
             n_evals=data["n_evals"],
             converged=data["converged"],
             start_source=data.get("start_source", ""),
@@ -153,6 +172,17 @@ class FittedModel:
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
         return cls.from_json(Path(path).read_text())
+
+
+# the keys of a fit record that have no default
+_RECORD_KEYS = ("model", "theta", "log_likelihood", "n_obs", "days", "window", "n_evals", "converged")
+
+
+def _numbers(values, n: int) -> bool:
+    """Whether a JSON value is a list of n numbers."""
+    return isinstance(values, list) and len(values) == n and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    )
 
 
 def log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample) -> float:

@@ -15,7 +15,10 @@ with the extra shape parameters held constant over time.
 :meth:`ModelSpec.params_at` is the one place that performs this mapping:
 the likelihood, the feasibility check and every simulation step, the
 first gap included, read the family parameters from it and pass them to
-the family kernels of :mod:`arrivalsim.distributions`.
+the family kernels of :mod:`arrivalsim.distributions`.  A simulation step
+reads them in :func:`join` of the specs that share its lockstep, where
+:meth:`ModelSpec.embed` lays each model's θ out so that they are bitwise
+its own.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "enumerate_models",
     "model_from_name",
     "feasible_on_grid",
+    "join",
 ]
 
 # Box bounds used by the fitting module.
@@ -78,6 +82,23 @@ class FuncKind(str, enum.Enum):
         }[self.value]
 
 
+class _QuadrExpon:
+    """The kind of the function ``c + b1 t + b2 t t + exp(a1 + a2 t)``,
+    which holds a Quadr function as a1 = -inf, a2 = 0 and an Expon one as
+    b1 = b2 = 0, bitwise at finite t (a Quadr value of -0 comes out +0;
+    zero is infeasible either way).  Only :func:`join` lays parameters out
+    in it: the catalogue, :func:`model_from_name` and the fit know the four
+    :class:`FuncKind` members alone."""
+
+    value = "Quadr+Expon"
+    n_coeffs = 5
+    complexity = 3  # as complex as its two parts
+    coeff_names = ("c", "b1", "b2", "a1", "a2")
+
+
+QUADR_EXPON = _QuadrExpon()
+
+
 def eval_func(kind: FuncKind, coeffs, t):
     """Evaluate a parameter function at time(s) ``t`` (hours to delivery).
 
@@ -93,6 +114,8 @@ def eval_func(kind: FuncKind, coeffs, t):
     if kind is FuncKind.QUADR:
         return coeffs[0] + coeffs[1] * t + coeffs[2] * t * t
     with np.errstate(over="ignore"):
+        if kind is QUADR_EXPON:
+            return coeffs[0] + coeffs[1] * t + coeffs[2] * t * t + np.exp(coeffs[3] + coeffs[4] * t)
         out = coeffs[0] + np.exp(coeffs[1] + coeffs[2] * t)
     return out
 
@@ -175,17 +198,18 @@ class ModelSpec:
             return self.q_index + 1
         return None
 
-    @cached_property
-    def widest(self) -> ModelSpec:
-        """The widest spec whose parameter layout holds this model: Const
-        and Lin functions become Quadr, and a GenGam a GenF.  This model's
-        θ, padded with zeros by parameter name, gives bitwise its own
-        parameters there at finite t (a GenGam's with p = 0 appended)."""
-        def wide(kind):
-            return kind if kind in (None, FuncKind.EXPON) else FuncKind.QUADR
-
-        family = Family.GENF if self.family is Family.GENGAM else self.family
-        return ModelSpec(family, wide(self.rate_kind), wide(self.shape_kind))
+    def embed(self, theta, layout: ModelSpec) -> np.ndarray:
+        """``theta`` in the parameter layout of ``layout``, a :func:`join`
+        of this spec, by parameter name: an ``a1`` this spec lacks is -inf,
+        an Exp's ``shape.c`` is 1 and any other missing entry is 0.
+        ``layout.params_at`` then gives bitwise this spec's parameters at
+        finite t, a GenGam's with p = 0 appended and an Exp's with a shape
+        of 1 before its rate."""
+        fill = {name: -math.inf if name.endswith(".a1") else 0.0 for name in layout.param_names}
+        if self.shape_kind is None and layout.shape_kind is not None:
+            fill["shape.c"] = 1.0
+        fill.update(zip(self.param_names, theta))
+        return np.array([fill[name] for name in layout.param_names])
 
     @property
     def n_params(self) -> int:
@@ -268,9 +292,34 @@ def enumerate_models() -> list[ModelSpec]:
     return specs
 
 
+def join(specs) -> ModelSpec:
+    """The narrowest spec whose parameter layout holds each of ``specs``,
+    which share a step kernel (Exp and Gamma, or GenGam and GenF), for
+    :meth:`ModelSpec.embed`.
+
+    Const, Lin and Quadr functions widen to Quadr and Expon stays; the two
+    join as ``Quadr+Expon``.  Exp specs alone keep the Exp family, and
+    beside a Gamma take its layout with a constant shape of 1, which they
+    add no kind to; GenGam and GenF take the GenF layout, GenGam with
+    p = 0.
+    """
+    specs = list(specs)
+
+    def joined(kinds):
+        wide = {k if k is FuncKind.EXPON else FuncKind.QUADR for k in kinds if k is not None}
+        return (wide.pop() if len(wide) == 1 else QUADR_EXPON) if wide else None
+
+    family = max((s.family for s in specs), key=list(Family).index)
+    return ModelSpec(
+        Family.GENF if family is Family.GENGAM else family,
+        joined(s.rate_kind for s in specs),
+        joined(s.shape_kind for s in specs),
+    )
+
+
 def model_from_name(name: str) -> ModelSpec:
     """Parse a canonical ``Family.RateKind[.ShapeKind]`` name."""
-    parts = name.split(".")
+    parts = str(name).split(".")
     try:
         family = Family(parts[0])
         if family is Family.EXP:

@@ -26,14 +26,23 @@ whose shape varies in time, Marsaglia-Tsang attempts at the current
 shape, which a row repeats on its own slots until one is accepted.
 
 A step costs about twenty small numpy calls whatever its width, so the
-models of a cell share locksteps: each row (trajectory) carries its own
-parameter column in the layout of the widest spec of its model
-(:attr:`ModelSpec.widest`: Const and Lin functions padded with zeros to
-Quadr, bitwise the same values, and GenGam as GenF with p = 0, since a
-step uses only mu and sigma).  Models with one widest spec and fit window
-share a lockstep of at most ``_ROWS`` rows, whatever their samplers.  The
-cap bounds memory: every row holds ``_BLOCK`` pre-drawn slots besides its
-arrivals.  A model with ``_ROWS`` or more trajectories fills a lockstep
+models of a cell share locksteps by step kernel: Exp and Gamma models
+step ``w / rate``, GenGam and GenF models ``exp(mu + sigma * w)``.  A
+lockstep evaluates its rows in :func:`~arrivalsim.models.join` of its
+members' specs, the narrowest layout that holds them all, with a parameter
+column per row (:meth:`ModelSpec.embed`): Const and Lin functions padded
+with zeros to Quadr; Quadr and Expon functions side by side as
+``c + b1 t + b2 t t + exp(a1 + a2 t)``, with a1 = -inf for a polynomial
+and b1 = b2 = 0 for an Expon; an Exp as a Gamma with a shape of 1, which
+the rate step does not read; a GenGam as a GenF with p = 0, since a step
+uses only mu and sigma.  Each gives bitwise its model's own values at
+finite t.  Exp rows alone keep the Exp layout, and polynomials alone the
+Quadr one.  Models with one step kernel and fit window share a lockstep of
+at most ``_ROWS`` rows, each row with its own sampler.  The cap bounds
+memory: a row holds ``_BLOCK`` pre-drawn slots of its sampler's width
+(2 KiB, or 6 KiB for gamma attempts) and 24 bytes per arrival, so a full
+lockstep of trajectories with 200 arrivals holds about 5 to 8 MB.
+A model with ``_ROWS`` or more trajectories fills a lockstep
 of its own, and steps the same way.  A trajectory ends, with a warning,
 after ``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside
 the horizon costs bounded time and memory.
@@ -67,7 +76,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .distributions import KERNELS, truncated_quantile
 from .errors import DomainError, ParameterError, TailExhaustedError
 from .fitting import FittedModel
-from .models import FuncKind, feasible_on_grid
+from .models import FuncKind, feasible_on_grid, join
 
 __all__ = [
     "TrajectorySet",
@@ -87,11 +96,21 @@ logger = logging.getLogger(__name__)
 # 230 arrivals, so it draws one block or two; of 64, 128, 256 and 512,
 # 256 simulated a 37-model cell fastest at M = 40 and M = 1,000.
 _BLOCK = 256
-# Most trajectories in one lockstep.  Each row holds _BLOCK pre-drawn
-# slots of one or three innovations (2 or 6 KiB) besides its arrivals, so
-# the cap bounds the memory a lockstep adds over simulating its models
-# one at a time.
-_ROWS = 256
+# Most trajectories in one lockstep.  The cap bounds the memory a lockstep
+# adds over simulating its models one at a time (module docstring).  A
+# sweep over the 37 models of 3 cells of 28-day GenF fits (CPU ms per
+# cell, best of 5 rounds, one process on a shared 2-core x86_64 VM;
+# tracemalloc peak MB at M = 40 and 200):
+#
+#   M         8     20     40    100    200   peak 40   peak 200
+#   256     46.8   84.1  130.0  309.6  554.3    1.9       2.0
+#   512     46.3   63.5  115.6  229.1  445.0    2.7       3.8
+#   768     45.5   63.6  101.8  218.4  402.5    4.0       5.6
+#   1024    45.2   64.5   99.4  211.8  362.1    4.5       8.5
+#
+# 768 takes most of the gain up to M = 100; 1,024 adds at most 10% more
+# (at M = 200) for half as much memory again.
+_ROWS = 768
 # Most arrivals of one trajectory.  The longest healthy trajectory of the
 # benchmark inputs has about 200; a fit whose rate explodes inside the
 # horizon runs every trajectory to this bound, which then holds about
@@ -170,12 +189,11 @@ class _Member:
 
 
 def _lockstep_key(fitted: FittedModel) -> tuple:
-    """Models with one key can share a lockstep: ``(spec, clamp bounds)``,
-    where every row's parameters follow ``spec``, the widest spec of the
-    model (:attr:`ModelSpec.widest`)."""
+    """Models with one key can share a lockstep: ``(step kernel, clamp
+    bounds)``."""
     lo, hi = fitted.window
     return (
-        fitted.spec.widest,
+        KERNELS[fitted.spec.family].step,
         (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None,
     )
 
@@ -259,25 +277,38 @@ def simulate_trajectories(
         yield from run()
 
 
+class _Kind:
+    """The rows of one ``take``: their blocks, in an array of its slot
+    width, and the position they share (None once they have moved apart;
+    ``_BLOCK`` before the first step, which draws a block)."""
+
+    def __init__(self, take, mask, blocks):
+        self.take, self.mask, self.blocks, self.at = take, mask, blocks, _BLOCK
+
+
 class _Innovations:
     """Per-row blocks of ``_BLOCK`` pre-drawn slots, each row read at its
     own position.
 
     A row draws its next block from its own generator once it has spent
     its last slot, so a rejected slot costs that row's stream only.  Rows
-    whose samplers share one ``take`` step together, at one position until
-    the first of them has a slot rejected.
+    whose samplers share one ``take`` are a kind: they keep their blocks
+    in one array as wide as their slots and step together, at one
+    position until the first of them has a slot rejected.
     """
 
     def __init__(self, rngs, samplers):
         self.rngs, self.draws = rngs, [s.draw for s in samplers]
-        self.blocks = np.empty((len(rngs), max(s.width for s in samplers), _BLOCK))
         self.pos = np.empty(len(rngs), dtype=np.intp)
+        self.index = np.empty(len(rngs), dtype=np.intp)  # a row's index in its kind's blocks
         takes = [s.take for s in samplers]
-        # per take: [take, mask of its rows, the position its rows share
-        # (None once they have moved apart)]; the first step draws a block
-        self.kinds = [[take, np.array([t is take for t in takes]), _BLOCK]
-                      for take in dict.fromkeys(takes)]
+        self.kinds = []
+        for take in dict.fromkeys(takes):
+            mask = np.array([t is take for t in takes])
+            n = np.count_nonzero(mask)
+            self.index[mask] = np.arange(n)
+            width = samplers[takes.index(take)].width
+            self.kinds.append(_Kind(take, mask, np.empty((n, width, _BLOCK))))
 
     def next(self, live, params):
         """One innovation per row of ``live`` at its current parameters."""
@@ -285,49 +316,48 @@ class _Innovations:
             return self._take(self.kinds[0], live, params)
         w = np.empty(live.size)
         for kind in self.kinds:
-            sel = kind[1][live]
+            sel = kind.mask[live]
             if sel.any():
                 w[sel] = self._take(kind, live[sel], [v[sel] for v in params])
         return w
 
     def _take(self, kind, rows, params):
         """The innovations of ``rows``, the live rows of ``kind``."""
-        take, _, at = kind
+        at = kind.at
         if at is None:
-            slots = self._advance(rows)
+            slots = self._advance(kind, rows)
         else:
             if at == _BLOCK:
-                self._draw(rows.tolist())
+                self._draw(kind, rows.tolist())
                 at = 0
-            kind[2] = at + 1
-            slots = self.blocks[rows, :, at].T
-        w, ok = take(slots, *params)
+            kind.at = at + 1
+            slots = kind.blocks[self.index[rows], :, at].T
+        w, ok = kind.take(slots, *params)
         if ok is None:
             return w
         if at is not None:
-            self.pos[rows] = kind[2]
-            kind[2] = None
+            self.pos[rows] = kind.at
+            kind.at = None
         todo = np.flatnonzero(~ok)
         while todo.size:
-            value, ok = take(self._advance(rows[todo]), *[v[todo] for v in params])
+            value, ok = kind.take(self._advance(kind, rows[todo]), *[v[todo] for v in params])
             w[todo[ok]] = value[ok]
             todo = todo[~ok]
         return w
 
-    def _advance(self, rows):
+    def _advance(self, kind, rows):
         """The current slots of ``rows``, as (width, rows); each row moves on."""
         pos = self.pos[rows]
         spent = pos == _BLOCK
         if spent.any():
-            self._draw(rows[spent].tolist())
+            self._draw(kind, rows[spent].tolist())
             pos[spent] = 0
         self.pos[rows] = pos + 1
-        return self.blocks[rows, :, pos].T
+        return kind.blocks[self.index[rows], :, pos].T
 
-    def _draw(self, rows):
+    def _draw(self, kind, rows):
         for i in rows:
-            block = self.draws[i](self.rngs[i], _BLOCK)
-            self.blocks[i, :len(block)] = block
+            kind.blocks[self.index[i]] = self.draws[i](self.rngs[i], _BLOCK)
 
 
 def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.ndarray]:
@@ -335,10 +365,11 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     order; a row per trajectory, advanced in lockstep.
 
     Step k gives every live row its k-th arrival.  The rows step under
-    the key's spec, each with its own parameter column, which is kept
-    compacted to the live rows and compacted only on steps where rows end.
+    the :func:`join` of the members' specs, each with its own parameter
+    column, which is kept compacted to the live rows and compacted only on
+    steps where rows end.
     """
-    spec, bounds = members[0].key
+    spec, bounds = join(m.spec for m in members), members[0].key[1]
     sizes = [len(m.rngs) for m in members]
     names = [name for m in members for name in [m.spec.name] * len(m.rngs)]
     rngs = [rng for m in members for rng in m.rngs]
@@ -348,10 +379,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     offsets = np.cumsum(sizes) - sizes
     live = np.concatenate([offset + m.live for offset, m in zip(offsets, members)])
     t = np.concatenate([m.t for m in members])
-    layout = spec.param_names
-    theta = np.zeros((len(layout), len(members)))
-    for j, m in enumerate(members):
-        theta[[layout.index(name) for name in m.spec.param_names], j] = m.theta
+    theta = np.column_stack([m.spec.embed(m.theta, spec) for m in members])
     theta = np.repeat(theta, sizes, axis=1)[:, live]
     step = KERNELS[spec.family].step
     lengths = np.zeros(len(rngs), dtype=np.intp)  # filled in as rows end
@@ -398,6 +426,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
                     )
                 break
     lengths[live] = len(steps)
+    del innovations  # the slots are spent: free them before the arrivals are gathered
 
     ends = np.cumsum(lengths)
     starts = ends - lengths

@@ -48,8 +48,13 @@ def synth_generate(
     Arrivals for each (day, product) cell are generated over
     ``[gen_start, gen_end)`` (the product's trading begin by default) from
     the model ``spec`` at ``theta``, then converted to exact timestamps.
-    ``days = 0`` writes just the header.
+    ``days = 0`` writes just the header.  Raises :class:`ParameterError`
+    for ``days < 0`` and for products that are not distinct hours 1..24.
     """
+    if days < 0:
+        raise ParameterError(f"days must be >= 0, got {days}")
+    if len(set(products)) < len(products) or not all(1 <= s <= 24 for s in products):
+        raise ParameterError(f"products must be distinct and in 1..24, got {list(products)}")
     theta = np.asarray(theta, dtype=float)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -272,6 +272,27 @@ class TestRun:
         assert len(refits) == 1 and str(record) in refits[0]
         assert tree_bytes(out) == before
 
+    @pytest.mark.parametrize("edit", [
+        lambda record: [],
+        lambda record: {**record, "window": None},
+        lambda record: {**record, "theta": record["theta"] * 2},
+    ])
+    def test_resume_refits_a_record_that_does_not_hold(self, synth_csv, tmp_path, caplog, edit):
+        """A fit.json that is not an object, or whose window or theta is not
+        what its model needs, is refitted with one warning."""
+        out = tmp_path / "out"
+        cfg = tiny_config(synth_csv, out)
+        run(cfg)
+        before = tree_bytes(out)
+        record = sorted(out.rglob("fit.json"))[0]
+        assert record.parent.parent.parent.name == "Exp.Const"
+        record.write_text(json.dumps(edit(json.loads(record.read_text()))))
+        with caplog.at_level("WARNING"):
+            run(cfg)
+        refits = [r.getMessage() for r in caplog.records if "refitting" in r.getMessage()]
+        assert len(refits) == 1 and str(record) in refits[0]
+        assert tree_bytes(out) == before
+
     def test_a_failed_record_write_keeps_the_old_record(self, tmp_path, monkeypatch):
         path = tmp_path / "fit.json"
         old = FittedModel(model_from_name("Exp.Const"), [2.0], -1.0, n_obs=10, days=1)

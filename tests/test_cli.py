@@ -185,3 +185,37 @@ def test_a_bad_config_value_is_an_error(workspace, capsys, setting, field):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("arguments, option", [
+    (["fit", "--date", "2017-13-01", "--product", "5", "--model", "Exp.Lin"], "--date"),
+    (["score", "--date", "nope", "--product", "5", "--trajectories", "traj.csv"], "--date"),
+    (["synth", "--theta", "1,x"], "--theta"),
+    (["synth", "--start-date", "2017-02-30"], "--start-date"),
+    (["synth", "--products", "0"], "products"),
+    (["synth", "--products", "5,5"], "products"),
+    (["synth", "--products", "5,a"], "--products"),
+    (["synth", "--days", "-1"], "days"),
+])
+def test_a_bad_argument_is_an_error(workspace, tmp_path, capsys, arguments, option):
+    if arguments[0] == "synth":
+        defaults = {"--model": "Exp.Const", "--theta": "10", "--days": "2"}
+        defaults.update(zip(arguments[1::2], arguments[2::2]))
+        out = tmp_path / "raw.csv"
+        command = ["synth", *[v for kv in defaults.items() for v in kv], "--out", str(out)]
+    else:
+        out = None
+        command = [*arguments, "--config", str(workspace / "cfg.json")]
+    code = main(command)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+    assert out is None or not out.exists()
+
+
+def test_simulate_rejects_a_file_that_is_not_a_fit_record(workspace, tmp_path, capsys):
+    code = main(["simulate", "--fit", str(workspace / "raw.csv"), "--anchor", "-3.3",
+                 "--t-start", "-3.25", "--t-end", "-0.5", "-m", "5",
+                 "--out", str(tmp_path / "traj.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: fit record is not JSON")

@@ -267,6 +267,26 @@ class TestFit:
         assert record.nm_fallbacks == 0
         assert json.loads(record.to_json())["nm_fallbacks"] == 0
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda record: [], "must be a JSON object"),
+        (lambda record: {**record, "window": None}, "window must be two numbers"),
+        (lambda record: {**record, "window": [-3.25]}, "window must be two numbers"),
+        (lambda record: {**record, "theta": [2.0, 1.0]}, "needs 1 theta numbers"),
+        (lambda record: {**record, "theta": ["2"]}, "needs 1 theta numbers"),
+        (lambda record: {k: v for k, v in record.items() if k != "n_obs"}, "lacks \\['n_obs'\\]"),
+        (lambda record: {**record, "model": 5}, "not a valid model name"),
+    ])
+    def test_a_record_that_does_not_hold_is_a_parameter_error(self, edit, message):
+        record = json.loads(FittedModel(
+            model_from_name("Exp.Const"), [2.0], -1.0, n_obs=10, days=1, window=(-3.25, -0.5)
+        ).to_json())
+        with pytest.raises(ParameterError, match=message):
+            FittedModel.from_json(json.dumps(edit(record)))
+
+    def test_text_that_is_not_json_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="not JSON"):
+            FittedModel.from_json("delivery_date,product,timestamp\n")
+
     def test_json_roundtrip(self):
         sample = draws_sample(2.0, 100.0, 300, seed=5)
         result = fit(model_from_name("Gamma.Const.Const"), sample, FAST)

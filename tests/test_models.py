@@ -15,6 +15,7 @@ from arrivalsim.models import (
     enumerate_models,
     eval_func,
     feasible_on_grid,
+    join,
     model_from_name,
 )
 from arrivalsim.scoring import minute_grid
@@ -114,6 +115,76 @@ class TestModelSpace:
                 assert (lo[i], hi[i]) == (1e-6, 1e6)
             else:
                 assert (lo[i], hi[i]) == (-1e4, 1e4)
+
+
+# at +-0, inside the study window and far before it
+JOIN_TIMES = np.array([0.0, -0.0, -0.5, -1.7, -3.25, -8.0, -33.0])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return a.tobytes() == b.tobytes()
+
+
+class TestJoin:
+    """A lockstep's layout: :func:`join` of its specs, holding each of them
+    bitwise through :meth:`ModelSpec.embed`."""
+
+    @pytest.mark.parametrize("kind", list(FuncKind))
+    def test_each_kind_padded_into_the_joined_function_is_bitwise_its_own(self, kind):
+        layout = join([model_from_name("Exp.Quadr"), model_from_name("Exp.Expon")])
+        assert layout.rate_kind.value == "Quadr+Expon" and layout.rate_kind not in list(FuncKind)
+        spec = ModelSpec(Family.EXP, kind)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            theta = rng.normal(0.0, 3.0, spec.n_params)
+            padded = spec.embed(theta, layout)
+            assert same_bits(
+                eval_func(layout.rate_kind, padded, JOIN_TIMES), eval_func(kind, theta, JOIN_TIMES)
+            )
+
+    @pytest.mark.parametrize("companion", ["Gamma.Lin.Lin", "Gamma.Expon.Expon", "Gamma.Expon.Lin"])
+    def test_an_exp_row_has_a_shape_of_exactly_one(self, companion):
+        exp = model_from_name("Exp.Lin")
+        layout = join([exp, model_from_name(companion)])
+        assert layout.family is Family.GAMMA
+        theta = np.array([40.0, 0.5])
+        (shape, rate), ok = layout.params_at(exp.embed(theta, layout), JOIN_TIMES)
+        assert ok and same_bits(shape, 1.0)
+        assert same_bits(rate, exp.params_at(theta, JOIN_TIMES)[0][0])
+
+    def test_every_model_keeps_its_parameters_in_the_join_of_its_step_kernel(self):
+        rng = np.random.default_rng(4)
+        for families in ((Family.EXP, Family.GAMMA), (Family.GENGAM, Family.GENF)):
+            specs = [s for s in enumerate_models() if s.family in families]
+            layout = join(specs)
+            assert layout.family is families[1]
+            for spec in specs:
+                theta = feasible_theta(spec, rng)
+                got, ok = layout.params_at(spec.embed(theta, layout), JOIN_TIMES[:5])
+                want, _ = spec.params_at(theta, JOIN_TIMES[:5])
+                assert ok
+                step = slice(-1, None) if spec.family is Family.EXP else slice(len(want))
+                assert all(same_bits(g, w) for g, w in zip(got[step], want)), spec.name
+                if spec.family is Family.GENGAM:
+                    assert got[3] == 0.0
+
+    @pytest.mark.parametrize("names, want", [
+        (["Exp.Const", "Exp.Lin", "Exp.Quadr"], "Exp.Quadr"),
+        (["Exp.Expon"], "Exp.Expon"),
+        (["Exp.Const", "Gamma.Lin.Const", "Gamma.Quadr.Lin"], "Gamma.Quadr.Quadr"),
+        (["Exp.Expon", "Gamma.Expon.Expon"], "Gamma.Expon.Expon"),
+        (["GenGam.Const.Const", "GenGam.Lin.Lin"], "GenF.Quadr.Quadr"),
+        (["Exp.Lin", "Gamma.Expon.Const"], "Gamma.Quadr+Expon.Quadr"),
+        (["GenF.Expon.Expon", "GenGam.Quadr.Lin"], "GenF.Quadr+Expon.Quadr+Expon"),
+    ])
+    def test_the_narrowest_layout(self, names, want):
+        assert join(model_from_name(n) for n in names).name == want
+
+    def test_the_joined_kind_is_not_in_the_catalogue(self):
+        assert {s.rate_kind for s in enumerate_models()} == set(FuncKind)
+        with pytest.raises(ParameterError):
+            model_from_name("Exp.Quadr+Expon")
 
 
 def feasible_theta(spec: ModelSpec, rng) -> np.ndarray:

@@ -447,7 +447,7 @@ class TestGroupedLocksteps:
         records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in enumerate_models()]
         simulate_both(caplog, records, m=8, anchor=T1 - 0.01)
         assert lockstep_sizes[-37:] == [1] * 37  # alone
-        assert sum(lockstep_sizes[:-37]) == 37 and len(lockstep_sizes) - 37 < 37
+        assert lockstep_sizes[:-37] == [15, 22]  # Exp and Gamma; GenGam and GenF
 
     def test_gamma_attempts_do_not_depend_on_companions(self, caplog, lockstep_sizes, monkeypatch):
         """The 7 Gamma models with a time-varying shape, beside the 4 with a
@@ -470,18 +470,44 @@ class TestGroupedLocksteps:
         assert sum(rejected) > 0
         sizes = [tr.size for ts in grouped[:7] for tr in ts.trajectories]
         assert min(sizes) < _BLOCK < max(sizes)
-        # the rate and shape functions widened to (Quadr, Quadr), (Quadr, Expon),
-        # (Expon, Quadr) and (Expon, Expon): 3 varying and 3 constant shapes share one
-        assert lockstep_sizes[:-11] == [6, 1, 3, 1]
+        # one step kernel: all 11 share a lockstep, in the joined layout
+        assert lockstep_sizes[:-11] == [11]
 
     def test_rows_beyond_the_cap_split_into_locksteps(self, caplog, lockstep_sizes):
-        # one lockstep key, 7 * 60 rows > _ROWS: two locksteps of whole models
+        # one lockstep key, 7 * 120 rows > _ROWS: two locksteps of whole models
         names = ["GenGam.Const.Const", "GenGam.Lin.Const", "GenGam.Lin.Lin", "GenF.Const.Const",
                  "GenF.Lin.Const", "GenF.Quadr.Lin", "GenF.Quadr.Quadr"]
         rng = np.random.default_rng(6)
         records = [fitted(n, feasible_theta(model_from_name(n), rng)) for n in names]
-        simulate_both(caplog, records, m=60)
-        assert lockstep_sizes == [4, 3] + [1] * 7
+        simulate_both(caplog, records, m=120)
+        assert 6 * 120 <= _ROWS < 7 * 120
+        assert lockstep_sizes == [6, 1] + [1] * 7
+
+    @pytest.mark.parametrize("names, layout", [
+        (["Exp.Const", "Exp.Lin", "Exp.Quadr"], "Exp.Quadr"),
+        (["Exp.Expon"], "Exp.Expon"),
+        (["Gamma.Lin.Const", "Gamma.Quadr.Lin", "Exp.Lin"], "Gamma.Quadr.Quadr"),
+        (["GenGam.Const.Const", "GenF.Lin.Lin", "GenF.Quadr.Const"], "GenF.Quadr.Quadr"),
+        (["Exp.Lin", "Gamma.Expon.Const"], "Gamma.Quadr+Expon.Quadr"),
+    ])
+    def test_a_lockstep_steps_in_the_narrowest_layout_of_its_models(
+        self, caplog, monkeypatch, names, layout
+    ):
+        """Exp rows alone keep the Exp layout and polynomials alone the
+        Quadr one; a Quadr and an Expon function join."""
+        layouts = []
+        kernel = simulate.join
+
+        def recording(specs):
+            spec = kernel(specs)
+            layouts.append(spec.name)
+            return spec
+
+        monkeypatch.setattr(simulate, "join", recording)
+        rng = np.random.default_rng(9)
+        records = [fitted(n, feasible_theta(model_from_name(n), rng)) for n in names]
+        simulate_both(caplog, records, m=10)
+        assert layouts[0] == layout and len(layouts) == 1 + len(records)
 
     def test_a_model_with_more_rows_than_the_cap_runs_alone(self, caplog, lockstep_sizes):
         records = [fitted("Exp.Const", [40.0]), fitted("Exp.Lin", [40.0, 2.0])]
