@@ -110,6 +110,13 @@ class RunConfig:
         for name in ("t1", "t2"):
             if not _is_real(getattr(self, name)):
                 raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.dump_trajectories, bool):
+            raise ParameterError(
+                f"dump_trajectories must be true or false, got {self.dump_trajectories!r}"
+            )
+        for name, section_cls in (("fit", FitOptions), ("csv", CsvSchema)):
+            if not isinstance(getattr(self, name), section_cls):
+                raise ParameterError(f"{name} must be an object, got {getattr(self, name)!r}")
         if self.start_date is not None:
             try:
                 date.fromisoformat(self.start_date)
@@ -139,7 +146,12 @@ class RunConfig:
                     f"product {s}: need begin < t1 < t2 <= end, got "
                     f"{begin} < {self.t1} < {self.t2} <= {end}"
                 )
-        for name in self.models:
+        models = self.models if isinstance(self.models, (list, tuple)) else ()
+        if (not models or any(not isinstance(name, str) for name in models)
+                or len(set(models)) < len(models)):
+            raise ParameterError(f'models must be "all" or a nonempty list of distinct model '
+                                 f'names, got {self.models!r}')
+        for name in models:
             model_from_name(name)
         minute_grid(self.t1, self.t2)
 
@@ -148,7 +160,7 @@ class RunConfig:
         data = dict(data)
         if data.get("models") in ("all", None):
             data["models"] = ALL_MODEL_NAMES
-        else:
+        elif isinstance(data["models"], list):
             data["models"] = tuple(data["models"])
         if isinstance(data.get("products"), list):
             data["products"] = tuple(data["products"])
@@ -181,6 +193,8 @@ class RunConfig:
             if leaf:
                 if section not in ("fit", "csv"):
                     raise ParameterError(f"unknown override section {section!r}")
+                if not isinstance(data[section], dict):
+                    raise ParameterError(f"{section} must be an object, got {data[section]!r}")
                 data[section][leaf] = value
             else:
                 data[key] = value

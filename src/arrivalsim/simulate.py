@@ -26,9 +26,13 @@ whose shape varies in time, Marsaglia-Tsang attempts at the current
 shape, which a row repeats on its own slots until one is accepted.
 
 A step costs about twenty small numpy calls whatever its width, so the
-models of a cell share locksteps by step kernel: Exp and Gamma models
-step ``w / rate``, GenGam and GenF models ``exp(mu + sigma * w)``.  A
-lockstep evaluates its rows in :func:`~arrivalsim.models.join` of its
+models of a cell share locksteps by step kernel and by whether their
+shape is constant or varies in time.  Exp and Gamma models step ``w /
+rate``, GenGam and GenF models ``exp(mu + sigma * w)``; the rows of a
+lockstep draw with one sampler kind, Marsaglia-Tsang attempts if they
+are Gamma rows with a time-varying shape and one innovation per slot
+otherwise, and keep their slots in blocks of one width.  A lockstep
+evaluates its rows in :func:`~arrivalsim.models.join` of its
 members' specs, the narrowest layout that holds them all, with a parameter
 column per row (:meth:`ModelSpec.embed`): Const and Lin functions padded
 with zeros to Quadr; Quadr and Expon functions side by side as
@@ -37,15 +41,15 @@ and b1 = b2 = 0 for an Expon; an Exp as a Gamma with a shape of 1, which
 the rate step does not read; a GenGam as a GenF with p = 0, since a step
 uses only mu and sigma.  Each gives bitwise its model's own values at
 finite t.  Exp rows alone keep the Exp layout, and polynomials alone the
-Quadr one.  Models with one step kernel and fit window share a lockstep of
-at most ``_ROWS`` rows, each row with its own sampler.  The cap bounds
-memory: a row holds ``_BLOCK`` pre-drawn slots of its sampler's width
-(2 KiB, or 6 KiB for gamma attempts) and 24 bytes per arrival, so a full
-lockstep of trajectories with 200 arrivals holds about 5 to 8 MB.
-A model with ``_ROWS`` or more trajectories fills a lockstep
-of its own, and steps the same way.  A trajectory ends, with a warning,
-after ``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside
-the horizon costs bounded time and memory.
+Quadr one.  Models with one step kernel, kind of shape and fit window
+share a lockstep of at most ``_ROWS`` rows, each row with its own
+sampler.  The cap bounds memory: a row holds ``_BLOCK`` pre-drawn slots
+of its lockstep's width (2 KiB, or 6 KiB for gamma attempts) and 24
+bytes per arrival, so a full lockstep of trajectories with 200 arrivals
+holds about 5 to 8 MB.  A model with ``_ROWS`` or more trajectories
+fills a lockstep of its own, and steps the same way.  A trajectory
+ends, with a warning, after ``_MAX_EVENTS`` arrivals, so that a fit
+whose rate explodes inside the horizon costs bounded time and memory.
 
 Each trajectory owns an rng stream, which ``simulate_sets`` derives from
 (seed, trajectory index) as ``SeedSequence(seed).spawn(m)[i]`` does, in
@@ -181,19 +185,21 @@ class _Member:
         self.index, self.key = index, key
         self.spec, self.theta = fitted.spec, fitted.theta
         # the innovation sampler at the anchor's parameters
-        varying = self.spec.shape_kind not in (None, FuncKind.CONST)
-        self.sampler = KERNELS[self.spec.family].innovations(varying, *params)
+        self.sampler = KERNELS[self.spec.family].innovations(key[1], *params)
         self.rngs = rngs
         self.live = live  # rows whose first arrival lands before the horizon end
         self.t = t  # and those arrivals
 
 
 def _lockstep_key(fitted: FittedModel) -> tuple:
-    """Models with one key can share a lockstep: ``(step kernel, clamp
-    bounds)``."""
+    """Models with one key can share a lockstep: ``(step kernel, whether
+    the shape varies in time, clamp bounds)``.  Their samplers share one
+    ``take``: Marsaglia-Tsang attempts for a Gamma whose shape varies in
+    time, one innovation per slot for every other model."""
     lo, hi = fitted.window
     return (
         KERNELS[fitted.spec.family].step,
+        fitted.spec.shape_kind not in (None, FuncKind.CONST),
         (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None,
     )
 
@@ -232,7 +238,6 @@ def simulate_trajectories(
     anchor: float,
     t_start: float,
     t_end: float,
-    max_events: int = _MAX_EVENTS,
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
     """One trajectory on ``(t_start, t_end)`` per generator, for each
     ``(fitted, rngs)`` group.
@@ -255,7 +260,7 @@ def simulate_trajectories(
         return sum(len(m.rngs) for m in batch)
 
     def run():
-        trajectories = _lockstep(batch, t_end, max_events)
+        trajectories = _lockstep(batch, t_end)
         start = 0
         for member in batch:
             yield member.index, trajectories[start:start + len(member.rngs)]
@@ -264,7 +269,7 @@ def simulate_trajectories(
 
     for g, (fitted, rngs) in enumerate(groups):
         key = _lockstep_key(fitted)
-        first = _first_arrivals(fitted, key[1], anchor, t_start, t_end, rngs)
+        first = _first_arrivals(fitted, key[2], anchor, t_start, t_end, rngs)
         if first is None or not first[1].size:
             yield g, [np.empty(0) for _ in rngs]
             continue
@@ -277,90 +282,64 @@ def simulate_trajectories(
         yield from run()
 
 
-class _Kind:
-    """The rows of one ``take``: their blocks, in an array of its slot
-    width, and the position they share (None once they have moved apart;
-    ``_BLOCK`` before the first step, which draws a block)."""
-
-    def __init__(self, take, mask, blocks):
-        self.take, self.mask, self.blocks, self.at = take, mask, blocks, _BLOCK
-
-
 class _Innovations:
-    """Per-row blocks of ``_BLOCK`` pre-drawn slots, each row read at its
-    own position.
+    """Per-row blocks of ``_BLOCK`` pre-drawn slots of one sampler
+    ``take``, in one array as wide as its slots.
 
     A row draws its next block from its own generator once it has spent
-    its last slot, so a rejected slot costs that row's stream only.  Rows
-    whose samplers share one ``take`` are a kind: they keep their blocks
-    in one array as wide as their slots and step together, at one
-    position until the first of them has a slot rejected.
+    its last slot, so a rejected slot costs that row's stream only.  The
+    rows step at one shared position (``_BLOCK`` before the first step,
+    which draws a block) until the first of them has a slot rejected, and
+    each at its own position in ``pos`` from then on.
     """
 
     def __init__(self, rngs, samplers):
         self.rngs, self.draws = rngs, [s.draw for s in samplers]
+        self.take = samplers[0].take
+        self.blocks = np.empty((len(rngs), samplers[0].width, _BLOCK))
+        self.at = _BLOCK  # the shared position; None once the rows have moved apart
         self.pos = np.empty(len(rngs), dtype=np.intp)
-        self.index = np.empty(len(rngs), dtype=np.intp)  # a row's index in its kind's blocks
-        takes = [s.take for s in samplers]
-        self.kinds = []
-        for take in dict.fromkeys(takes):
-            mask = np.array([t is take for t in takes])
-            n = np.count_nonzero(mask)
-            self.index[mask] = np.arange(n)
-            width = samplers[takes.index(take)].width
-            self.kinds.append(_Kind(take, mask, np.empty((n, width, _BLOCK))))
 
     def next(self, live, params):
         """One innovation per row of ``live`` at its current parameters."""
-        if len(self.kinds) == 1:
-            return self._take(self.kinds[0], live, params)
-        w = np.empty(live.size)
-        for kind in self.kinds:
-            sel = kind.mask[live]
-            if sel.any():
-                w[sel] = self._take(kind, live[sel], [v[sel] for v in params])
-        return w
-
-    def _take(self, kind, rows, params):
-        """The innovations of ``rows``, the live rows of ``kind``."""
-        at = kind.at
+        at = self.at
         if at is None:
-            slots = self._advance(kind, rows)
+            slots = self._advance(live)
         else:
             if at == _BLOCK:
-                self._draw(kind, rows.tolist())
+                self._draw(live.tolist())
                 at = 0
-            kind.at = at + 1
-            slots = kind.blocks[self.index[rows], :, at].T
-        w, ok = kind.take(slots, *params)
+            self.at = at + 1
+            slots = self.blocks[live, :, at].T
+        w, ok = self.take(slots, *params)
         if ok is None:
             return w
         if at is not None:
-            self.pos[rows] = kind.at
-            kind.at = None
+            self.pos[live] = self.at
+            self.at = None
         todo = np.flatnonzero(~ok)
         while todo.size:
-            value, ok = kind.take(self._advance(kind, rows[todo]), *[v[todo] for v in params])
+            value, ok = self.take(self._advance(live[todo]), *[v[todo] for v in params])
             w[todo[ok]] = value[ok]
             todo = todo[~ok]
         return w
 
-    def _advance(self, kind, rows):
+    def _advance(self, rows):
         """The current slots of ``rows``, as (width, rows); each row moves on."""
         pos = self.pos[rows]
         spent = pos == _BLOCK
         if spent.any():
-            self._draw(kind, rows[spent].tolist())
+            self._draw(rows[spent].tolist())
             pos[spent] = 0
         self.pos[rows] = pos + 1
-        return kind.blocks[self.index[rows], :, pos].T
+        return self.blocks[rows, :, pos].T
 
-    def _draw(self, kind, rows):
+    def _draw(self, rows):
         for i in rows:
-            kind.blocks[self.index[i]] = self.draws[i](self.rngs[i], _BLOCK)
+            self.blocks[i] = self.draws[i](self.rngs[i], _BLOCK)
 
 
-def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.ndarray]:
+def _lockstep(members: list[_Member], t_end: float) -> list[np.ndarray]:
     """One trajectory per generator of ``members``, which share one key, in
     order; a row per trajectory, advanced in lockstep.
 
@@ -369,7 +348,7 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
     column, which is kept compacted to the live rows and compacted only on
     steps where rows end.
     """
-    spec, bounds = join(m.spec for m in members), members[0].key[1]
+    spec, bounds = join(m.spec for m in members), members[0].key[2]
     sizes = [len(m.rngs) for m in members]
     names = [name for m in members for name in [m.spec.name] * len(m.rngs)]
     rngs = [rng for m in members for rng in m.rngs]
@@ -419,10 +398,10 @@ def _lockstep(members: list[_Member], t_end: float, max_events: int) -> list[np.
                 if not live.size:
                     break
             steps.append((live, t))
-            if len(steps) >= max_events:
+            if len(steps) >= _MAX_EVENTS:
                 for i in live.tolist():
                     logger.warning(
-                        "%s: trajectory hit max_events=%d before %s", names[i], max_events, t_end
+                        "%s: trajectory hit max_events=%d before %s", names[i], _MAX_EVENTS, t_end
                     )
                 break
     lengths[live] = len(steps)
@@ -462,7 +441,6 @@ def simulate_sets(
     t_end: float,
     m: int,
     seeds: list[int],
-    max_events: int = _MAX_EVENTS,
 ) -> Iterator[tuple[int, TrajectorySet]]:
     """M independent trajectories per record, from rng streams derived
     from (its seed, trajectory index).
@@ -482,7 +460,7 @@ def simulate_sets(
         by_key.setdefault(_lockstep_key(record), []).append(i)
     order = [i for indices in by_key.values() for i in indices]
     groups = ((records[i], _streams(seeds[i], m)) for i in order)
-    for g, trajectories in simulate_trajectories(groups, anchor, t_start, t_end, max_events):
+    for g, trajectories in simulate_trajectories(groups, anchor, t_start, t_end):
         i = order[g]
         yield i, TrajectorySet(trajectories, t_start, t_end, anchor, seeds[i])
 
@@ -494,10 +472,9 @@ def simulate_set(
     t_end: float,
     m: int,
     seed: int,
-    max_events: int = _MAX_EVENTS,
 ) -> TrajectorySet:
     """M independent trajectories from per-index derived rng streams."""
-    return next(simulate_sets([fitted], anchor, t_start, t_end, m, [seed], max_events))[1]
+    return next(simulate_sets([fitted], anchor, t_start, t_end, m, [seed]))[1]
 
 
 def counts_on_grid(arrivals: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -179,12 +179,29 @@ def test_a_fit_option_that_breaks_the_fit_is_an_error(workspace, capsys, command
     ('trading_begin={"12": "x"}', "trading_begin"),
     ('products=["a"]', "products"),
     ("products=[5,5]", "products"),
+    ("fit=null", "fit"),
+    ("fit=5", "fit"),
+    ('csv="x"', "csv"),
+    ("models=[]", "models"),
+    ("models=5", "models"),
+    ('models="Exp.Const"', "models"),
+    ('models=["Exp.Const","Exp.Const","Exp.Lin"]', "models"),
+    ("dump_trajectories=False", "dump_trajectories"),
 ])
 def test_a_bad_config_value_is_an_error(workspace, capsys, setting, field):
     code = main(["backtest", "--config", str(workspace / "cfg.json"), "--set", setting])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+def test_a_section_key_of_a_section_that_is_not_an_object_is_an_error(workspace, capsys):
+    code = main([
+        "backtest", "--config", str(workspace / "cfg.json"),
+        "--set", "fit=null", "--set", "fit.restarts=1",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: fit must be an object")
 
 
 @pytest.mark.parametrize("arguments, option", [

@@ -70,9 +70,9 @@ def fitted(name, theta, window=(T1, T2)):
     )
 
 
-def simulate_one(fm, anchor, t_start, t_end, rng, max_events=1_000_000):
+def simulate_one(fm, anchor, t_start, t_end, rng):
     """One trajectory from the kernel, on one generator."""
-    return next(simulate_trajectories([(fm, [rng])], anchor, t_start, t_end, max_events))[1][0]
+    return next(simulate_trajectories([(fm, [rng])], anchor, t_start, t_end))[1][0]
 
 
 def marsaglia_tsang(a, slots):
@@ -362,15 +362,11 @@ class TestHelpers:
         assert pick_anchor(np.array([-1.0]), T1) == T1
         assert pick_anchor(np.array([-3.25, -1.0]), T1) == -3.25
 
-    def test_max_events_guard(self, caplog):
+    def test_max_events_guard(self, caplog, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_EVENTS", 100)
         with caplog.at_level("WARNING"):
             tr = simulate_one(
-                fitted("Exp.Const", [5000.0]),
-                T1,
-                T1,
-                T2,
-                np.random.default_rng(2),
-                max_events=100,
+                fitted("Exp.Const", [5000.0]), T1, T1, T2, np.random.default_rng(2)
             )
         assert tr.size == 100
         assert "max_events" in caplog.text
@@ -397,7 +393,7 @@ class TestHelpers:
         assert len(lines) == 1 + sum(len(tr) for tr in ts.trajectories)
 
 
-def simulate_both(caplog, records, m, anchor=T1, max_events=1_000_000):
+def simulate_both(caplog, records, m, anchor=T1):
     """Simulate ``records`` in one shared ``simulate_sets`` call and each in
     its own ``simulate_set`` call; check that both ways give the same
     trajectories and warnings, and return the shared call's sets and its
@@ -405,9 +401,9 @@ def simulate_both(caplog, records, m, anchor=T1, max_events=1_000_000):
     seeds = list(range(100, 100 + len(records)))
     runs = []
     for run in (
-        lambda: dict(simulate_sets(records, anchor, T1, T2, m, seeds, max_events)),
+        lambda: dict(simulate_sets(records, anchor, T1, T2, m, seeds)),
         lambda: dict(enumerate(
-            simulate_set(r, anchor, T1, T2, m, s, max_events) for r, s in zip(records, seeds)
+            simulate_set(r, anchor, T1, T2, m, s) for r, s in zip(records, seeds)
         )),
     ):
         caplog.clear()
@@ -447,12 +443,14 @@ class TestGroupedLocksteps:
         records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in enumerate_models()]
         simulate_both(caplog, records, m=8, anchor=T1 - 0.01)
         assert lockstep_sizes[-37:] == [1] * 37  # alone
-        assert lockstep_sizes[:-37] == [15, 22]  # Exp and Gamma; GenGam and GenF
+        # Exp and Gamma, then GenGam and GenF, each with a constant shape and
+        # with one that varies in time
+        assert lockstep_sizes[:-37] == [8, 7, 8, 14]
 
     def test_gamma_attempts_do_not_depend_on_companions(self, caplog, lockstep_sizes, monkeypatch):
-        """The 7 Gamma models with a time-varying shape, beside the 4 with a
-        constant one, share locksteps; rows reject attempts at different
-        steps, and each reads only its own stream."""
+        """The 7 Gamma models with a time-varying shape share a lockstep;
+        rows reject attempts at different steps, and each reads only its
+        own stream."""
         attempts = distributions._GAMMA_ATTEMPTS
         rejected = []
 
@@ -470,13 +468,42 @@ class TestGroupedLocksteps:
         assert sum(rejected) > 0
         sizes = [tr.size for ts in grouped[:7] for tr in ts.trajectories]
         assert min(sizes) < _BLOCK < max(sizes)
-        # one step kernel: all 11 share a lockstep, in the joined layout
-        assert lockstep_sizes[:-11] == [11]
+        # one step kernel: the 7 with a time-varying shape share a lockstep,
+        # and the 4 with a constant one another
+        assert lockstep_sizes[:-11] == [7, 4]
+
+    @pytest.mark.parametrize("cell", ["every model", "Gamma"])
+    def test_the_rows_of_a_lockstep_share_one_sampler_take(self, caplog, monkeypatch, cell):
+        """All 37 models, and the 7 Gamma models with a time-varying shape
+        beside the 4 with a constant one: each lockstep's rows draw either
+        one innovation per slot or Marsaglia-Tsang attempts, never both."""
+        takes = []
+        kernel = simulate._lockstep
+
+        def recording(members, *args):
+            takes.append({m.sampler.take for m in members})
+            return kernel(members, *args)
+
+        monkeypatch.setattr(simulate, "_lockstep", recording)
+        rng = np.random.default_rng(5)
+        if cell == "every model":
+            cases = [(spec.name, feasible_theta(spec, rng)) for spec in enumerate_models()]
+        else:
+            cases = VARYING_GAMMA + [
+                (n, feasible_theta(model_from_name(n), rng))
+                for n in ["Gamma.Const.Const", "Gamma.Lin.Const", "Gamma.Quadr.Const",
+                          "Gamma.Expon.Const"]
+            ]
+        simulate_both(caplog, [fitted(n, theta) for n, theta in cases], m=8, anchor=T1 - 0.01)
+        assert [len(t) for t in takes] == [1] * len(takes)
+        assert {take for t in takes for take in t} == {
+            distributions._accept_all, distributions._marsaglia_tsang
+        }
 
     def test_rows_beyond_the_cap_split_into_locksteps(self, caplog, lockstep_sizes):
         # one lockstep key, 7 * 120 rows > _ROWS: two locksteps of whole models
-        names = ["GenGam.Const.Const", "GenGam.Lin.Const", "GenGam.Lin.Lin", "GenF.Const.Const",
-                 "GenF.Lin.Const", "GenF.Quadr.Lin", "GenF.Quadr.Quadr"]
+        names = ["GenGam.Const.Const", "GenGam.Lin.Const", "GenGam.Quadr.Const", "GenF.Const.Const",
+                 "GenF.Lin.Const", "GenF.Quadr.Const", "GenF.Expon.Const"]
         rng = np.random.default_rng(6)
         records = [fitted(n, feasible_theta(model_from_name(n), rng)) for n in names]
         simulate_both(caplog, records, m=120)
@@ -484,17 +511,22 @@ class TestGroupedLocksteps:
         assert lockstep_sizes == [6, 1] + [1] * 7
 
     @pytest.mark.parametrize("names, layout", [
-        (["Exp.Const", "Exp.Lin", "Exp.Quadr"], "Exp.Quadr"),
-        (["Exp.Expon"], "Exp.Expon"),
-        (["Gamma.Lin.Const", "Gamma.Quadr.Lin", "Exp.Lin"], "Gamma.Quadr.Quadr"),
-        (["GenGam.Const.Const", "GenF.Lin.Lin", "GenF.Quadr.Const"], "GenF.Quadr.Quadr"),
-        (["Exp.Lin", "Gamma.Expon.Const"], "Gamma.Quadr+Expon.Quadr"),
+        (["Exp.Const", "Exp.Lin", "Exp.Quadr"], ["Exp.Quadr"]),
+        (["Exp.Expon"], ["Exp.Expon"]),
+        (["Gamma.Lin.Const", "Gamma.Quadr.Lin", "Exp.Lin"],
+         ["Gamma.Quadr.Quadr", "Gamma.Quadr.Quadr"]),
+        (["GenGam.Const.Const", "GenF.Lin.Lin", "GenF.Quadr.Const"],
+         ["GenF.Quadr.Quadr", "GenF.Quadr.Quadr"]),
+        (["Exp.Lin", "Gamma.Expon.Const"], ["Gamma.Quadr+Expon.Quadr"]),
     ])
     def test_a_lockstep_steps_in_the_narrowest_layout_of_its_models(
         self, caplog, monkeypatch, names, layout
     ):
         """Exp rows alone keep the Exp layout and polynomials alone the
-        Quadr one; a Quadr and an Expon function join."""
+        Quadr one; a Quadr and an Expon function join.  A model whose shape
+        varies in time steps apart from those whose shape does not: the
+        Gamma.Quadr.Lin and GenF.Lin.Lin rows have locksteps of their own,
+        after the rows they would otherwise join."""
         layouts = []
         kernel = simulate.join
 
@@ -507,7 +539,7 @@ class TestGroupedLocksteps:
         rng = np.random.default_rng(9)
         records = [fitted(n, feasible_theta(model_from_name(n), rng)) for n in names]
         simulate_both(caplog, records, m=10)
-        assert layouts[0] == layout and len(layouts) == 1 + len(records)
+        assert layouts[:-len(records)] == layout
 
     def test_a_model_with_more_rows_than_the_cap_runs_alone(self, caplog, lockstep_sizes):
         records = [fitted("Exp.Const", [40.0]), fitted("Exp.Lin", [40.0, 2.0])]
@@ -543,9 +575,10 @@ class TestGroupedLocksteps:
         assert len(messages) == 6
         assert all("Exp.Const: truncated tail exhausted" in msg for msg in messages)
 
-    def test_max_events(self, caplog):
+    def test_max_events(self, caplog, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_EVENTS", 100)
         records = [fitted("Exp.Const", [5000.0]), fitted("Exp.Lin", [20.0, 1.0])]
-        grouped, messages = simulate_both(caplog, records, m=5, max_events=100)
+        grouped, messages = simulate_both(caplog, records, m=5)
         assert [tr.size for tr in grouped[0].trajectories] == [100] * 5
         assert all(0 < tr.size < 100 for tr in grouped[1].trajectories)
         assert messages == ["Exp.Const: trajectory hit max_events=100 before -0.5"] * 5
