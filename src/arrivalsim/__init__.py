@@ -5,7 +5,7 @@ from .models import FuncKind, ModelSpec, enumerate_models, model_from_name
 from .fitting import FitOptions, FittedModel, fit, fit_cascade, log_likelihood
 from .simulate import TrajectorySet, simulate_set
 from .scoring import LossSpec, ScoreReport, argmin_process, dm_test, eval_functional, rho
-from .ingest import ArrivalSeries, InterArrivalSample, RawTransaction, slice_window
+from .ingest import ArrivalSeries, InterArrivalSample, Transactions, slice_window
 from .backtest import RunConfig, run
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "eval_functional",
     "rho",
     "dm_test",
-    "RawTransaction",
+    "Transactions",
     "ArrivalSeries",
     "InterArrivalSample",
     "slice_window",

@@ -237,7 +237,7 @@ def load_input(config: RunConfig) -> dict[tuple[date, int], ArrivalSeries]:
         return load_store(path, config.trading_begin, config.trading_end, config.products)
     tz = ZoneInfo(config.timezone) if config.timezone else None
     rows = parse_csv(path, config.csv, n_products=config.n_products)
-    rows = [r for r in rows if r.product in config.products]
+    rows = rows.select(np.isin(rows.product, config.products))
     return build_series(rows, config.trading_begin, config.trading_end, tz)
 
 

@@ -11,13 +11,15 @@ delivery; both boundaries are configuration here, not constants.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import logging
-from collections.abc import Collection
-from dataclasses import dataclass
+from collections.abc import Collection, Iterator, Sequence
+from dataclasses import dataclass, fields
 from datetime import date, datetime, time as dtime, timedelta, timezone
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import DomainError, ParameterError, RowError, SchemaError
 
 __all__ = [
-    "RawTransaction",
+    "Transactions",
     "CsvSchema",
     "parse_csv",
     "dejitter_us",
@@ -46,6 +48,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_TRADING_END = -0.5
 
 _US = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1)
+_BLOCK = 1 << 16  # characters of lines read at a time
 
 
 def trading_bounds(
@@ -60,10 +64,27 @@ def trading_bounds(
     return begin, end
 
 
-class RawTransaction(NamedTuple):
-    delivery_date: date
-    product: int
-    timestamp: datetime
+@dataclass(frozen=True)
+class Transactions:
+    """The rows a raw CSV keeps, as columns in file order.
+
+    ``timestamp`` is the wall clock of a naive timestamp and UTC for one
+    that carried a UTC offset, which ``aware`` marks; ``line`` is each
+    row's 1-based file line.
+    """
+
+    day: np.ndarray  # datetime64[D], delivery date
+    product: np.ndarray  # int64
+    timestamp: np.ndarray  # datetime64[us]
+    aware: np.ndarray  # bool
+    line: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return int(self.day.size)
+
+    def select(self, mask: np.ndarray) -> Transactions:
+        """The rows where ``mask`` is true."""
+        return Transactions(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -91,12 +112,184 @@ def _parse_date(raw: str, fmt: str | None) -> date:
     return datetime.strptime(raw.strip(), fmt).date()
 
 
+def _micros(ts: datetime) -> int:
+    """Microseconds since 1970-01-01 00:00, of the wall clock for a naive
+    datetime and of UTC for an aware one."""
+    us = (ts.replace(tzinfo=None) - _EPOCH) // _US
+    offset = ts.utcoffset()
+    return us if offset is None else us - offset // _US
+
+
+# Plain ISO 8601: a digit wherever the template has 0, and ' ' or 'T'
+# between date and time, in one of these lengths.  numpy parses such a
+# string as fromisoformat does, on every supported Python; it also accepts
+# shapes fromisoformat reads otherwise or not at all ("2017-09", "NaT",
+# "today", UTC offsets), so only plain strings go to numpy.
+_ISO = "0000-00-00 00:00:00.000000"
+_DATE_SIZES = (10,)
+_TIMESTAMP_SIZES = (10, 16, 19, 23, 26)
+_ISO_BOUNDS = {
+    size: (
+        np.frombuffer(_ISO[:size].encode() + b"\n", np.uint8),  # lowest byte
+        np.frombuffer(bytes(9 * (c == "0") for c in _ISO[:size]) + b"\0", np.uint8),  # range
+    )
+    for size in _TIMESTAMP_SIZES
+}
+
+
+def _plain_iso(strings: Sequence[str], sizes: tuple[int, ...]) -> bool:
+    """Whether all ``strings`` share one plain ISO 8601 shape of a length in
+    ``sizes``, with a year above 0."""
+    size = len(strings[0])
+    if size not in sizes:
+        return False
+    try:
+        raw = ("\n".join(strings) + "\n").encode("ascii").replace(b"T", b" ")
+    except UnicodeEncodeError:
+        return False
+    if len(raw) != len(strings) * (size + 1):
+        return False
+    chars = np.frombuffer(raw, np.uint8).reshape(len(strings), size + 1)
+    low, span = _ISO_BOUNDS[size]
+    # uint8 wraps, so a byte below ``low`` reads as above it
+    return bool(((chars - low) <= span).all() and (chars[:, :4] != ord("0")).any(axis=1).all())
+
+
+def _ints(strings: Sequence[str]) -> np.ndarray:
+    """``int`` of each string, taken once per distinct string."""
+    value = {s: int(s) for s in set(strings)}
+    return np.fromiter(map(value.__getitem__, strings), np.int64, len(strings))
+
+
+def _dates(strings: Sequence[str], fmt: str | None) -> np.ndarray:
+    if fmt is None and _plain_iso(strings, _DATE_SIZES):
+        return np.array(strings, dtype="datetime64[D]")
+    return np.array([_parse_date(s, fmt) for s in strings], dtype="datetime64[D]")
+
+
+def _timestamps(strings: Sequence[str], fmt: str | None) -> tuple[np.ndarray, np.ndarray]:
+    if fmt is None and _plain_iso(strings, _TIMESTAMP_SIZES):
+        return np.array(strings, dtype="datetime64[us]"), np.zeros(len(strings), dtype=bool)
+    stamps = [_parse_timestamp(s, fmt) for s in strings]
+    us = np.array([_micros(ts) for ts in stamps], dtype=np.int64)
+    return us.view("datetime64[us]"), np.array([ts.utcoffset() is not None for ts in stamps], dtype=bool)
+
+
+def _row_keys(records: list[list[str]]) -> list[str | tuple[str, ...]]:
+    """One key per record, equal for records equal field for field: its
+    fields joined by NUL, or their tuple when a field contains NUL (and for
+    a blank line, whose record is empty).  A string holds far less memory
+    than the tuple."""
+    keys = list(map("\0".join, records))
+    if "".join(keys).count("\0") != sum(map(len, records)) - len(records):
+        keys = [k if k.count("\0") < len(r) else tuple(r) for k, r in zip(keys, records)]
+    return keys
+
+
+def _blocks(handle, delimiter: str, line: int) -> Iterator[tuple[list, range | list[int]]]:
+    """Row keys (:func:`_row_keys`) of the lines after line ``line`` of
+    ``handle``, about ``_BLOCK`` characters of lines at a time, each with
+    its 1-based file line (for a quoted field that spans lines, the last
+    one, as ``csv.reader.line_num`` counts).
+
+    A block without a quote character is split with ``str`` methods, which
+    read an unquoted line as ``csv.reader`` does; a block with one, or one
+    long enough to hold a field over ``csv.field_size_limit()``, goes
+    through ``csv.reader``, which reads on past the block to finish a
+    record.  A ``csv.Error`` is a :class:`RowError`.
+    """
+    while text := handle.read(_BLOCK):
+        if not text.endswith("\n"):
+            text += handle.readline()  # the rest of the last line, or the "\n" of a "\r"
+        if '"' in text or len(text) > csv.field_size_limit():
+            lines = io.StringIO(text, newline="").readlines()
+            reader = csv.reader(itertools.chain(lines, handle), delimiter=delimiter)
+            records, at = [], []
+            try:
+                while reader.line_num < len(lines):
+                    records.append(next(reader))
+                    at.append(line + reader.line_num)
+            except csv.Error as exc:
+                raise RowError(line + reader.line_num, str(exc)) from exc
+            yield _row_keys(records), at
+            line += reader.line_num
+            continue
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        n = text.count("\n") + (not text.endswith("\n"))
+        at = range(line + 1, line + 1 + n)
+        line += n
+        if "\0" in text or text.startswith("\n") or "\n\n" in text:
+            rows = text.split("\n")[:n]
+            yield _row_keys([row.split(delimiter) if row else [] for row in rows]), at
+        else:
+            yield text.replace(delimiter, "\0").split("\n")[:n], at
+
+
+def _header(reader) -> list[str]:
+    try:
+        return next(reader, [])
+    except csv.Error as exc:
+        raise RowError(reader.line_num, str(exc)) from exc
+
+
+def _records(keys: list) -> list:
+    return [k.split("\0") if isinstance(k, str) else list(k) for k in keys]
+
+
+def _columns(keys: list, index: tuple[int, ...]) -> list:
+    """The fields at ``index`` of each keyed row, a sequence per column;
+    raises ``IndexError`` for a row without them."""
+    if set(map(type, keys)) == {str}:
+        counts = set(map(str.count, keys, itertools.repeat("\0")))
+        if len(counts) == 1:  # as many fields in every row: split them at once
+            width = counts.pop() + 1
+            if width <= max(index):
+                raise IndexError
+            flat = "\0".join(keys).split("\0")
+            return [flat[i::width] for i in index]
+    records = _records(keys)
+    if min(map(len, records)) <= max(index):
+        raise IndexError
+    return list(zip(*map(itemgetter(*index), records)))
+
+
+def _raise_row_error(keys, lines, index, schema, n_products) -> None:
+    """Raise the :class:`RowError` of the first keyed row that does not parse."""
+    i_date, i_product, i_timestamp = index
+    for record, line in zip(_records(keys), lines):
+        try:
+            product = int(record[i_product])
+            if not 1 <= product <= n_products:
+                raise ValueError(f"product {product} outside 1..{n_products}")
+            _parse_date(record[i_date], schema.date_format)
+            _parse_timestamp(record[i_timestamp], schema.timestamp_format)
+        except (ValueError, IndexError) as exc:
+            raise RowError(line, str(exc)) from exc
+
+
+def _parse_block(keys, lines, index, schema, n_products):
+    """Columns of one block's rows, parsed a column at a time; a block with a
+    row that does not parse is checked again row by row, for its error."""
+    try:
+        dates, products, stamps = _columns(keys, index)
+        product = _ints(products)
+        if product.min() < 1 or product.max() > n_products:
+            raise ValueError
+        return (_dates(dates, schema.date_format), product,
+                *_timestamps(stamps, schema.timestamp_format),
+                np.fromiter(lines, np.int64, len(lines)))
+    except (ValueError, IndexError, OverflowError):
+        _raise_row_error(keys, lines, index, schema, n_products)
+        raise
+
+
 def parse_csv(
     path: str | Path,
     schema: CsvSchema = CsvSchema(),
     n_products: int = 24,
-) -> list[RawTransaction]:
-    """Read raw transactions, preserving row order.
+) -> Transactions:
+    """Read raw transactions as columns, preserving row order.
 
     Only the delivery date, product and timestamp columns are read.  A row
     identical, field for field, to an earlier one is an exact duplicate and
@@ -106,43 +299,39 @@ def parse_csv(
     first unparseable row.
     """
     path = Path(path)
-    rows: list[RawTransaction] = []
+    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64),
+                np.empty(0, "datetime64[us]"), np.empty(0, bool), np.empty(0, np.int64))]
     seen: set[str | tuple[str, ...]] = set()
     dupes = 0
     with path.open(newline="") as handle:
         reader = csv.reader(handle, delimiter=schema.delimiter)
-        header = next(reader, [])
-        columns = (schema.delivery_date, schema.product, schema.timestamp)
-        missing = [c for c in columns if c not in header]
+        header = _header(reader)
+        names = (schema.delivery_date, schema.product, schema.timestamp)
+        missing = [c for c in names if c not in header]
         if missing:
             raise SchemaError(f"missing required columns {missing} in {path}")
-        i_date, i_product, i_timestamp = (header.index(c) for c in columns)
-        for record in reader:
-            if not record:
-                continue  # blank line
-            # one string per row holds far less memory than the tuple of its
-            # fields; it identifies the row unless a field contains NUL
-            key = "\0".join(record)
-            if key.count("\0") >= len(record):
-                key = tuple(record)
-            if key in seen:
-                dupes += 1
-                continue
-            seen.add(key)
-            try:
-                product = int(record[i_product])
-                if not 1 <= product <= n_products:
-                    raise ValueError(f"product {product} outside 1..{n_products}")
-                rows.append(RawTransaction(
-                    _parse_date(record[i_date], schema.date_format),
-                    product,
-                    _parse_timestamp(record[i_timestamp], schema.timestamp_format),
-                ))
-            except (ValueError, IndexError) as exc:
-                raise RowError(reader.line_num, str(exc)) from exc
+        index = tuple(header.index(c) for c in names)
+        for keys, lines in _blocks(handle, schema.delimiter, reader.line_num):
+            fresh = set(keys)
+            if () in fresh:  # blank lines
+                lines = [n for n, k in zip(lines, keys) if k != ()]
+                keys = [k for k in keys if k != ()]
+                fresh.discard(())
+            if len(fresh) == len(keys) and seen.isdisjoint(fresh):
+                seen |= fresh
+            else:
+                keep = []
+                for key in keys:
+                    keep.append(key not in seen)
+                    seen.add(key)
+                dupes += keep.count(False)
+                keys = list(itertools.compress(keys, keep))
+                lines = list(itertools.compress(lines, keep))
+            if keys:
+                columns.append(_parse_block(keys, lines, index, schema, n_products))
     if dupes:
         logger.warning("dropped %d exact duplicate rows from %s", dupes, path)
-    return rows
+    return Transactions(*map(np.concatenate, zip(*columns)))
 
 
 def dejitter_us(us: np.ndarray) -> np.ndarray:
@@ -188,23 +377,45 @@ def delivery_start(
     return fold0
 
 
-def _offsets_us(times: list[datetime], start: datetime, tz: ZoneInfo | None) -> np.ndarray:
-    """Integer microseconds from ``start`` to each timestamp.
+def _utc_us(transactions: Transactions, tz: ZoneInfo | None) -> np.ndarray:
+    """Integer microseconds since 1970-01-01 UTC of each timestamp, or of its
+    wall clock when there is no ``tz``.
 
-    Naive timestamps are read in ``tz`` when one is given.  Aware ones are
-    compared in UTC: same-zone datetime subtraction is wall-clock
-    arithmetic, and elapsed time across a DST switch needs both sides in UTC.
+    Naive timestamps are read in ``tz``, at one offset per distinct local
+    minute: exact while the zone's offsets change on whole minutes, as
+    every zone's do in current use.  Raises :class:`RowError` for a
+    timestamp with a UTC offset when there is no ``tz``, since the
+    delivery start is then wall clock.
     """
-    if tz is not None:
-        times = [ts if ts.tzinfo is not None else ts.replace(tzinfo=tz) for ts in times]
-    start_utc = start.astimezone(timezone.utc)
-    return np.array(
-        [
-            (ts - start if ts.tzinfo is None else ts.astimezone(timezone.utc) - start_utc) // _US
-            for ts in times
-        ],
+    us = transactions.timestamp.view(np.int64)
+    aware = transactions.aware
+    if tz is None:
+        if aware.any():
+            raise RowError(int(transactions.line[aware.argmax()]),
+                           "timestamp has a UTC offset, so the timezone must be configured")
+        return us
+    naive = ~aware
+    minutes, local = np.unique(us[naive] // 60_000_000, return_inverse=True)
+    offsets = np.array(
+        [dt.replace(tzinfo=tz).utcoffset() // _US
+         for dt in minutes.astype("datetime64[m]").tolist()],
         dtype=np.int64,
     )
+    utc = us.copy()
+    utc[naive] -= offsets[local]
+    return utc
+
+
+def _cells(
+    day: np.ndarray, product: np.ndarray, values: np.ndarray
+) -> Iterator[tuple[tuple[date, int], np.ndarray]]:
+    """Each (day, product) cell's sorted values, in cell order."""
+    order = np.lexsort((values, product, day.view(np.int64)))
+    day, product, values = day[order], product[order], values[order]
+    cuts = np.flatnonzero((day[1:] != day[:-1]) | (product[1:] != product[:-1])) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), values.size]):
+        if hi > lo:
+            yield (day[lo].item(), int(product[lo])), values[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -356,7 +567,7 @@ def _series(
 
 
 def build_series(
-    transactions: list[RawTransaction],
+    transactions: Transactions,
     trading_begin: dict[int, float] | None = None,
     trading_end: dict[int, float] | None = None,
     tz: ZoneInfo | None = None,
@@ -365,14 +576,13 @@ def build_series(
 
     Cells whose delivery hour is broken by a DST transition are dropped
     with a warning, as are individual transactions falling at or after the
-    trading end (or at/before the trading begin).
+    trading end (or at/before the trading begin).  Raises
+    :class:`RowError` for a timestamp with a UTC offset when there is no
+    ``tz``.
     """
-    groups: dict[tuple[date, int], list[datetime]] = {}
-    for day, product, timestamp in transactions:
-        groups.setdefault((day, product), []).append(timestamp)
-
+    utc = _utc_us(transactions, tz)
     hours: dict[tuple[date, int], np.ndarray] = {}
-    for (day, product), times in sorted(groups.items()):
+    for (day, product), us in _cells(transactions.day, transactions.product, utc):
         start = delivery_start(day, product, tz)
         if start is None:
             logger.warning(
@@ -381,8 +591,7 @@ def build_series(
                 product,
             )
             continue
-        us = dejitter_us(np.sort(_offsets_us(times, start, tz)))
-        hours[(day, product)] = us / 1e6 / 3600.0
+        hours[(day, product)] = dejitter_us(us - _micros(start)) / 1e6 / 3600.0
     return _series(hours, trading_begin, trading_end)
 
 
@@ -402,6 +611,31 @@ def write_store(series: dict[tuple[date, int], ArrivalSeries], path: str | Path)
                 writer.writerow([day.isoformat(), product, repr(float(t))])
 
 
+def _raise_store_row_error(keys, lines, index) -> None:
+    """Raise the :class:`RowError` of the first keyed store row that does not parse."""
+    i_date, i_product, i_hours = index
+    for record, line in zip(_records(keys), lines):
+        try:
+            date.fromisoformat(record[i_date])
+            np.int64(int(record[i_product]))
+            float(record[i_hours])
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise RowError(line, str(exc)) from exc
+
+
+def _store_block(keys, lines, index):
+    """Columns of one block of store rows, parsed a column at a time; a
+    block with a row that does not parse is checked again row by row."""
+    try:
+        dates, products, hours = _columns(keys, index)
+        day = (np.array(dates, dtype="datetime64[D]") if _plain_iso(dates, _DATE_SIZES)
+               else np.array([date.fromisoformat(s) for s in dates], dtype="datetime64[D]"))
+        return day, _ints(products), np.fromiter(map(float, hours), float, len(hours))
+    except (ValueError, IndexError, OverflowError):
+        _raise_store_row_error(keys, lines, index)
+        raise
+
+
 def load_store(
     path: str | Path,
     trading_begin: dict[int, float] | None = None,
@@ -416,24 +650,18 @@ def load_store(
     1-based file line) for the first unparseable row.
     """
     path = Path(path)
-    cells: dict[tuple[date, int], list[float]] = {}
+    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64), np.empty(0))]
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        columns = ("delivery_date", "product", "time_hours")
-        if not set(columns).issubset(header):
+        header = _header(reader)
+        names = ("delivery_date", "product", "time_hours")
+        if not set(names).issubset(header):
             raise SchemaError(f"{path} is not a normalized arrival store")
-        i_date, i_product, i_hours = (header.index(c) for c in columns)
-        for record in reader:
-            try:
-                key = (date.fromisoformat(record[i_date]), int(record[i_product]))
-                t = float(record[i_hours])
-            except (ValueError, IndexError) as exc:
-                raise RowError(reader.line_num, str(exc)) from exc
-            cells.setdefault(key, []).append(t)
-    hours = {
-        key: np.sort(np.array(values))
-        for key, values in cells.items()
-        if products is None or key[1] in products
-    }
-    return _series(hours, trading_begin, trading_end)
+        index = tuple(header.index(c) for c in names)
+        for keys, lines in _blocks(handle, ",", reader.line_num):
+            columns.append(_store_block(keys, lines, index))
+    day, product, hours = map(np.concatenate, zip(*columns))
+    if products is not None:
+        keep = np.isin(product, list(products))
+        day, product, hours = day[keep], product[keep], hours[keep]
+    return _series(dict(_cells(day, product, hours)), trading_begin, trading_end)

@@ -1,16 +1,22 @@
 """Ingestion checks: parsing, dejitter, delivery-relative time, slicing."""
 
+import csv
+import logging
+import sys
+import time
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 
 from arrivalsim.errors import DomainError, ParameterError, RowError, SchemaError
+from arrivalsim import ingest
 from arrivalsim.ingest import (
     ArrivalSeries,
     CsvSchema,
-    RawTransaction,
+    Transactions,
     build_series,
     dejitter_us,
     delivery_start,
@@ -18,17 +24,39 @@ from arrivalsim.ingest import (
     merge_samples,
     parse_csv,
     slice_window,
+    trading_bounds,
     write_store,
 )
 
 BERLIN = ZoneInfo("Europe/Berlin")
 SECOND = 1_000_000  # microseconds
+EPOCH = datetime(1970, 1, 1)
+US = timedelta(microseconds=1)
+
+
+def micros(ts):
+    """Microseconds since 1970: of UTC for an aware datetime, else of its wall clock."""
+    if ts.utcoffset() is None:
+        return (ts - EPOCH) // US
+    return (ts - EPOCH.replace(tzinfo=timezone.utc)) // US
+
+
+def transactions(rows):
+    """``Transactions`` of (delivery date, product, datetime) rows, on lines 2, 3, ..."""
+    rows = list(rows)
+    return Transactions(
+        np.array([d for d, _, _ in rows], dtype="datetime64[D]"),
+        np.array([p for _, p, _ in rows], dtype=np.int64),
+        np.array([micros(ts) for _, _, ts in rows], dtype=np.int64).view("datetime64[us]"),
+        np.array([ts.utcoffset() is not None for _, _, ts in rows], dtype=bool),
+        np.arange(2, 2 + len(rows)),
+    )
 
 
 def hours_to_delivery(timestamp, day, product, tz=None):
     """Delivery-relative hours of one transaction, with no trading bounds in the way."""
     cells = build_series(
-        [RawTransaction(day, product, timestamp)], {product: -100.0}, {product: 100.0}, tz
+        transactions([(day, product, timestamp)]), {product: -100.0}, {product: 100.0}, tz
     )
     return float(cells[(day, product)].arrivals[0])
 
@@ -59,8 +87,10 @@ class TestParseCsv:
         path = write_csv(tmp_path / "a.csv", ["2017-09-30,12,2017-09-30 08:01:00"])
         rows = parse_csv(path)
         assert len(rows) == 1
-        assert rows[0].product == 12
-        assert rows[0].timestamp == datetime(2017, 9, 30, 8, 1)
+        assert rows.product.tolist() == [12]
+        assert rows.day.tolist() == [date(2017, 9, 30)]
+        assert rows.timestamp.tolist() == [datetime(2017, 9, 30, 8, 1)]
+        assert rows.aware.tolist() == [False] and rows.line.tolist() == [2]
 
     def test_product_out_of_bounds(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["2017-09-30,25,2017-09-30 08:01:00"])
@@ -78,7 +108,7 @@ class TestParseCsv:
         path.write_text("\n".join(lines) + "\n")
         rows = parse_csv(path)
         assert len(rows) == 4
-        assert all(r.timestamp == datetime(2017, 9, 30, 16, 1) for r in rows)
+        assert rows.timestamp.tolist() == [datetime(2017, 9, 30, 16, 1)] * 4
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["2017-09-30,12"], header="delivery_date,product")
@@ -120,6 +150,18 @@ class TestParseCsv:
         )
         assert len(parse_csv(path)) == 4
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_a_field_over_the_csv_size_limit_is_a_row_error(self, tmp_path, quote):
+        note = quote + "x" * (csv.field_size_limit() + 1) + quote
+        path = write_csv(
+            tmp_path / "a.csv",
+            ["2017-09-30,12,2017-09-30 08:01:00,a", f"2017-09-30,12,2017-09-30 08:01:00,{note}"],
+            header="delivery_date,product,timestamp,note",
+        )
+        with pytest.raises(RowError) as err:
+            parse_csv(path)
+        assert err.value.line == 3 and "field larger than field limit" in str(err.value)
+
     def test_custom_formats_and_delimiter(self, tmp_path):
         path = write_csv(
             tmp_path / "a.csv",
@@ -132,7 +174,8 @@ class TestParseCsv:
             date_format="%d.%m.%Y",
         )
         rows = parse_csv(path, schema)
-        assert rows[0].delivery_date == date(2017, 9, 30)
+        assert rows.day.tolist() == [date(2017, 9, 30)]
+        assert rows.timestamp.tolist() == [datetime(2017, 9, 30, 16, 1)]
 
 
 class TestDejitter:
@@ -202,8 +245,8 @@ class TestDeliveryRelative:
         # no well-defined delivery start
         assert delivery_start(date(2018, 3, 25), 3, BERLIN) is None
         assert delivery_start(date(2018, 3, 25), 5, BERLIN) is not None
-        tx = RawTransaction(date(2018, 3, 25), 3, datetime(2018, 3, 24, 15, 0))
-        assert build_series([tx], tz=BERLIN) == {}
+        tx = transactions([(date(2018, 3, 25), 3, datetime(2018, 3, 24, 15, 0))])
+        assert build_series(tx, tz=BERLIN) == {}
 
     def test_fall_back_hour_undefined(self):
         # 02:00-03:00 happened twice on 2017-10-29
@@ -228,7 +271,7 @@ class TestDeliveryRelative:
     ])
     def test_ties_on_dst_day_match_per_row_formula(self, day, stamps):
         times = [datetime.fromisoformat(s) for s in stamps]
-        cells = build_series([RawTransaction(day, 6, ts) for ts in times], tz=BERLIN)
+        cells = build_series(transactions((day, 6, ts) for ts in times), tz=BERLIN)
         expected = per_row_hours(times, day, 6, BERLIN)
         np.testing.assert_array_equal(cells[(day, 6)].arrivals, expected)
 
@@ -302,10 +345,10 @@ class TestBuildSeries:
         np.testing.assert_allclose(s.arrivals, [-3.0, -3.0 + 30 / 3600, -1.5])
 
     def test_dst_cell_dropped(self, caplog):
-        txs = [
-            RawTransaction(date(2018, 3, 25), 3, datetime(2018, 3, 25, 1, 0)),
-            RawTransaction(date(2018, 3, 25), 6, datetime(2018, 3, 25, 1, 0)),
-        ]
+        txs = transactions([
+            (date(2018, 3, 25), 3, datetime(2018, 3, 25, 1, 0)),
+            (date(2018, 3, 25), 6, datetime(2018, 3, 25, 1, 0)),
+        ])
         with caplog.at_level("WARNING"):
             cells = build_series(txs, tz=BERLIN)
         assert (date(2018, 3, 25), 3) not in cells
@@ -360,3 +403,317 @@ class TestStore:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(SchemaError):
             load_store(path)
+
+
+# ---------------------------------------------------------------------------
+# Per-row reference: the reader that preceded the block-wise columnar one.
+# It parses each row with csv.reader and builds a tuple of Python objects.
+# ---------------------------------------------------------------------------
+
+reference_log = logging.getLogger("reference_ingest")
+
+
+def reference_parse_csv(path, schema=CsvSchema(), n_products=24):
+    def parse_timestamp(raw):
+        fmt = schema.timestamp_format
+        return datetime.fromisoformat(raw.strip()) if fmt is None else datetime.strptime(raw.strip(), fmt)
+
+    def parse_date(raw):
+        fmt = schema.date_format
+        return date.fromisoformat(raw.strip()) if fmt is None else datetime.strptime(raw.strip(), fmt).date()
+
+    rows, seen, dupes = [], set(), 0
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle, delimiter=schema.delimiter)
+        header = next(reader, [])
+        columns = (schema.delivery_date, schema.product, schema.timestamp)
+        i_date, i_product, i_timestamp = (header.index(c) for c in columns)
+        for record in reader:
+            if not record:
+                continue
+            key = "\0".join(record)
+            if key.count("\0") >= len(record):
+                key = tuple(record)
+            if key in seen:
+                dupes += 1
+                continue
+            seen.add(key)
+            try:
+                product = int(record[i_product])
+                if not 1 <= product <= n_products:
+                    raise ValueError(f"product {product} outside 1..{n_products}")
+                rows.append((parse_date(record[i_date]), product, parse_timestamp(record[i_timestamp])))
+            except (ValueError, IndexError) as exc:
+                raise RowError(reader.line_num, str(exc)) from exc
+    if dupes:
+        reference_log.warning("dropped %d exact duplicate rows from %s", dupes, path)
+    return rows
+
+
+def reference_series(hours, trading_begin, trading_end):
+    out = {}
+    for (day, product), rel in sorted(hours.items()):
+        begin, end = trading_bounds(product, trading_begin, trading_end)
+        keep = (rel > begin) & (rel < end)
+        dropped = int(rel.size - keep.sum())
+        if dropped:
+            reference_log.warning(
+                "day %s product %d: excluded %d transactions outside (%s, %s)",
+                day, product, dropped, begin, end,
+            )
+        out[(day, product)] = ArrivalSeries(day, product, rel[keep], begin, end)
+    return out
+
+
+def reference_build_series(rows, trading_begin=None, trading_end=None, tz=None):
+    groups = {}
+    for day, product, timestamp in rows:
+        groups.setdefault((day, product), []).append(timestamp)
+    hours = {}
+    for (day, product), times in sorted(groups.items()):
+        start = delivery_start(day, product, tz)
+        if start is None:
+            reference_log.warning(
+                "dropping day %s product %d: delivery hour hit by DST transition", day, product
+            )
+            continue
+        if tz is not None:
+            times = [ts if ts.tzinfo is not None else ts.replace(tzinfo=tz) for ts in times]
+        start_utc = start.astimezone(timezone.utc)
+        us = np.array([
+            (ts - start if ts.tzinfo is None else ts.astimezone(timezone.utc) - start_utc) // US
+            for ts in times
+        ], dtype=np.int64)
+        hours[(day, product)] = dejitter_us(np.sort(us)) / 1e6 / 3600.0
+    return reference_series(hours, trading_begin, trading_end)
+
+
+def reference_load_store(path, trading_begin=None, trading_end=None, products=None):
+    cells = {}
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        i_date, i_product, i_hours = (header.index(c) for c in ("delivery_date", "product", "time_hours"))
+        for record in reader:
+            try:
+                key = (date.fromisoformat(record[i_date]), int(record[i_product]))
+                t = float(record[i_hours])
+            except (ValueError, IndexError) as exc:
+                raise RowError(reader.line_num, str(exc)) from exc
+            cells.setdefault(key, []).append(t)
+    hours = {
+        key: np.sort(np.array(values))
+        for key, values in cells.items()
+        if products is None or key[1] in products
+    }
+    return reference_series(hours, trading_begin, trading_end)
+
+
+def outcome(caplog, read, *args, **kwargs):
+    """(result, log messages, (line, message) of a RowError or None)."""
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        try:
+            result, error = read(*args, **kwargs), None
+        except RowError as exc:
+            result, error = None, (exc.line, str(exc))
+    return result, [m.replace(str(args[0]), "PATH") for m in caplog.messages], error
+
+
+def assert_same_series(got, expected):
+    assert list(got) == list(expected)
+    for key, series in expected.items():
+        assert got[key].arrivals.tobytes() == series.arrivals.tobytes(), key
+        assert (got[key].trading_begin, got[key].trading_end) == (series.trading_begin, series.trading_end)
+
+
+MIXED = [
+    # (line ending, row); ties on a minute grid, other columns tell fills apart
+    ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,a"),
+    ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,b"),
+    ("\r\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,a"),  # duplicate of the first row
+    ("\r\n", ""),
+    ("\n", '2017-09-30,12,2017-09-30 08:02:00,1.0,"x,y"'),  # quoted delimiter
+    ("\n", "2017-09-30,12,2017-09-30 08:02:00,1.0,x"),
+    ("\n", '"2017-09-30",12,"2017-09-30 08:02:00",1.0,x'),  # quoted twin: a duplicate
+    ("\n", '2017-09-30,13,2017-09-30 09:10:00.250000,1.0,"two\nlines"'),
+    ("\r", "2017-09-30,13,2017-09-30T09:10:00.250,1.0,c"),
+    ("\n", "2017-09-30,13,2017-09-30 11:59:59,1.0,d"),  # after the trading end
+    ("\n", ""),
+    # shapes that go through fromisoformat, on Python 3.10 as on later ones
+    ("\n", " 2017-10-01 ,13,2017-09-30 23,1.0,e"),
+    ("\n", "2017-10-01,+13, 2017-09-30 23:00:00.500 ,1.0,f"),
+    ("\n", "2017-10-01,13,2017-09-30_23:01,1.0,g"),
+    ("\n", "2017-10-01,12,2017-09-30 20:00:00.123456,1.0,h"),
+    ("\n", "2017-10-01,12,2017-09-30 20:00:00.123456,1.0,h"),  # duplicate
+    ("\n", "2017-10-01,12,2017-09-30 20:00:00.123456,1.0,i"),
+    ("\n", "2017-10-01,12,2017-10-01 01:00:00,1.0,j"),
+    ("\n", "2018-03-25,3,2018-03-24 23:00:00,1.0,k"),  # DST: hour skipped
+    ("\n", "2018-03-25,6,2018-03-25 01:59:00,1.0,l"),
+    ("\n", "2018-03-25,6,2018-03-25 02:30:00,1.0,m"),  # inside the skipped hour
+    ("\n", "2018-03-25,6,2018-03-25 03:00:00,1.0,n"),
+    ("\n", "2018-03-25,6,2018-03-25 03:00:00,1.0,o"),
+    ("\n", "2017-10-29,3,2017-10-28 23:00:00,1.0,p"),  # DST: hour doubled
+    ("\n", "2017-10-29,6,2017-10-29 02:30:00,1.0,q"),
+    ("\n", "2017-10-29,6,2017-10-29 02:30:00,1.0,r"),
+    ("\n", "2017-10-29,6,2017-10-29 03:30:00,1.0,s"),
+    ("\n", "2017-10-29,6,2017-10-29 01:30:00,1.0,t"),
+]
+AWARE = [
+    ("\n", "2018-03-25,6,2018-03-25 01:30:00+01:00,1.0,u"),
+    ("\n", "2018-03-25,6,2018-03-25 03:30:00+02:00,1.0,v"),
+    ("\n", "2018-03-25,6,2018-03-25T03:30:00+02:00,1.0,v"),
+    ("\n", "2017-10-29,6,2017-10-29 02:30:00+01:00,1.0,w"),
+    ("\n", "2017-10-29,6,2017-10-29 02:30:00+02:00,1.0,x"),
+    ("\n", "2017-10-29,6,2017-10-29 02:30:00,1.0,x"),
+]
+NUL = [
+    ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,x\0,y"),
+    ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,x,\0y"),
+    ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,x\0,y"),  # duplicate
+    ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0\0,x,y"),
+]
+SEMICOLON = [
+    ("\n", "30.09.2017;12;30.09.2017 08:01:00;1,0"),
+    ("\n", "30.09.2017;12;30.09.2017 08:01:00;1,5"),
+    ("\n", '"30.09.2017";12;30.09.2017 08:01:00;"1,0"'),  # quoted twin
+    ("\n", "30.09.2017;13;30.09.2017 09:59:00;2,0"),
+]
+CUSTOM = CsvSchema(delimiter=";", timestamp_format="%d.%m.%Y %H:%M:%S", date_format="%d.%m.%Y")
+FIXTURES = {
+    # name: (header, rows, schema, timezones)
+    "mixed": ("delivery_date,product,timestamp,volume,note", MIXED, CsvSchema(), (None, BERLIN)),
+    "aware": ("delivery_date,product,timestamp,volume,note", MIXED + AWARE, CsvSchema(), (BERLIN,)),
+    "nul": ("delivery_date,product,timestamp,volume,note", MIXED[:3] + NUL, CsvSchema(), (None,)),
+    "semicolon": ("delivery_date;product;timestamp;volume", SEMICOLON, CUSTOM, (None, BERLIN)),
+}
+BAD_ROWS = {
+    "good": None,
+    "first block": (0, "2017-09-30,25,2017-09-30 08:01:00,1.0,bad"),
+    "last block": (-1, "2017-09-30,12,2017-09-31 08:01:00,1.0,bad"),
+    "short": (-1, "2017-09-30,12"),
+    "year 0": (-1, "2017-09-30,12,0000-09-30 08:01:00,1.0,bad"),
+    "bad timestamp before a bad product": (5, "2017-09-30,12,2017-09-30 8h,1.0,bad\n2017-09-30,0,x,1.0,bad"),
+}
+
+
+def write_fixture(path, header, rows, bad=None):
+    """Write (line end, row) pairs under ``header``, the last row without its
+    line end; ``bad`` is (index, row) of a row to insert, -1 appending it."""
+    rows = list(rows)
+    if bad is not None:
+        at, row = bad
+        rows.insert(len(rows) if at == -1 else at, ("\n", row))
+    with path.open("w", newline="") as handle:
+        handle.write(header + "\n" + "".join(row + end for end, row in rows[:-1]) + rows[-1][1])
+    return path
+
+
+def fixture_cases():
+    for name, (header, rows, schema, zones) in FIXTURES.items():
+        marks = ()
+        if name == "nul":
+            marks = pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="the reference's csv.reader refuses NUL"
+            )
+        for bad in BAD_ROWS:
+            for tz in zones:
+                yield pytest.param(name, bad, tz, marks=marks, id=f"{name}-{bad}-{tz}")
+
+
+@pytest.mark.parametrize("block", [1, 100, 1 << 16])
+@pytest.mark.parametrize("name, bad, tz", fixture_cases())
+def test_columnar_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, name, bad, tz):
+    """Same rows, series (bitwise), warnings and RowError lines as the per-row
+    reader, with blocks of one line, a few lines, and the default size."""
+    header, rows, schema, _ = FIXTURES[name]
+    path = write_fixture(tmp_path / "raw.csv", header, rows, BAD_ROWS[bad])
+    expected_rows, expected_log, expected_error = outcome(caplog, reference_parse_csv, path, schema)
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    got_rows, got_log, got_error = outcome(caplog, parse_csv, path, schema)
+    assert (got_log, got_error) == (expected_log, expected_error)
+    if expected_error is not None:
+        return
+    assert (bad, len(got_rows)) == (bad, len(expected_rows))
+    np.testing.assert_array_equal(got_rows.day, [d for d, _, _ in expected_rows])
+    np.testing.assert_array_equal(got_rows.product, [p for _, p, _ in expected_rows])
+    np.testing.assert_array_equal(got_rows.timestamp.view(np.int64), [micros(ts) for _, _, ts in expected_rows])
+    np.testing.assert_array_equal(got_rows.aware, [ts.tzinfo is not None for _, _, ts in expected_rows])
+    bounds = ({12: -30.0, 13: -30.0, 3: -20.0, 6: -20.0}, {12: -0.5, 13: -0.5, 3: -0.5, 6: -0.5})
+    expected, expected_log, _ = outcome(caplog, reference_build_series, expected_rows, *bounds, tz)
+    got, got_log, _ = outcome(caplog, build_series, got_rows, *bounds, tz)
+    assert got_log == expected_log
+    assert_same_series(got, expected)
+
+
+def test_the_oracle_fixtures_exercise_every_path(tmp_path, caplog):
+    """The mixed fixture has duplicates, DST drops and exclusions, so the
+    comparison above checks every warning."""
+    header, rows, schema, _ = FIXTURES["aware"]
+    path = write_fixture(tmp_path / "raw.csv", header, rows)
+    _, messages, _ = outcome(caplog, reference_build_series, reference_parse_csv(path), tz=BERLIN)
+    assert any("DST" in m for m in messages) and any("excluded" in m for m in messages)
+    _, messages, _ = outcome(caplog, reference_parse_csv, path)
+    assert messages == ["dropped 3 exact duplicate rows from PATH"]
+
+
+STORE = [
+    ("\n", "2017-09-03,1,-3.0"),
+    ("\r\n", "2017-09-03,2,-2.2"),
+    ("\r\n", "2017-09-03,1,-3.5"),
+    ("\n", '"2017-09-04",1,"-1.25"'),
+    ("\n", "2017-09-04,1,-0.25"),  # after the trading end
+    ("\n", "2017-09-04,1,nan"),
+    ("\n", "2017-09-03,3,-4.0"),
+    ("\n", "2017-09-04,2,-7.5e-1"),
+    ("\n", "2017-09-04,02,-2.000000000000001"),
+]
+STORE_BAD_ROWS = {
+    "good": None,
+    "blank line": (2, ""),
+    "first block": (0, "2017-09-31,1,-2.0"),
+    "last block": (-1, "2017-09-04,1,-2.0x"),
+    "short": (-1, "2017-09-04,1"),
+    "padded date": (3, " 2017-09-04,1,-2.0"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+@pytest.mark.parametrize("products", [None, (1, 2)])
+@pytest.mark.parametrize("bad", list(STORE_BAD_ROWS))
+def test_store_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, products, bad):
+    path = write_fixture(tmp_path / "store.csv", "delivery_date,product,time_hours", STORE,
+                         STORE_BAD_ROWS[bad])
+    args = (path, {1: -9.0, 2: -10.0, 3: -11.0}, {1: -0.5, 2: -0.5, 3: -0.5}, products)
+    expected, expected_log, expected_error = outcome(caplog, reference_load_store, *args)
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    got, got_log, got_error = outcome(caplog, load_store, *args)
+    assert (got_log, got_error) == (expected_log, expected_error)
+    if expected_error is None:
+        assert_same_series(got, expected)
+
+
+@pytest.fixture(params=["UTC", "Asia/Tokyo"])
+def host_tz(request, monkeypatch):
+    """The host's local timezone, set through TZ for the test's duration."""
+    monkeypatch.setenv("TZ", request.param)
+    time.tzset()
+    yield request.param
+    monkeypatch.undo()
+    time.tzset()
+
+
+def test_an_offset_timestamp_needs_a_timezone(tmp_path, host_tz):
+    # the delivery start has no offset without a timezone; the host's local
+    # time once stood in for it (-4.98 h under UTC, +4.02 h under Asia/Tokyo)
+    path = write_csv(tmp_path / "a.csv", [
+        "2017-09-30,12,2017-09-30 08:00:00",
+        "2017-09-30,12,2017-09-30 08:01:00+02:00",
+    ])
+    rows = parse_csv(path)
+    with pytest.raises(RowError) as err:
+        build_series(rows)
+    assert err.value.line == 3
+    # with a timezone, the reading does not depend on the host
+    cells = build_series(rows, tz=BERLIN)
+    np.testing.assert_array_equal(cells[(date(2017, 9, 30), 12)].arrivals, [-3.0, -179 / 60])
