@@ -8,11 +8,13 @@ anywhere they are evaluated) score ``-inf`` so the optimizer retreats
 instead of crashing.
 
 Optimization follows the analytic score: :func:`log_likelihood_and_score`
-returns the likelihood and its gradient in one vectorized pass, and
-L-BFGS-B climbs it inside the box bounds, each coordinate scaled by the
-score's curvature along it.  A bounded Nelder-Mead simplex runs only as a
-logged fallback, counted on the fit record, when a gradient run stops
-short of convergence.  The likelihood surfaces are low dimensional (at
+returns the likelihood and its gradient in one vectorized pass, and a
+projected quasi-Newton run climbs it inside the box bounds.  Its model
+Hessian starts as forward differences of the score, one evaluation per
+parameter, and BFGS updates it after each step.  A bounded Nelder-Mead
+simplex, the one user of ``scipy.optimize``, runs only as a logged
+fallback, counted on the fit record, when the quasi-Newton runs of a start
+stop short of convergence.  The likelihood surfaces are low dimensional (at
 most 8 parameters) but can be multimodal, so richer models are
 warm-started from simpler ones (see :func:`fit_cascade`).  The 16 models
 with an Expon rate or shape function, and any fit from the moment default,
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .distributions import KERNELS
 from .errors import InsufficientDataError, ParameterError
@@ -53,8 +54,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BIG = 1e300  # finite stand-in for +inf so line searches stay well-defined
-_GRADIENT_RUNS = 4  # L-BFGS-B runs per start before the Nelder-Mead fallback
+# finite stand-in for +inf in the Nelder-Mead fallback, whose convergence
+# test subtracts objective values
+_BIG = 1e300
+_GRADIENT_RUNS = 4  # quasi-Newton runs per start before the Nelder-Mead fallback
+_HALVINGS = 40  # step halvings before a quasi-Newton run gives up
+_EIG_FLOOR = 1e-10  # smallest model-Hessian eigenvalue, relative to the largest
+# a run steps on until its step promises this fraction of f_tol; stopping
+# at f_tol itself left some Expon models on lower optima along flat valleys
+_STOP = 1e-3
 _EXPON_SMALL_C = 1e-3
 _SHAPE_ONE_EXPON_A1 = math.log(1e-8)
 # fixed perturbations of the best start fill the starts candidates leave empty
@@ -355,83 +363,20 @@ def warm_start_candidates(
 def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, options: FitOptions):
     """One optimizer run from ``theta0``: (theta, -LL, converged, evals, Nelder-Mead runs).
 
-    L-BFGS-B climbs the analytic score.  A run has converged when the
-    projected score at its end, through L-BFGS-B's own inverse-Hessian
-    model, promises less than ``options.f_tol`` more log-likelihood.  An
-    unconverged run that still gained at least ``f_tol`` is continued by a
-    fresh run from its end, up to ``_GRADIENT_RUNS`` runs.  Then a bounded
-    Nelder-Mead simplex (``options.x_tol``, ``options.f_tol``) runs from
-    that end, or from ``theta0`` where the likelihood is undefined, then
-    one more L-BFGS-B run when ``options.polish`` is set, and the best
-    point wins.  Every run stops after ``options.max_evals`` evaluations.
+    A projected quasi-Newton run climbs the analytic score inside the box
+    (:func:`_quasi_newton`).  An unconverged run that still gained at
+    least ``options.f_tol`` is continued by a fresh run from its end, up
+    to ``_GRADIENT_RUNS`` runs.  Then a bounded Nelder-Mead simplex
+    (``options.x_tol``, ``options.f_tol``) runs from that end, or from
+    ``theta0`` where the likelihood is undefined, then one more
+    quasi-Newton run when ``options.polish`` is set, and the best point
+    wins.  Every run stops after ``options.max_evals`` evaluations.
     """
-    lo, hi = spec.bounds()
-
-    def value_and_grad(theta):
-        value, grad = log_likelihood_and_score(spec, theta, sample)
-        if grad is None or not np.all(np.isfinite(grad)):
-            return _BIG, np.zeros_like(theta)
-        return -value, -grad
-
-    def gradient_run(start):
-        f, g = value_and_grad(start)
-        evals = 1
-        if f >= _BIG:
-            return start, f, False, evals
-        # scale each coordinate by the score's own curvature along it, so
-        # that the first step is a diagonal Newton step instead of a unit
-        # step along the score
-        size = np.maximum(np.abs(start), 1.0)
-        curv = np.empty_like(start)
-        for k in range(start.size):
-            h = 1e-6 * size[k] * (1.0 if start[k] + 1e-6 * size[k] <= hi[k] else -1.0)
-            moved = start.copy()
-            moved[k] += h
-            curv[k] = abs((value_and_grad(moved)[1][k] - g[k]) / h)
-        evals += start.size
-        scale = 1.0 / np.sqrt(np.maximum.reduce([curv, np.abs(g) / size, 1e-12 / size ** 2]))
-        base = [start, f, g]  # the current iterate
-        last = [start, f, g]  # the latest feasible evaluation
-
-        def scaled(y):
-            theta = y * scale
-            f, g = value_and_grad(theta)
-            if f < _BIG:
-                last[:] = theta, f, g
-                return f, g * scale
-            # past the feasible region the objective rises by the decrease
-            # the current iterate's score predicts, so the line search
-            # backtracks by a bounded factor instead of collapsing its step
-            theta_b, f_b, g_b = base
-            return f_b + abs(float(g_b @ (theta - theta_b))), np.zeros_like(y)
-
-        def new_iterate(_):
-            base[:] = last
-
-        res = optimize.minimize(
-            scaled,
-            start / scale,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=optimize.Bounds(lo / scale, hi / scale),
-            callback=new_iterate,
-            options={"maxfun": options.max_evals, "maxiter": options.max_evals,
-                     "ftol": 0.0, "gtol": 1e-8},
-        )
-        x = np.clip(res.x * scale, lo, hi)
-        f, g = value_and_grad(x)
-        evals += int(res.nfev) + 1
-        if f >= _BIG:
-            return x, f, False, evals
-        pg = np.where(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)), 0.0, g) * scale
-        gain = 0.5 * float(pg @ res.hess_inv.matvec(pg))
-        return x, f, gain <= options.f_tol, evals
-
-    x, f, ok, evals = gradient_run(theta0)
+    x, f, ok, evals = _quasi_newton(spec, sample, theta0, options)
     for _ in range(_GRADIENT_RUNS - 1):
-        if ok or f >= _BIG:
+        if ok or f == math.inf:
             break
-        x_new, f_new, ok_new, more = gradient_run(x)
+        x_new, f_new, ok_new, more = _quasi_newton(spec, sample, x, options)
         evals += more
         gained = f - f_new
         if gained >= 0:
@@ -440,7 +385,8 @@ def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, o
             break
     if ok:
         return x, f, True, evals, 0
-    logger.info("%s: L-BFGS-B stopped at -LL %.12g, unconverged; Nelder-Mead fallback", spec.name, f)
+    logger.info("%s: quasi-Newton stopped at -LL %.12g, unconverged; Nelder-Mead fallback", spec.name, f)
+    from scipy import optimize  # only the fallback needs scipy's optimizers
 
     def objective(theta):
         value = log_likelihood(spec, theta, sample)
@@ -450,7 +396,7 @@ def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, o
         objective,
         x,
         method="Nelder-Mead",
-        bounds=optimize.Bounds(lo, hi),
+        bounds=optimize.Bounds(*spec.bounds()),
         options={
             "maxfev": options.max_evals,
             "fatol": options.f_tol,
@@ -461,11 +407,100 @@ def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, o
     evals += int(res.nfev)
     best = (x, f, False) if f <= float(res.fun) else (res.x, float(res.fun), bool(res.success))
     if options.polish and best[1] < _BIG:
-        x, f, ok, more = gradient_run(best[0])
+        x, f, ok, more = _quasi_newton(spec, sample, best[0], options)
         evals += more
         if f <= best[1]:
             best = (x, f, ok or best[2])
     return *best, evals, 1
+
+
+def _quasi_newton(spec: ModelSpec, sample: InterArrivalSample, x: np.ndarray, options: FitOptions):
+    """One projected quasi-Newton run on -LL from ``x``: (theta, -LL, converged, evals).
+
+    The model Hessian H starts as forward differences of the score, one
+    evaluation per coordinate k at a step of ``1e-6 max(|x_k|, 1)`` (down
+    where up would leave the box), symmetrized, with its eigenvalues taken
+    in absolute value and floored at ``_EIG_FLOOR`` of the largest; BFGS
+    updates it after each step with ``s'y > 0``.  A coordinate whose own
+    Newton step ``|g_k| / H_kk`` reaches a bound that the score pushes it
+    to is pinned there, and the others take the Newton step given that
+    move, except those at a bound that it would cross.  The step is
+    projected into the box and halved until the likelihood is defined and
+    higher.  The run steps on until its Newton step promises a gain of at
+    most ``_STOP * options.f_tol`` (``g' H^-1 g / 2`` when nothing is
+    pinned), until ``_HALVINGS`` halvings gain nothing or until
+    ``options.max_evals`` evaluations of value and score, the probe's
+    included; it has converged if that last promise is at most
+    ``options.f_tol``.  A probe outside the feasible region ends the run
+    unconverged.
+    """
+    lo, hi = spec.bounds()
+
+    def evaluate(theta):
+        value, score = log_likelihood_and_score(spec, theta, sample)
+        if score is None or not np.all(np.isfinite(score)):
+            return math.inf, None
+        return -value, -score
+
+    f, g = evaluate(x)
+    evals = 1
+    if g is None or evals + x.size > options.max_evals:
+        return x, f, False, evals
+    size = np.maximum(np.abs(x), 1.0)
+    h = 1e-6 * size * np.where(x + 1e-6 * size <= hi, 1.0, -1.0)
+    probes = [evaluate(x + moved)[1] for moved in np.diag(h)]
+    evals += x.size
+    if any(g_k is None for g_k in probes):  # no curvature model on the edge of feasibility
+        return x, f, False, evals
+    hess = (np.array(probes) - g) / h[:, None]
+    # the symmetric part, its eigenvalues in absolute value and floored
+    w, v = np.linalg.eigh(0.5 * (hess + hess.T))
+    w = np.abs(w)
+    hess = (v * np.maximum(w, _EIG_FLOOR * w.max())) @ v.T
+    while True:
+        reach = np.abs(g) / np.diag(hess)
+        pinned = ((g > 0) & (x - lo <= reach)) | ((g < 0) & (hi - x <= reach))
+        step = _newton_step(hess, g, ~pinned, np.where(pinned, np.where(g > 0, lo, hi) - x, 0.0))
+        gain = -float(g @ step + 0.5 * step @ hess @ step)
+        if gain <= _STOP * options.f_tol:
+            break
+        free = ~pinned  # less the coordinates at a bound that the step would cross
+        blocked = free & (((x <= lo) & (step < 0)) | ((x >= hi) & (step > 0)))
+        while blocked.any():
+            free &= ~blocked
+            step[blocked] = 0.0
+            step = _newton_step(hess, g, free, step)
+            blocked = free & (((x <= lo) & (step < 0)) | ((x >= hi) & (step > 0)))
+        f_t = math.inf
+        for halving in range(_HALVINGS):
+            if evals >= options.max_evals:
+                break
+            trial = np.clip(x + 0.5 ** halving * step, lo, hi)
+            f_t, g_t = evaluate(trial)
+            evals += 1
+            if f_t < f:
+                break
+        if not f_t < f:
+            break
+        s, y = trial - x, g_t - g
+        sy = float(s @ y)
+        if sy > 0:
+            hs = hess @ s
+            hess += np.outer(y, y) / sy - np.outer(hs, hs) / float(s @ hs)
+        x, f, g = trial, f_t, g_t
+    return x, f, gain <= options.f_tol, evals
+
+
+def _newton_step(hess: np.ndarray, g: np.ndarray, free: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``step`` with its ``free`` coordinates replaced by the Newton step of
+    gradient ``g`` given the moves of the others."""
+    if free.all():
+        return -np.linalg.solve(hess, g)
+    step = step.copy()
+    if free.any():
+        r = g[free] + hess[np.ix_(free, ~free)] @ step[~free]
+        step[free] = -np.linalg.solve(hess[np.ix_(free, free)], r)
+    return step
 
 
 def fit(

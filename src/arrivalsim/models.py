@@ -297,17 +297,21 @@ def join(specs) -> ModelSpec:
     which share a step kernel (Exp and Gamma, or GenGam and GenF), for
     :meth:`ModelSpec.embed`.
 
-    Const, Lin and Quadr functions widen to Quadr and Expon stays; the two
-    join as ``Quadr+Expon``.  Exp specs alone keep the Exp family, and
-    beside a Gamma take its layout with a constant shape of 1, which they
-    add no kind to; GenGam and GenF take the GenF layout, GenGam with
-    p = 0.
+    A function kind that every spec with that function shares stays;
+    otherwise Const, Lin and Quadr functions widen to Quadr and Expon
+    stays, and the two join as ``Quadr+Expon``.  Exp specs alone keep the
+    Exp family, and beside a Gamma take its layout with a constant shape
+    of 1, which they add no kind to; GenGam and GenF take the GenF
+    layout, GenGam with p = 0.
     """
     specs = list(specs)
 
     def joined(kinds):
-        wide = {k if k is FuncKind.EXPON else FuncKind.QUADR for k in kinds if k is not None}
-        return (wide.pop() if len(wide) == 1 else QUADR_EXPON) if wide else None
+        kinds = {k for k in kinds if k is not None}
+        if len(kinds) <= 1:
+            return kinds.pop() if kinds else None
+        wide = {k if k is FuncKind.EXPON else FuncKind.QUADR for k in kinds}
+        return wide.pop() if len(wide) == 1 else QUADR_EXPON
 
     family = max((s.family for s in specs), key=list(Family).index)
     return ModelSpec(

@@ -32,17 +32,17 @@ rate``, GenGam and GenF models ``exp(mu + sigma * w)``; the rows of a
 lockstep draw with one sampler kind, Marsaglia-Tsang attempts if they
 are Gamma rows with a time-varying shape and one innovation per slot
 otherwise, and keep their slots in blocks of one width.  A lockstep
-evaluates its rows in :func:`~arrivalsim.models.join` of its
-members' specs, the narrowest layout that holds them all, with a parameter
-column per row (:meth:`ModelSpec.embed`): Const and Lin functions padded
-with zeros to Quadr; Quadr and Expon functions side by side as
-``c + b1 t + b2 t t + exp(a1 + a2 t)``, with a1 = -inf for a polynomial
-and b1 = b2 = 0 for an Expon; an Exp as a Gamma with a shape of 1, which
-the rate step does not read; a GenGam as a GenF with p = 0, since a step
-uses only mu and sigma.  Each gives bitwise its model's own values at
-finite t.  Exp rows alone keep the Exp layout, and polynomials alone the
-Quadr one.  Models with one step kernel, kind of shape and fit window
-share a lockstep of at most ``_ROWS`` rows, each row with its own
+evaluates its rows in :func:`~arrivalsim.models.join` of its members'
+specs, the narrowest layout that holds them all, with a parameter column
+per row (:meth:`ModelSpec.embed`): a kind that every member shares
+kept; other Const and Lin functions padded with zeros to Quadr; Quadr
+and Expon functions side by side as ``c + b1 t + b2 t t + exp(a1 + a2
+t)``, with a1 = -inf for a polynomial and b1 = b2 = 0 for an Expon; an
+Exp as a Gamma with a shape of 1, which the rate step does not read; a
+GenGam as a GenF with p = 0, since a step uses only mu and sigma.  Each
+gives bitwise its model's own values at finite t.  Exp rows alone keep
+the Exp layout.  Models with one step kernel, kind of shape and fit
+window share a lockstep of at most ``_ROWS`` rows, each row with its own
 sampler.  The cap bounds memory: a row holds ``_BLOCK`` pre-drawn slots
 of its lockstep's width (2 KiB, or 6 KiB for gamma attempts) and 24
 bytes per arrival, so a full lockstep of trajectories with 200 arrivals

@@ -363,6 +363,18 @@ class TestRestartRule:
         assert passed_over.n_evals == lone.n_evals
 
 
+@pytest.fixture(scope="module")
+def synthetic_cell(tmp_path_factory):
+    """A 7-day synth_generate sample and its 37-model cascade."""
+    path = synth_generate(
+        model_from_name("GenF.Lin.Const"), [60.0, -5.0, 1.0, 0.5, 1.0],
+        days=7, seed=0, out_path=tmp_path_factory.mktemp("cell") / "raw.csv", gen_start=-4.25,
+    )
+    series = build_series(parse_csv(path))
+    sample = merge_samples([slice_window(s, A) for s in series.values()])
+    return sample, fit_cascade(enumerate_models(), sample)
+
+
 class TestCascade:
     def test_order_puts_donors_first(self):
         specs = cascade_sort(enumerate_models())
@@ -400,18 +412,46 @@ class TestCascade:
         assert again["Exp.Const"] is marker
         assert first["Exp.Const"].theta[0] != 123.0
 
-    def test_full_cascade_on_a_synthetic_cell_needs_no_fallback(self, tmp_path):
+    def test_full_cascade_on_a_synthetic_cell_needs_no_fallback(self, synthetic_cell):
         """All 37 models on one 7-day synth_generate cell: every fit converges
         along the score, without a Nelder-Mead run or a fallback record."""
-        path = synth_generate(
-            model_from_name("GenF.Lin.Const"), [60.0, -5.0, 1.0, 0.5, 1.0],
-            days=7, seed=0, out_path=tmp_path / "raw.csv", gen_start=-4.25,
-        )
-        series = build_series(parse_csv(path))
-        sample = merge_samples([slice_window(s, A) for s in series.values()])
-        fits = fit_cascade(enumerate_models(), sample)
+        _, fits = synthetic_cell
         assert len(fits) == 37
         assert [name for name, f in fits.items() if f.fallback or f.nm_fallbacks] == []
+        assert [name for name, f in fits.items() if not f.converged] == []
+
+    def test_lbfgsb_from_each_fit_finds_no_higher_likelihood(self, synthetic_cell):
+        """An independent optimizer, scipy's L-BFGS-B on the same score and
+        box, started at each of the 37 fitted vectors, gains at most 1e-6 of
+        the log-likelihood."""
+        from scipy import optimize
+
+        sample, fits = synthetic_cell
+        for name, fitted in fits.items():
+            spec = fitted.spec
+
+            def objective(theta):
+                value, score = log_likelihood_and_score(spec, theta, sample)
+                return (-value, -score) if score is not None else (1e300, np.zeros_like(theta))
+
+            res = optimize.minimize(
+                objective, fitted.theta, jac=True, method="L-BFGS-B",
+                bounds=optimize.Bounds(*spec.bounds()),
+            )
+            gain = -float(res.fun) - fitted.log_likelihood
+            assert gain <= 1e-6 * abs(fitted.log_likelihood), (name, gain)
+
+    def test_a_parameter_at_its_bound_stops_the_fit_there(self):
+        """GenF.Const.Const on gamma draws: from its GenGam donor, P = 0 is
+        optimal with the score pushing P below its bound, so the fit stops
+        at once, after its curvature probe, with P exactly 0."""
+        sample = draws_sample(2.0, 100.0, 2_000, seed=2)
+        names = ["Exp.Const", "Gamma.Const.Const", "GenGam.Const.Const", "GenF.Const.Const"]
+        fitted = fit_cascade([model_from_name(n) for n in names], sample)["GenF.Const.Const"]
+        assert fitted.theta[-1] == 0.0
+        assert fitted.converged and fitted.start_source == "GenGam.Const.Const"
+        assert fitted.n_evals == 1 + fitted.spec.n_params
+        assert log_likelihood_and_score(fitted.spec, fitted.theta, sample)[1][-1] < -1.0
 
     def test_expon_fits_reach_the_optima_of_their_ranked_starts(self, tmp_path):
         """On a 7-day GenF.Const.Const cell, each Expon model of the 37-model

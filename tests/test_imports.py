@@ -1,8 +1,12 @@
 """Every imported name under src/ and tests/ is used in its module, every
-``__all__`` entry under src/ names something its module defines, and no
-module under src/ imports another module's private (underscore) names."""
+``__all__`` entry under src/ names something its module defines, no
+module under src/ imports another module's private (underscore) names, and
+importing the package leaves scipy's optimizers unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +116,14 @@ def test_check_flags_a_private_import():
         "    from .simulate import _BLOCK\n"
     )
     assert private_imports(tree) == ["_genf_shapes (line 2)", "_BLOCK (line 4)"]
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    """Only the Nelder-Mead fallback of a fit needs ``scipy.optimize``, and
+    it imports it when it runs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import arrivalsim, sys; assert 'scipy.optimize' not in sys.modules"],
+        env=env, check=True,
+    )

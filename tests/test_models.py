@@ -175,7 +175,8 @@ class TestJoin:
         (["Exp.Const", "Gamma.Lin.Const", "Gamma.Quadr.Lin"], "Gamma.Quadr.Quadr"),
         (["Exp.Expon", "Gamma.Expon.Expon"], "Gamma.Expon.Expon"),
         (["GenGam.Const.Const", "GenGam.Lin.Lin"], "GenF.Quadr.Quadr"),
-        (["Exp.Lin", "Gamma.Expon.Const"], "Gamma.Quadr+Expon.Quadr"),
+        (["Exp.Lin", "Gamma.Expon.Const"], "Gamma.Quadr+Expon.Const"),
+        (["Exp.Lin", "Gamma.Lin.Const", "Gamma.Lin.Const"], "Gamma.Lin.Const"),
         (["GenF.Expon.Expon", "GenGam.Quadr.Lin"], "GenF.Quadr+Expon.Quadr+Expon"),
     ])
     def test_the_narrowest_layout(self, names, want):

@@ -514,19 +514,20 @@ class TestGroupedLocksteps:
         (["Exp.Const", "Exp.Lin", "Exp.Quadr"], ["Exp.Quadr"]),
         (["Exp.Expon"], ["Exp.Expon"]),
         (["Gamma.Lin.Const", "Gamma.Quadr.Lin", "Exp.Lin"],
-         ["Gamma.Quadr.Quadr", "Gamma.Quadr.Quadr"]),
+         ["Gamma.Lin.Const", "Gamma.Quadr.Lin"]),
         (["GenGam.Const.Const", "GenF.Lin.Lin", "GenF.Quadr.Const"],
-         ["GenF.Quadr.Quadr", "GenF.Quadr.Quadr"]),
-        (["Exp.Lin", "Gamma.Expon.Const"], ["Gamma.Quadr+Expon.Quadr"]),
+         ["GenF.Quadr.Const", "GenF.Lin.Lin"]),
+        (["Exp.Lin", "Gamma.Expon.Const"], ["Gamma.Quadr+Expon.Const"]),
     ])
     def test_a_lockstep_steps_in_the_narrowest_layout_of_its_models(
         self, caplog, monkeypatch, names, layout
     ):
-        """Exp rows alone keep the Exp layout and polynomials alone the
-        Quadr one; a Quadr and an Expon function join.  A model whose shape
-        varies in time steps apart from those whose shape does not: the
-        Gamma.Quadr.Lin and GenF.Lin.Lin rows have locksteps of their own,
-        after the rows they would otherwise join."""
+        """Exp rows alone keep the Exp layout, a kind that every member
+        shares stays, other polynomials widen to Quadr, and a Quadr and an
+        Expon function join.  A model whose shape varies in time steps
+        apart from those whose shape does not: the Gamma.Quadr.Lin and
+        GenF.Lin.Lin rows have locksteps of their own, after the rows they
+        would otherwise join."""
         layouts = []
         kernel = simulate.join
 
