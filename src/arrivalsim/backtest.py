@@ -103,7 +103,7 @@ class RunConfig:
     def validate(self) -> None:
         for name, low in (("window_days", 1), ("out_days", 1), ("trajectories", 1),
                           ("parallelism", 1), ("tau_grid_size", 1), ("max_gap_days", 0),
-                          ("n_products", 1)):
+                          ("n_products", 1), ("seed", 0)):
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")

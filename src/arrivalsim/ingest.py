@@ -15,6 +15,7 @@ import io
 import itertools
 import logging
 from collections.abc import Collection, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time as dtime, timedelta, timezone
 from functools import cached_property
@@ -284,6 +285,61 @@ def _parse_block(keys, lines, index, schema, n_products):
         raise
 
 
+def _digests(keys: list) -> np.ndarray:
+    """One 64-bit digest per row key, equal for equal keys: its ``hash``."""
+    return np.fromiter(map(hash, keys), np.int64, len(keys))
+
+
+def _repeated(digests: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the digests that occur more than once."""
+    ordered = np.sort(digests)  # a plain sort: argsort takes 3 to 14 times as long
+    return np.flatnonzero(np.isin(digests, ordered[1:][ordered[1:] == ordered[:-1]]))
+
+
+@contextmanager
+def _raw_rows(path: Path, schema: CsvSchema):
+    """Open a raw CSV as (index of the read columns in its header, blocks of
+    (row keys, file lines) of its non-blank rows, as :func:`_blocks` reads
+    them)."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle, delimiter=schema.delimiter)
+        header = _header(reader)
+        names = (schema.delivery_date, schema.product, schema.timestamp)
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise SchemaError(f"missing required columns {missing} in {path}")
+
+        def rows():
+            for keys, lines in _blocks(handle, schema.delimiter, reader.line_num):
+                if () in keys:  # blank lines
+                    lines = [n for n, k in zip(lines, keys) if k != ()]
+                    keys = [k for k in keys if k != ()]
+                if keys:
+                    yield keys, lines
+
+        yield tuple(map(header.index, names)), rows()
+
+
+def _later_twins(path: Path, schema: CsvSchema, candidates: np.ndarray) -> list[int]:
+    """Indices of the rows among ``candidates`` (ascending indices of
+    non-blank rows) whose key equals an earlier row's, from a second read
+    of ``path`` that keeps only the candidates' keys."""
+    seen: set[str | tuple[str, ...]] = set()
+    twins = []
+    start = 0
+    with _raw_rows(path, schema) as (_, blocks):
+        for keys, _ in blocks:
+            lo, hi = np.searchsorted(candidates, (start, start + len(keys)))
+            for i in candidates[lo:hi].tolist():
+                key = keys[i - start]
+                if key in seen:
+                    twins.append(i)
+                else:
+                    seen.add(key)
+            start += len(keys)
+    return twins
+
+
 def parse_csv(
     path: str | Path,
     schema: CsvSchema = CsvSchema(),
@@ -297,41 +353,33 @@ def parse_csv(
     (separate fills share a timestamp).  Raises :class:`SchemaError` for a
     bad header and :class:`RowError` (with the 1-based file line) for the
     first unparseable row.
+
+    Every row is parsed, a block at a time, and leaves only its columns and
+    a 64-bit digest of its text (:func:`_digests`).  Rows whose digests
+    repeat are candidate duplicates: only when there are any is the file
+    read a second time, to compare the candidates' texts exactly, so the
+    rows kept depend on neither the hash salt nor a digest collision.
     """
     path = Path(path)
     columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64),
                 np.empty(0, "datetime64[us]"), np.empty(0, bool), np.empty(0, np.int64))]
-    seen: set[str | tuple[str, ...]] = set()
-    dupes = 0
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
-        header = _header(reader)
-        names = (schema.delivery_date, schema.product, schema.timestamp)
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise SchemaError(f"missing required columns {missing} in {path}")
-        index = tuple(header.index(c) for c in names)
-        for keys, lines in _blocks(handle, schema.delimiter, reader.line_num):
-            fresh = set(keys)
-            if () in fresh:  # blank lines
-                lines = [n for n, k in zip(lines, keys) if k != ()]
-                keys = [k for k in keys if k != ()]
-                fresh.discard(())
-            if len(fresh) == len(keys) and seen.isdisjoint(fresh):
-                seen |= fresh
-            else:
-                keep = []
-                for key in keys:
-                    keep.append(key not in seen)
-                    seen.add(key)
-                dupes += keep.count(False)
-                keys = list(itertools.compress(keys, keep))
-                lines = list(itertools.compress(lines, keep))
-            if keys:
-                columns.append(_parse_block(keys, lines, index, schema, n_products))
-    if dupes:
-        logger.warning("dropped %d exact duplicate rows from %s", dupes, path)
-    return Transactions(*map(np.concatenate, zip(*columns)))
+    digests = [np.empty(0, np.int64)]
+    with _raw_rows(path, schema) as (index, blocks):
+        for keys, lines in blocks:
+            digests.append(_digests(keys))
+            columns.append(_parse_block(keys, lines, index, schema, n_products))
+    # drop each list of blocks once joined, so that the peak stays near two copies of the columns
+    candidates = _repeated(np.concatenate(digests))
+    del digests
+    rows = Transactions(*map(np.concatenate, zip(*columns)))
+    del columns
+    twins = _later_twins(path, schema, candidates) if candidates.size else []
+    if not twins:
+        return rows
+    logger.warning("dropped %d exact duplicate rows from %s", len(twins), path)
+    keep = np.ones(len(rows), bool)
+    keep[twins] = False
+    return rows.select(keep)
 
 
 def dejitter_us(us: np.ndarray) -> np.ndarray:
@@ -607,8 +655,9 @@ def write_store(series: dict[tuple[date, int], ArrivalSeries], path: str | Path)
         writer = csv.writer(handle)
         writer.writerow(["delivery_date", "product", "time_hours"])
         for (day, product) in sorted(series):
-            for t in series[(day, product)].arrivals:
-                writer.writerow([day.isoformat(), product, repr(float(t))])
+            hours = series[(day, product)].arrivals.tolist()
+            writer.writerows(zip(itertools.repeat(day.isoformat()), itertools.repeat(product),
+                                 map(repr, hours)))
 
 
 def _raise_store_row_error(keys, lines, index) -> None:

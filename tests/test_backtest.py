@@ -157,6 +157,13 @@ class TestRunConfig:
         with pytest.raises(ParameterError, match="trading_begin"):
             tiny_config("x.csv", None, trading_begin={5: -13.0}).validate()  # no product 6
 
+    @pytest.mark.parametrize("seed", [1.0, True, "x", -3, None])
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        # ``cell_seed`` hashes the seed's text, so 1.0 would draw other streams than 1
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            tiny_config("x.csv", None, seed=seed).validate()
+        tiny_config("x.csv", None, seed=0).validate()
+
     def test_cell_seed_stable(self):
         a = cell_seed(1, "Exp.Const", date(2017, 10, 1), 12)
         assert a == cell_seed(1, "Exp.Const", date(2017, 10, 1), 12)

@@ -4,6 +4,7 @@ import csv
 import logging
 import sys
 import time
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -369,6 +370,23 @@ class TestStore:
         for key in cells:
             np.testing.assert_allclose(loaded[key].arrivals, cells[key].arrivals)
 
+    def test_store_bytes_are_the_per_row_writers(self, tmp_path):
+        cells = {
+            (date(2017, 9, 4), 2): series([-9.5, -2.2, -0.75000000000001, -1 / 3], b=-10.0, e=0.0, product=2),
+            (date(2017, 9, 3), 1): series([-3.0, -1 - 2**-52, -1e-5, 5e-324, 0.1], e=1.0),
+            (date(2017, 9, 3), 12): series([], b=-20.0, product=12),
+        }
+        path = tmp_path / "store.csv"
+        write_store(cells, path)
+        expected = tmp_path / "per_row.csv"
+        with expected.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["delivery_date", "product", "time_hours"])
+            for (day, product) in sorted(cells):
+                for t in cells[(day, product)].arrivals:
+                    writer.writerow([day.isoformat(), product, repr(float(t))])
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_load_clips_to_trading_window(self, tmp_path, caplog):
         key = (date(2017, 9, 3), 1)
         path = tmp_path / "store.csv"
@@ -527,6 +545,14 @@ def assert_same_series(got, expected):
         assert (got[key].trading_begin, got[key].trading_end) == (series.trading_begin, series.trading_end)
 
 
+def assert_same_rows(got, expected):
+    """``Transactions`` ``got`` hold the reference's (date, product, datetime) rows."""
+    np.testing.assert_array_equal(got.day, [d for d, _, _ in expected])
+    np.testing.assert_array_equal(got.product, [p for _, p, _ in expected])
+    np.testing.assert_array_equal(got.timestamp.view(np.int64), [micros(ts) for _, _, ts in expected])
+    np.testing.assert_array_equal(got.aware, [ts.tzinfo is not None for _, _, ts in expected])
+
+
 MIXED = [
     # (line ending, row); ties on a minute grid, other columns tell fills apart
     ("\n", "2017-09-30,12,2017-09-30 08:01:00,1.0,a"),
@@ -635,10 +661,7 @@ def test_columnar_reader_matches_the_per_row_reference(tmp_path, caplog, monkeyp
     if expected_error is not None:
         return
     assert (bad, len(got_rows)) == (bad, len(expected_rows))
-    np.testing.assert_array_equal(got_rows.day, [d for d, _, _ in expected_rows])
-    np.testing.assert_array_equal(got_rows.product, [p for _, p, _ in expected_rows])
-    np.testing.assert_array_equal(got_rows.timestamp.view(np.int64), [micros(ts) for _, _, ts in expected_rows])
-    np.testing.assert_array_equal(got_rows.aware, [ts.tzinfo is not None for _, _, ts in expected_rows])
+    assert_same_rows(got_rows, expected_rows)
     bounds = ({12: -30.0, 13: -30.0, 3: -20.0, 6: -20.0}, {12: -0.5, 13: -0.5, 3: -0.5, 6: -0.5})
     expected, expected_log, _ = outcome(caplog, reference_build_series, expected_rows, *bounds, tz)
     got, got_log, _ = outcome(caplog, build_series, got_rows, *bounds, tz)
@@ -655,6 +678,63 @@ def test_the_oracle_fixtures_exercise_every_path(tmp_path, caplog):
     assert any("DST" in m for m in messages) and any("excluded" in m for m in messages)
     _, messages, _ = outcome(caplog, reference_parse_csv, path)
     assert messages == ["dropped 3 exact duplicate rows from PATH"]
+
+
+def colliding(*rows):
+    """A digest helper under which the keys of the CSV lines ``rows`` share
+    one digest, and every other key keeps its own."""
+    keys = {"\0".join(record) for record in csv.reader(rows)}
+    return lambda block: np.fromiter((0 if k in keys else hash(k) for k in block), np.int64, len(block))
+
+
+@pytest.mark.parametrize("block", [1, 100, 1 << 16])
+@pytest.mark.parametrize("digests", [
+    pytest.param(lambda block: np.zeros(len(block), np.int64), id="constant"),
+    # two distinct rows, the first of which has a later duplicate
+    pytest.param(colliding("2017-09-30,12,2017-09-30 08:01:00,1.0,a",
+                           "2017-09-30,12,2017-09-30 08:01:00,1.0,b"), id="collision"),
+])
+@pytest.mark.parametrize("bad", ["good", "last block"])
+def test_duplicates_are_exact_under_digest_collisions(tmp_path, caplog, monkeypatch, block, digests, bad):
+    """Rows, warnings and RowError lines are the reference's whatever the
+    digests, so a row is dropped only for an exact earlier twin."""
+    header, rows, schema, _ = FIXTURES["mixed"]
+    twin = next(row for row in rows if "\n" in row[1])  # a quoted record over two lines
+    path = write_fixture(tmp_path / "raw.csv", header, [*rows, twin], BAD_ROWS[bad])
+    expected_rows, expected_log, expected_error = outcome(caplog, reference_parse_csv, path, schema)
+    assert expected_error is not None or expected_log == ["dropped 4 exact duplicate rows from PATH"]
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "_digests", digests)
+    got_rows, got_log, got_error = outcome(caplog, parse_csv, path, schema)
+    assert (got_log, got_error) == (expected_log, expected_error)
+    if expected_error is None:
+        assert len(got_rows) == len(expected_rows)
+        assert_same_rows(got_rows, expected_rows)
+
+
+def test_parse_csv_memory_stays_near_its_columns(tmp_path):
+    """The tracemalloc peak of parse_csv on about 20k rows, one of them a
+    duplicate, stays at or below 120 B per row; the columns it returns hold
+    33."""
+    n = 20_000
+    start = datetime(2017, 9, 3, 0, 0)
+    lines = ["delivery_date,product,timestamp,market_area,volume,price,transaction_id"]
+    for i in range(n):
+        day = date(2017, 9, 3) + timedelta(days=i // 2400)
+        product = 1 + i // 100 % 24
+        ts = start + timedelta(days=i // 2400, microseconds=137_000_017 * (i % 2400))
+        lines.append(f"{day},{product},{ts.isoformat(sep=' ')},DE,1.0,40.0,{day}-{product}-{i}")
+    lines.append(lines[n // 2])
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        rows = parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n
+    assert peak / n <= 120
 
 
 STORE = [
