@@ -40,7 +40,12 @@ def _load_config(args) -> bt.RunConfig:
         config = bt.RunConfig.from_json(args.config)
     else:
         config = bt.RunConfig(input=getattr(args, "input", "") or "")
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
+    overrides = {}
+    for item in args.set or []:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ParameterError(f"--set takes key=value, got {item!r}")
+        overrides[key] = value
     if getattr(args, "input", None):
         overrides.setdefault("input", json.dumps(args.input))
     if getattr(args, "outdir", None):

@@ -40,9 +40,6 @@ __all__ = [
 MINUTES_PER_HOUR = 60
 DT = 1.0 / MINUTES_PER_HOUR
 
-LOSS_MEAN = (0, 0.5, 2)
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Parameters (eta, tau, p) of the unified loss."""
@@ -63,6 +60,11 @@ class LossSpec:
 
     def as_tuple(self) -> tuple[int, float, float]:
         return (self.eta, self.tau, self.p)
+
+
+LOSS_MEAN = LossSpec(0, 0.5, 2)  # the mean process's loss, and RMSE's
+LOSS_MEDIAN = LossSpec(0, 0.5, 1)  # the median process's loss, and MAE's
+LOSS_BIAS = LossSpec(1, 0.5, 1)
 
 
 def _as_loss(loss) -> LossSpec:
@@ -91,16 +93,32 @@ def minute_grid(t1: float, t2: float) -> np.ndarray:
     return t1 + np.arange(n) / MINUTES_PER_HOUR
 
 
-def lower_quantile_index(tau: float, m: int) -> int:
+def lower_quantile_index(tau: float | np.ndarray, m: int) -> int | np.ndarray:
     """0-based order-statistic index of the smallest pinball minimizer.
 
     The minimizer set of ``sum_m rho_(0,tau,1)(z_m - z)`` is the order
     statistic of rank ceil(tau*m) when tau*m is fractional and the whole
     interval [z_(tau*m), z_(tau*m+1)] when it is an integer; the smallest
-    minimizer is returned in both cases.
+    minimizer is returned in both cases.  An array of taus gives an array
+    of indices.
     """
-    k = math.ceil(tau * m - 1e-9)
-    return min(max(k, 1), m) - 1
+    k = np.clip(np.ceil(np.asarray(tau, dtype=float) * m - 1e-9), 1, m).astype(np.intp) - 1
+    return int(k) if k.ndim == 0 else k
+
+
+def _sample_paths(sims_sorted: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower tau-quantile paths and the median path of a sorted sample.
+
+    ``sims_sorted`` is an (M, J) sample sorted along its first axis.  Row r
+    of the first result is the lower ``taus[r]``-quantile path, except that
+    a tau of 0.5 gives the midpoint median, the second result, which is
+    np.median's.
+    """
+    m = sims_sorted.shape[0]
+    median = 0.5 * (sims_sorted[(m - 1) // 2] + sims_sorted[m // 2])
+    paths = sims_sorted[lower_quantile_index(taus, m)]
+    paths[taus == 0.5] = median
+    return paths, median
 
 
 def argmin_process(sims: np.ndarray, loss) -> np.ndarray:
@@ -119,10 +137,8 @@ def argmin_process(sims: np.ndarray, loss) -> np.ndarray:
         return sims.mean(axis=0)
     if spec.eta != 0 or spec.p != 1:
         raise ParameterError(f"unsupported argmin loss {spec.as_tuple()}")
-    if spec.tau == 0.5:
-        return np.median(sims, axis=0)
-    idx = lower_quantile_index(spec.tau, sims.shape[0])
-    return np.sort(sims, axis=0)[idx]
+    paths, _ = _sample_paths(np.sort(sims, axis=0), np.array([spec.tau]))
+    return paths[0]
 
 
 def eval_functional(observed, estimate, loss, dt: float = DT) -> float:
@@ -172,19 +188,14 @@ def score_cell(obs: np.ndarray, sims: np.ndarray, taus: np.ndarray) -> CellScore
     taus = np.asarray(taus, dtype=float)
     if sims.ndim != 2 or obs.shape != sims.shape[1:]:
         raise ParameterError("obs (J,) and sims (M, J) must share the grid length")
-    m = sims.shape[0]
     mean_path = argmin_process(sims, LOSS_MEAN)
-    sims_sorted = np.sort(sims, axis=0)
-    median_path = 0.5 * (sims_sorted[(m - 1) // 2] + sims_sorted[m // 2])  # np.median's midpoint
+    paths, median_path = _sample_paths(np.sort(sims, axis=0), taus)
 
-    bias = 2.0 * eval_functional(obs, mean_path, (1, 0.5, 1))
-    mae = 2.0 * eval_functional(obs, median_path, (0, 0.5, 1))
-    rmse = 2.0 * eval_functional(obs, mean_path, (0, 0.5, 2))
+    bias = 2.0 * eval_functional(obs, mean_path, LOSS_BIAS)
+    mae = 2.0 * eval_functional(obs, median_path, LOSS_MEDIAN)
+    rmse = 2.0 * eval_functional(obs, mean_path, LOSS_MEAN)
 
-    # one tau-quantile path per row, the midpoint median at tau = 0.5, then
-    # the pinball integral of every row at once
-    paths = sims_sorted[[lower_quantile_index(float(tau), m) for tau in taus]]
-    paths[taus == 0.5] = median_path
+    # the pinball integral of every tau-quantile path at once
     z = obs - paths
     pb = np.sum(np.abs(z) * np.abs(taus[:, None] - (z < 0.0)), axis=1) * DT
     return CellScores(bias=bias, mae=mae, rmse=rmse, pb=pb)
@@ -250,7 +261,17 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, q: int = 1) -> DMResult:
         raise ParameterError(f"loss series shapes differ: {a.shape} vs {b.shape}")
     if a.shape[0] < 2:
         raise ParameterError("need at least two days of losses")
-    return _dm(_day_norms(a, q) - _day_norms(b, q))
+    statistic, degenerate = _dm_rows((_day_norms(a, q) - _day_norms(b, q))[None])
+    if degenerate[0]:
+        raise DegenerateSeriesError(
+            "loss differential has zero variance; forecasts indistinguishable"
+        )
+    return DMResult(
+        statistic=float(statistic[0]),
+        p_h0_le=float(special.ndtr(-statistic[0])),
+        p_h0_ge=float(special.ndtr(statistic[0])),
+        n_days=a.shape[0],
+    )
 
 
 def _day_norms(loss: np.ndarray, q: int) -> np.ndarray:
@@ -262,21 +283,21 @@ def _day_norms(loss: np.ndarray, q: int) -> np.ndarray:
     raise ParameterError(f"q must be 1 or 2, got {q!r}")
 
 
-def _dm(delta: np.ndarray) -> DMResult:
-    """DM statistic and p-values of a 1-d daily loss differential."""
-    n = delta.size
-    sd = float(np.std(delta, ddof=1))
-    if sd == 0.0:
-        raise DegenerateSeriesError(
-            "loss differential has zero variance; forecasts indistinguishable"
-        )
-    statistic = math.sqrt(n) * float(np.mean(delta)) / sd
-    return DMResult(
-        statistic=statistic,
-        p_h0_le=float(special.ndtr(-statistic)),
-        p_h0_ge=float(special.ndtr(statistic)),
-        n_days=n,
+def _dm_rows(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DM statistic of every row of a (P, n) daily loss differential.
+
+    Returns the statistics and the rows with zero variance, whose statistic
+    is nan.  ``delta`` must be C-contiguous: a reduction along the
+    contiguous last axis adds each row in the order a 1-d row would, so a
+    row's statistic does not depend on the rows beside it.
+    """
+    sd = np.std(delta, axis=1, ddof=1)
+    degenerate = sd == 0.0
+    statistic = np.divide(
+        math.sqrt(delta.shape[1]) * np.mean(delta, axis=1), sd,
+        out=np.full_like(sd, np.nan), where=~degenerate,
     )
+    return statistic, degenerate
 
 
 @dataclass(frozen=True)
@@ -304,23 +325,25 @@ class ScoreReport:
 
         Days with a missing cell in either model are dropped pairwise;
         undefined comparisons (diagonal, degenerate series, < 2 shared
-        days) are nan.
+        days) are nan.  The pairs i < j that share the same number of days
+        are tested together: each one's differential over its shared days
+        is a row of one C-contiguous (pairs, days) array, so every pair gets
+        the statistic it would get alone.
         """
-        norms = _day_norms(self.daily_crps, q)  # (K, N)
-        present = ~np.isnan(self.daily_crps).any(axis=2)
         k = len(self.models)
+        rows, cols = np.triu_indices(k, 1)
+        norms = _day_norms(self.daily_crps, q)  # (K, N)
+        delta = norms[rows] - norms[cols]  # (pairs, N)
+        present = ~np.isnan(self.daily_crps).any(axis=2)  # (K, N)
+        shared = present[rows] & present[cols]
+        counts = shared.sum(axis=1)
+        statistic = np.full(rows.size, np.nan)
+        for n in np.unique(counts[counts >= 2]):
+            pairs = np.flatnonzero(counts == n)
+            statistic[pairs] = _dm_rows(delta[pairs][shared[pairs]].reshape(pairs.size, n))[0]
         out = np.full((k, k), np.nan)
-        for i in range(k):
-            for j in range(i + 1, k):
-                keep = present[i] & present[j]
-                if keep.sum() < 2:
-                    continue
-                try:
-                    result = _dm(norms[i][keep] - norms[j][keep])
-                except DegenerateSeriesError:
-                    continue
-                # swapping the pair negates the differential exactly, so
-                # (j, i) is the other one-sided p-value of (i, j)
-                out[i, j] = result.p_h0_ge
-                out[j, i] = result.p_h0_le
+        # swapping a pair negates its differential exactly, so (j, i) holds
+        # the other one-sided p-value of (i, j)
+        out[rows, cols] = special.ndtr(statistic)
+        out[cols, rows] = special.ndtr(-statistic)
         return out

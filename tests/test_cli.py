@@ -187,6 +187,7 @@ def test_a_fit_option_that_breaks_the_fit_is_an_error(workspace, capsys, command
     ('models="Exp.Const"', "models"),
     ('models=["Exp.Const","Exp.Const","Exp.Lin"]', "models"),
     ("dump_trajectories=False", "dump_trajectories"),
+    ("seed", "--set"),
 ])
 def test_a_bad_config_value_is_an_error(workspace, capsys, setting, field):
     code = main(["backtest", "--config", str(workspace / "cfg.json"), "--set", setting])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from arrivalsim.errors import DegenerateSeriesError, ParameterError
 from arrivalsim.scoring import (
@@ -36,6 +37,44 @@ def pinball_minimum(column: np.ndarray, tau: float) -> tuple[float, float]:
         if value < best_value - 1e-12:
             best_value, best_arg = value, float(candidate)
     return best_arg, best_value
+
+
+def reference_score_cell(obs, sims, taus):
+    """score_cell as a per-tau loop over scalar order-statistic indices."""
+    m = sims.shape[0]
+    mean_path = sims.mean(axis=0)
+    sims_sorted = np.sort(sims, axis=0)
+    median_path = 0.5 * (sims_sorted[(m - 1) // 2] + sims_sorted[m // 2])
+    bias = 2.0 * eval_functional(obs, mean_path, (1, 0.5, 1))
+    mae = 2.0 * eval_functional(obs, median_path, (0, 0.5, 1))
+    rmse = 2.0 * eval_functional(obs, mean_path, (0, 0.5, 2))
+    index = [min(max(math.ceil(float(tau) * m - 1e-9), 1), m) - 1 for tau in taus]
+    paths = sims_sorted[index]
+    paths[taus == 0.5] = median_path
+    z = obs - paths
+    pb = np.sum(np.abs(z) * np.abs(taus[:, None] - (z < 0.0)), axis=1) * (1 / 60)
+    return bias, mae, rmse, pb
+
+
+def reference_dm_matrix(daily: np.ndarray, q: int) -> np.ndarray:
+    """The DM p-value matrix as a loop over ordered model pairs, each
+    tested on the days both models have."""
+    norms = np.abs(daily).sum(axis=-1) if q == 1 else np.sqrt((daily * daily).sum(axis=-1))
+    present = ~np.isnan(daily).any(axis=2)
+    k = daily.shape[0]
+    out = np.full((k, k), np.nan)
+    for i in range(k):
+        for j in range(k):
+            keep = present[i] & present[j]
+            if i == j or keep.sum() < 2:
+                continue
+            delta = norms[i][keep] - norms[j][keep]
+            sd = float(np.std(delta, ddof=1))
+            if sd == 0.0:
+                continue
+            statistic = math.sqrt(delta.size) * float(np.mean(delta)) / sd
+            out[i, j] = float(special.ndtr(statistic))
+    return out
 
 
 class TestRho:
@@ -118,6 +157,9 @@ class TestArgminProcess:
         assert lower_quantile_index(0.5, 7) == 3
         assert lower_quantile_index(0.99, 50) == 49
         assert lower_quantile_index(0.01, 50) == 0
+        np.testing.assert_array_equal(
+            lower_quantile_index(np.array([0.25, 0.26, 0.99, 0.01]), 4), [0, 1, 3, 0]
+        )
 
 
 class TestEvalFunctional:
@@ -202,6 +244,21 @@ class TestScoreCell:
             median = argmin_process(sims, (0, 0.5, 1))
             mae = 2.0 * eval_functional(obs, median, (0, 0.5, 1))
             assert score_cell(obs, sims, taus).mae == mae
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 1000])
+    @pytest.mark.parametrize("size", [9, 99])
+    def test_matches_the_per_tau_reference(self, m, size):
+        """Bitwise, including tau*M integer ties (M = 40 and 1000 hit them
+        on both grids).  Paths with distinct values make every order
+        statistic show."""
+        rng = np.random.default_rng(m * 100 + size)
+        taus = default_tau_grid(size)
+        obs = np.cumsum(rng.exponential(1.0, GRID.size))
+        sims = np.cumsum(rng.exponential(1.0, size=(m, GRID.size)), axis=1)
+        scores = score_cell(obs, sims, taus)
+        bias, mae, rmse, pb = reference_score_cell(obs, sims, taus)
+        assert (scores.bias, scores.mae, scores.rmse) == (bias, mae, rmse)
+        np.testing.assert_array_equal(scores.pb, pb)
 
     def test_crps_invariant_under_trajectory_permutation(self):
         rng = np.random.default_rng(3)
@@ -316,27 +373,27 @@ class TestDMMatrix:
         )
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_matches_pairwise_dm_test(self, q):
+    @pytest.mark.parametrize("k, n, s, scattered", [
+        (5, 2, 1, 0.0),
+        (5, 30, 3, 0.0),
+        (37, 365, 24, 0.002),  # nearly every pair has days of its own
+    ])
+    def test_matches_pairwise_dm_test(self, q, k, n, s, scattered):
         rng = np.random.default_rng(9)
-        daily = rng.gamma(2.0, 1.0, size=(5, 30, 3))
-        daily[2, 4, 1] = np.nan  # one missing day
+        daily = rng.gamma(2.0, 1.0, size=(k, n, s))
+        daily[rng.random(daily.shape) < scattered] = np.nan
+        daily[2, 4 % n, 1 % s] = np.nan  # one missing day
         daily[3] = daily[0]  # identical pair: degenerate
         daily[4] = np.nan
-        daily[4, 7] = 1.0  # a single shared day with anyone
+        daily[4, 7 % n] = 1.0  # a single shared day with anyone
         matrix = self.report(daily).dm_matrix(q=q)
 
-        expected = np.full((5, 5), np.nan)
-        for i in range(5):
-            for j in range(5):
-                keep = ~(np.isnan(daily[i]).any(axis=1) | np.isnan(daily[j]).any(axis=1))
-                if i == j or keep.sum() < 2:
-                    continue
-                try:
-                    expected[i, j] = dm_test(daily[i][keep], daily[j][keep], q=q).p_h0_ge
-                except DegenerateSeriesError:
-                    pass
-        np.testing.assert_array_equal(matrix, expected)
+        np.testing.assert_array_equal(matrix, reference_dm_matrix(daily, q))
+        keep = ~(np.isnan(daily[0]).any(axis=1) | np.isnan(daily[1]).any(axis=1))
+        assert dm_test(daily[0][keep], daily[1][keep], q=q).p_h0_ge == matrix[0, 1]
         assert np.isnan(np.diag(matrix)).all()
         assert np.isnan(matrix[0, 3]) and np.isnan(matrix[3, 0])
         assert np.isnan(matrix[4]).all() and np.isnan(matrix[:, 4]).all()
-        assert np.isfinite(matrix[2, [0, 1, 3]]).all()
+        # with two days, the missing one leaves model 2 a single shared day
+        assert np.isfinite(matrix[2, [0, 1, 3]]).all() == (n > 2)
+        assert np.isfinite(matrix[0, 1])
