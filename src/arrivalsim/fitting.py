@@ -17,11 +17,17 @@ fallback, counted on the fit record, when the quasi-Newton runs of a start
 stop short of convergence.  The likelihood surfaces are low dimensional (at
 most 8 parameters) but can be multimodal, so richer models are
 warm-started from simpler ones (see :func:`fit_cascade`).  The 16 models
-with an Expon rate or shape function, and any fit from the moment default,
-also run from the next-ranked candidate starts.  On synthetic cells,
-skipping those starts lost up to 2.8 LL units on Expon models and up to 3.0
-on GenF models started from the default, while every other model started
-from a fitted donor reached its multi-start optimum to within 3e-6 LL.
+with an Expon rate or shape function, and any Gamma, GenGam or GenF fit
+from the moment default, also run from the next-ranked candidate starts.
+On synthetic cells, skipping those starts lost up to 2.8 LL units on Expon
+models and up to 3.0 on GenF models started from the default, while every
+other model started from a fitted donor reached its multi-start optimum to
+within 3e-6 LL.  An Exp model with a Const, Lin or Quadr rate needs no
+further start from anywhere: its rate is linear in θ, so its
+log-likelihood, the sum of ``log λ(t_i) - λ(t_i) x_i``, is concave in θ
+on a convex feasible set (the box, cut by ``λ > 0`` at every spell start),
+and every local optimum is the global one.  For Exp.Const the moment
+default is the maximum itself.
 """
 
 from __future__ import annotations
@@ -363,6 +369,9 @@ def warm_start_candidates(
 def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, options: FitOptions):
     """One optimizer run from ``theta0``: (theta, -LL, converged, evals, Nelder-Mead runs).
 
+    The -LL is the negated value of :func:`log_likelihood` at that theta,
+    bitwise, or at least ``_BIG`` where the likelihood is undefined.
+
     A projected quasi-Newton run climbs the analytic score inside the box
     (:func:`_quasi_newton`).  An unconverged run that still gained at
     least ``options.f_tol`` is continued by a fresh run from its end, up
@@ -507,22 +516,28 @@ def fit(
     spec: ModelSpec,
     sample: InterArrivalSample,
     options: FitOptions = FitOptions(),
-    starts: list[tuple[str, np.ndarray]] | None = None,
+    starts: list[tuple] | None = None,
 ) -> FittedModel:
     """Maximize the log-likelihood of ``spec`` over its box bounds.
 
     ``starts`` holds ``(label, theta)`` candidates, best-ranked first (see
-    :func:`fit_cascade`); ``None`` means the moment default alone.  The
-    best-ranked start always runs and labels the record's ``start_source``.
-    When the rate or shape function is Expon, or that start is the moment
-    default, up to ``options.restarts`` more run: the next-ranked distinct
-    candidates where the likelihood is defined, then fixed perturbations of
-    the best start, each moved halfway back toward it until the likelihood
-    is defined.  Other models run from their donor start alone, since more
-    starts did not improve those optima (see the module docstring).  Each
-    start runs :func:`_minimize` and the best local optimum wins;
-    ``nm_fallbacks`` counts the starts that needed Nelder-Mead.  A model
-    that never converged is still returned, flagged, with the best vector.
+    :func:`fit_cascade`); ``None`` means the moment default alone.  A
+    candidate inside the box may carry its log-likelihood as a third entry,
+    ``(label, theta, ll)``, which is then not evaluated again.  The
+    best-ranked start always runs and labels the record's
+    ``start_source``.  When the rate or shape function is Expon, or that
+    start is the moment default of a Gamma, GenGam or GenF model, up to
+    ``options.restarts`` more run: the next-ranked distinct candidates
+    where the likelihood is defined, then fixed perturbations of the best
+    start, each moved halfway back toward it until the likelihood is
+    defined.  Other models run from their best start alone: more starts
+    did not improve the optima of models started from a donor, and an Exp
+    model with a Const, Lin or Quadr rate has a concave log-likelihood,
+    whose one local optimum any start reaches (see the module docstring).
+    Each start runs :func:`_minimize` and the best local optimum wins; its
+    value is the record's log-likelihood, and ``nm_fallbacks`` counts the
+    starts that needed Nelder-Mead.  A model that never converged is still
+    returned, flagged, with the best vector.
     """
     if sample.n < options.min_obs_per_param * spec.n_params:
         raise InsufficientDataError(
@@ -530,26 +545,35 @@ def fit(
             f"(need >= {options.min_obs_per_param} per parameter)"
         )
     lo, hi = spec.bounds()
-    start_source, theta0 = starts[0] if starts else ("default", default_start(spec, sample))
+    ranked = starts or [("default", default_start(spec, sample))]
+    start_source, theta0, *known0 = ranked[0]
     theta0 = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-    expon = FuncKind.EXPON in (spec.rate_kind, spec.shape_kind)
-    n_starts = 1 + (options.restarts if expon or start_source == "default" else 0)
+    restart = FuncKind.EXPON in (spec.rate_kind, spec.shape_kind) or (
+        start_source == "default" and spec.family is not Family.EXP
+    )
+    n_starts = 1 + (options.restarts if restart else 0)
+
+    def defined(theta, known) -> bool:
+        return math.isfinite(known[0] if known else log_likelihood(spec, theta, sample))
+
     runs = [theta0]
-    for _, theta in (starts or [])[1:]:
+    for _, theta, *known in ranked[1:]:
+        if len(runs) == n_starts:
+            break
         theta = np.clip(np.asarray(theta, dtype=float), lo, hi)
-        if len(runs) < n_starts and not any(np.array_equal(theta, run) for run in runs):
-            if math.isfinite(log_likelihood(spec, theta, sample)):
-                runs.append(theta)
-    rng = np.random.default_rng(_JITTER_SEED)
-    scale = np.maximum(np.abs(theta0), 1.0)
-    theta0_feasible = len(runs) < n_starts and math.isfinite(log_likelihood(spec, theta0, sample))
-    while len(runs) < n_starts:
-        jitter = np.clip(theta0 + _JITTER_SCALE * scale * rng.standard_normal(len(theta0)), lo, hi)
-        # a gradient run needs a feasible start: move an infeasible jitter
-        # back toward theta0 until the likelihood is defined
-        while theta0_feasible and not math.isfinite(log_likelihood(spec, jitter, sample)):
-            jitter = 0.5 * (jitter + theta0)
-        runs.append(jitter)
+        if not any(np.array_equal(theta, run) for run in runs) and defined(theta, known):
+            runs.append(theta)
+    if len(runs) < n_starts:
+        rng = np.random.default_rng(_JITTER_SEED)
+        scale = np.maximum(np.abs(theta0), 1.0)
+        theta0_feasible = defined(theta0, known0)
+        while len(runs) < n_starts:
+            jitter = np.clip(theta0 + _JITTER_SCALE * scale * rng.standard_normal(len(theta0)), lo, hi)
+            # a gradient run needs a feasible start: move an infeasible jitter
+            # back toward theta0 until the likelihood is defined
+            while theta0_feasible and not math.isfinite(log_likelihood(spec, jitter, sample)):
+                jitter = 0.5 * (jitter + theta0)
+            runs.append(jitter)
 
     results = [_minimize(spec, sample, start, options) for start in runs]
     best, converged = None, False
@@ -558,11 +582,10 @@ def fit(
             best, converged = (x, f), success
         elif success and math.isclose(f, best[1], rel_tol=1e-9, abs_tol=1e-9):
             converged = True
-    theta_hat = np.asarray(best[0], dtype=float)
     return FittedModel(
         spec=spec,
-        theta=theta_hat,
-        log_likelihood=log_likelihood(spec, theta_hat, sample),
+        theta=np.asarray(best[0], dtype=float),
+        log_likelihood=-best[1] if best[1] < _BIG else -math.inf,
         n_obs=sample.n,
         days=sample.days,
         window=(sample.window_start, sample.window_end),
@@ -596,8 +619,9 @@ def fit_cascade(
 ) -> dict[str, FittedModel]:
     """Fit a set of models, warm-starting each from its fitted ancestors.
 
-    Candidate starts (donor embeddings plus the moment default) are ranked
-    by their likelihood and :func:`fit` takes them in that order.  Entries
+    The distinct candidate starts (donor embeddings plus the moment
+    default) are ranked by their likelihood, evaluated once each, and
+    :func:`fit` takes them in that order with those values.  Entries
     in ``preloaded`` are taken as-is (they still act as donors).  Models
     with too few observations are skipped; if an optimizer run fails
     outright, the best candidate start is returned as a flagged fallback so
@@ -610,15 +634,19 @@ def fit_cascade(
         if spec.name in preloaded:
             fitted[spec.name] = preloaded[spec.name]
             continue
-        candidates = warm_start_candidates(spec, fitted, t_ref)
-        candidates.append(("default", default_start(spec, sample)))
-        scored = sorted(
-            ((log_likelihood(spec, theta, sample), label, theta) for label, theta in candidates),
-            key=lambda item: item[0], reverse=True,
+        distinct: list[tuple[str, np.ndarray]] = []
+        for label, theta in warm_start_candidates(spec, fitted, t_ref) + [
+            ("default", default_start(spec, sample))
+        ]:
+            if not any(np.array_equal(theta, kept) for _, kept in distinct):
+                distinct.append((label, theta))
+        ranked = sorted(
+            ((label, theta, log_likelihood(spec, theta, sample)) for label, theta in distinct),
+            key=lambda start: start[2], reverse=True,
         )
-        ll0, label0, theta0 = scored[0]
+        label0, theta0, ll0 = ranked[0]
         try:
-            result = fit(spec, sample, options, [(label, theta) for _, label, theta in scored])
+            result = fit(spec, sample, options, ranked)
         except InsufficientDataError as exc:
             logger.warning("skipping %s", exc)
             continue

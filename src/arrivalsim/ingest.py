@@ -290,6 +290,20 @@ def _digests(keys: list) -> np.ndarray:
     return np.fromiter(map(hash, keys), np.int64, len(keys))
 
 
+def _joined(blocks: list) -> list[np.ndarray]:
+    """The columns of a list of column blocks, each joined by
+    ``np.concatenate``.  The list is emptied, and each column's blocks are
+    dropped once it is joined, so the peak holds one column twice rather
+    than every column."""
+    parts = [list(column) for column in zip(*blocks)]
+    blocks.clear()
+    joined = []
+    for column in parts:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return joined
+
+
 def _repeated(digests: np.ndarray) -> np.ndarray:
     """Indices, ascending, of the digests that occur more than once."""
     ordered = np.sort(digests)  # a plain sort: argsort takes 3 to 14 times as long
@@ -368,11 +382,10 @@ def parse_csv(
         for keys, lines in blocks:
             digests.append(_digests(keys))
             columns.append(_parse_block(keys, lines, index, schema, n_products))
-    # drop each list of blocks once joined, so that the peak stays near two copies of the columns
-    candidates = _repeated(np.concatenate(digests))
+    rows = Transactions(*_joined(columns))
+    digests = np.concatenate(digests)  # rebinding drops the digest blocks before the sort
+    candidates = _repeated(digests)
     del digests
-    rows = Transactions(*map(np.concatenate, zip(*columns)))
-    del columns
     twins = _later_twins(path, schema, candidates) if candidates.size else []
     if not twins:
         return rows
@@ -709,7 +722,7 @@ def load_store(
         index = tuple(header.index(c) for c in names)
         for keys, lines in _blocks(handle, ",", reader.line_num):
             columns.append(_store_block(keys, lines, index))
-    day, product, hours = map(np.concatenate, zip(*columns))
+    day, product, hours = _joined(columns)
     if products is not None:
         keep = np.isin(product, list(products))
         day, product, hours = day[keep], product[keep], hours[keep]

@@ -227,7 +227,12 @@ class ModelSpec:
         return tuple(names)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Box bounds (lower, upper) aligned with the parameter layout."""
+        """Box bounds (lower, upper) aligned with the parameter layout, as
+        read-only arrays built once per spec."""
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = [], []
         for name in self.param_names:
             if name == "Q":
@@ -240,7 +245,9 @@ class ModelSpec:
                 b = SLOPE_BOUNDS
             lo.append(b[0])
             hi.append(b[1])
-        return np.array(lo), np.array(hi)
+        lo, hi = np.array(lo), np.array(hi)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
     def params_at(self, theta, t) -> tuple[tuple, bool]:
         """Family parameters at time(s) ``t`` and whether they are feasible.

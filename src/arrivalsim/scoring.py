@@ -195,9 +195,14 @@ def score_cell(obs: np.ndarray, sims: np.ndarray, taus: np.ndarray) -> CellScore
     mae = 2.0 * eval_functional(obs, median_path, LOSS_MEDIAN)
     rmse = 2.0 * eval_functional(obs, mean_path, LOSS_MEAN)
 
-    # the pinball integral of every tau-quantile path at once
+    # the pinball integral of every tau-quantile path at once: |z| weighted
+    # by 1 - tau below the path and tau above it, which is |tau - (z < 0)|
+    # bitwise for tau in [0, 1]
     z = obs - paths
-    pb = np.sum(np.abs(z) * np.abs(taus[:, None] - (z < 0.0)), axis=1) * DT
+    weight = np.where(z < 0.0, (1.0 - taus)[:, None], taus[:, None])
+    np.abs(z, out=z)
+    z *= weight
+    pb = np.sum(z, axis=1) * DT
     return CellScores(bias=bias, mae=mae, rmse=rmse, pb=pb)
 
 

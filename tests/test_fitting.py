@@ -299,8 +299,9 @@ class TestFit:
 
 class TestRestartRule:
     """Further starts run for models with an Expon rate or shape function and
-    for every fit whose best-ranked start is the moment default: first the
-    next-ranked candidates, then fixed perturbations of the best one."""
+    for every Gamma, GenGam or GenF fit whose best-ranked start is the moment
+    default: first the next-ranked candidates, then fixed perturbations of
+    the best one."""
 
     def fits(self, name, sample, start_source):
         spec = model_from_name(name)
@@ -324,6 +325,30 @@ class TestRestartRule:
         default, single = self.fits("Exp.Expon", sample, "Exp.Const")
         assert default.n_evals > single.n_evals
         assert default.log_likelihood >= single.log_likelihood
+
+    @pytest.mark.parametrize("name", ["Exp.Const", "Exp.Lin", "Exp.Quadr"])
+    def test_concave_exp_models_take_no_restarts_from_the_default(self, name):
+        """An Exp model with a Const, Lin or Quadr rate has a concave
+        log-likelihood, so its fit from the moment default runs once: it
+        takes the restarts=0 fit's evaluations and vector, and no single-start
+        fit from a fixed perturbation of the default ends more than 1e-9
+        relative higher."""
+        rng = np.random.default_rng(13)
+        t = np.linspace(A, E, 400, endpoint=False)
+        sample = make_sample(rng.exponential(1.0 / (100.0 + 30.0 * (t - A))), t)
+        default, single = self.fits(name, sample, "default")
+        np.testing.assert_array_equal(default.theta, single.theta)
+        assert default.n_evals == single.n_evals
+        spec, theta0 = default.spec, default_start(default.spec, sample)
+        lo, hi = spec.bounds()
+        # coefficient k moves the rate by about 20% of its level at t = A
+        scale = theta0[0] * abs(A) ** -np.arange(theta0.size)
+        for _ in range(5):
+            start = np.clip(theta0 + 0.2 * scale * rng.standard_normal(theta0.size), lo, hi)
+            while not math.isfinite(log_likelihood(spec, start, sample)):
+                start = 0.5 * (start + theta0)
+            other = fit(spec, sample, FitOptions(restarts=0), [("perturbed", start)])
+            assert other.log_likelihood - default.log_likelihood <= 1e-9 * abs(default.log_likelihood)
 
     def test_no_starts_means_the_moment_default(self):
         sample = draws_sample(1.0, 100.0, 300, seed=11)
@@ -419,6 +444,27 @@ class TestCascade:
         assert len(fits) == 37
         assert [name for name, f in fits.items() if f.fallback or f.nm_fallbacks] == []
         assert [name for name, f in fits.items() if not f.converged] == []
+
+    def test_every_record_holds_the_likelihood_of_its_vector(self, synthetic_cell):
+        """The record's log-likelihood is the winning run's own value: bitwise
+        what log_likelihood gives at the fitted vector."""
+        sample, fits = synthetic_cell
+        for name, fitted in fits.items():
+            assert fitted.log_likelihood == log_likelihood(fitted.spec, fitted.theta, sample), name
+
+    def test_a_cascade_evaluates_each_distinct_start_once(self, monkeypatch):
+        """Exp.Const runs once from its moment default, the maximum itself, and
+        Exp.Lin's donor embedding repeats its default: the cascade evaluates
+        one start of each model, value only, and nothing more."""
+        calls = []
+        monkeypatch.setattr(
+            fitting, "log_likelihood",
+            lambda spec, theta, sample: calls.append(spec.name) or log_likelihood(spec, theta, sample),
+        )
+        sample = draws_sample(1.0, 100.0, 300, seed=14)
+        fits = fit_cascade([model_from_name("Exp.Const"), model_from_name("Exp.Lin")], sample)
+        assert calls == ["Exp.Const", "Exp.Lin"]
+        assert fits["Exp.Lin"].start_source == "Exp.Const"
 
     def test_lbfgsb_from_each_fit_finds_no_higher_likelihood(self, synthetic_cell):
         """An independent optimizer, scipy's L-BFGS-B on the same score and

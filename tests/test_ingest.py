@@ -714,8 +714,9 @@ def test_duplicates_are_exact_under_digest_collisions(tmp_path, caplog, monkeypa
 
 def test_parse_csv_memory_stays_near_its_columns(tmp_path):
     """The tracemalloc peak of parse_csv on about 20k rows, one of them a
-    duplicate, stays at or below 120 B per row; the columns it returns hold
-    33."""
+    duplicate, stays at or below 85 B per row: 74 measured, where a block's
+    text weighs most, plus a margin of about 15%.  The columns it returns
+    hold 33."""
     n = 20_000
     start = datetime(2017, 9, 3, 0, 0)
     lines = ["delivery_date,product,timestamp,market_area,volume,price,transaction_id"]
@@ -734,7 +735,7 @@ def test_parse_csv_memory_stays_near_its_columns(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(rows) == n
-    assert peak / n <= 120
+    assert peak / n <= 85
 
 
 STORE = [

@@ -116,6 +116,14 @@ class TestModelSpace:
             else:
                 assert (lo[i], hi[i]) == (-1e4, 1e4)
 
+    def test_bounds_are_built_once_and_read_only(self):
+        spec = model_from_name("Gamma.Lin.Const")
+        lo, hi = spec.bounds()
+        assert spec.bounds()[0] is lo and spec.bounds()[1] is hi
+        for bound in (lo, hi):
+            with pytest.raises(ValueError):
+                bound[0] = 0.0
+
 
 # at +-0, inside the study window and far before it
 JOIN_TIMES = np.array([0.0, -0.0, -0.5, -1.7, -3.25, -8.0, -33.0])
