@@ -6,10 +6,19 @@ of trajectories is simulated over the forecast horizon anchored at the
 last transaction before it, and the realized counting path is scored.
 Per-cell work is independent, seeded from (master seed, model, day,
 product), and persisted fit records are reloaded on rerun, so a study is
-resumable and bitwise reproducible at any parallelism degree.  A cell
-builds its training sample when it runs, and pool workers receive the
-config, the series and the tau grid once, so a cell's ``skipping ...``
-warning comes from the process that runs the cell.
+resumable and bitwise reproducible at any parallelism degree.
+
+The work runs in groups of consecutive cells, sized by
+:func:`~arrivalsim.simulate.cells_per_group` so that their models fill
+the simulation's locksteps: one cell once M reaches the lockstep cap, as
+at the paper's M = 1,000.  A group prepares its cells one at a time
+(training sample, fits, realized counts and anchor), then simulates the
+models of all of them in one ``simulate_sets`` call and scores each set
+as it comes.  With ``parallelism`` P > 1 a group is one pool task, and
+the cells are split into at least P of them.  Pool workers receive the
+config, the series and the tau grid once, and a cell builds its training
+sample when its group runs, so a cell's ``skipping ...`` warning comes
+from the process that prepares the cell.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .scoring import (
     score_cell,
 )
 from .simulate import (
+    cells_per_group,
     counts_on_grid,
     pick_anchor,
     simulate_set,
@@ -249,19 +259,19 @@ def _fit_dir(outdir: str, model: str, product: int, day: date) -> Path:
     return Path(outdir) / model / str(product) / day.isoformat()
 
 
-def _run_cell(
+def _prepare_cell(
     config: RunConfig,
     series: dict[tuple[date, int], ArrivalSeries],
-    taus: np.ndarray,
     day: date,
     product: int,
-) -> dict[str, CellScores | None]:
-    """Fit (or load), simulate and score every model of one (day, product)."""
-    out: dict[str, CellScores | None] = dict.fromkeys(config.models)
+) -> tuple[dict[str, FittedModel], np.ndarray, float] | None:
+    """Fit (or load) every model of one (day, product) on its training
+    sample; the records, the realized counts and the anchor.  None when the
+    cell lacks a sample or an observed day."""
     sample = training_sample(config, series, day, product)
     observed = series.get((day, product))
     if sample is None or observed is None or sample.empty:
-        return out
+        return None
 
     preloaded: dict[str, FittedModel] = {}
     if config.outdir is not None:
@@ -290,22 +300,52 @@ def _run_cell(
         for name, record in fitted.items():
             if name not in preloaded:
                 record.save(_fit_dir(config.outdir, name, product, day) / "fit.json")
+    return (
+        fitted,
+        observed_counts(observed.arrivals, config.t1, config.t2),
+        pick_anchor(observed.arrivals, config.t1),
+    )
 
+
+def _run_group(
+    config: RunConfig,
+    series: dict[tuple[date, int], ArrivalSeries],
+    taus: np.ndarray,
+    keys: list[tuple[date, int]],
+) -> list[dict[str, CellScores | None]]:
+    """Fit (or load), simulate and score every model of the (day, product)
+    cells ``keys``.
+
+    The cells are prepared one at a time, so one training sample is held
+    at once.  Then one ``simulate_sets`` call simulates the models of every
+    cell, so that cells share locksteps, and each set is scored (and
+    dumped) as it comes.
+    """
+    out: list[dict[str, CellScores | None]] = [dict.fromkeys(config.models) for _ in keys]
+    obs_counts: dict[int, np.ndarray] = {}  # per prepared cell
+    owners, records, anchors, seeds = [], [], [], []  # per record: (cell, model name), ...
+    for k, (day, product) in enumerate(keys):
+        cell = _prepare_cell(config, series, day, product)
+        if cell is None:
+            continue
+        fitted, obs_counts[k], anchor = cell
+        for name in config.models:
+            if name in fitted:
+                owners.append((k, name))
+                records.append(fitted[name])
+                anchors.append(anchor)
+                seeds.append(cell_seed(config.seed, name, day, product))
     grid = minute_grid(config.t1, config.t2)
-    obs_counts = observed_counts(observed.arrivals, config.t1, config.t2)
-    anchor = pick_anchor(observed.arrivals, config.t1)
-
-    names = [name for name in config.models if name in fitted]
     for i, ts in simulate_sets(
-        [fitted[name] for name in names], anchor, config.t1, config.t2, config.trajectories,
-        [cell_seed(config.seed, name, day, product) for name in names],
+        records, anchors, config.t1, config.t2, config.trajectories, seeds
     ):
-        name = names[i]
+        k, name = owners[i]
         if config.dump_trajectories and config.outdir is not None:
+            day, product = keys[k]
             write_trajectories(
                 ts, _fit_dir(config.outdir, name, product, day) / "trajectories.csv"
             )
-        out[name] = score_cell(obs_counts, ts.counts(grid), taus)
+        out[k][name] = score_cell(obs_counts[k], ts.counts(grid), taus)
     return out
 
 
@@ -352,8 +392,8 @@ def _init_worker(*study) -> None:
     _worker_study = study
 
 
-def _run_worker_cell(key: tuple[date, int]) -> dict[str, CellScores | None]:
-    return _run_cell(*_worker_study, *key)
+def _run_worker_group(keys: list[tuple[date, int]]) -> list[dict[str, CellScores | None]]:
+    return _run_group(*_worker_study, keys)
 
 
 def run(config: RunConfig) -> ScoreReport:
@@ -372,13 +412,17 @@ def run(config: RunConfig) -> ScoreReport:
 
     study = (config, series, taus)
     keys = [(day, product) for day in out_days for product in config.products]
+    size = cells_per_group(map(model_from_name, config.models), config.trajectories)
+    if config.parallelism > 1:
+        size = max(1, min(size, len(keys) // config.parallelism))
+    groups = [keys[i:i + size] for i in range(0, len(keys), size)]
     if config.parallelism == 1:
-        cells = [_run_cell(*study, *key) for key in keys]
+        cells = [cell for group in groups for cell in _run_group(*study, group)]
     else:
         with concurrent.futures.ProcessPoolExecutor(
             config.parallelism, initializer=_init_worker, initargs=study
         ) as pool:
-            cells = list(pool.map(_run_worker_cell, keys))
+            cells = [cell for group in pool.map(_run_worker_group, groups) for cell in group]
 
     report = _assemble(config, out_days, taus, dict(zip(keys, cells)))
     if config.outdir is not None:

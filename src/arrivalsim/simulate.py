@@ -26,10 +26,12 @@ whose shape varies in time, Marsaglia-Tsang attempts at the current
 shape, which a row repeats on its own slots until one is accepted.
 
 A step costs about twenty small numpy calls whatever its width, so the
-models of a cell share locksteps by step kernel and by whether their
-shape is constant or varies in time.  Exp and Gamma models step ``w /
-rate``, GenGam and GenF models ``exp(mu + sigma * w)``; the rows of a
-lockstep draw with one sampler kind, Marsaglia-Tsang attempts if they
+records of one ``simulate_sets`` call share locksteps by step kernel and
+by whether their shape is constant or varies in time: the models of a
+cell, and in a study the models of several cells, each record with its
+own anchor, which only its first gaps read.  Exp and Gamma models step
+``w / rate``, GenGam and GenF models ``exp(mu + sigma * w)``; the rows of
+a lockstep draw with one sampler kind, Marsaglia-Tsang attempts if they
 are Gamma rows with a time-varying shape and one innovation per slot
 otherwise, and keep their slots in blocks of one width.  A lockstep
 evaluates its rows in :func:`~arrivalsim.models.join` of its members'
@@ -42,20 +44,23 @@ Exp as a Gamma with a shape of 1, which the rate step does not read; a
 GenGam as a GenF with p = 0, since a step uses only mu and sigma.  Each
 gives bitwise its model's own values at finite t.  Exp rows alone keep
 the Exp layout.  Models with one step kernel, kind of shape and fit
-window share a lockstep of at most ``_ROWS`` rows, each row with its own
-sampler.  The cap bounds memory: a row holds ``_BLOCK`` pre-drawn slots
-of its lockstep's width (2 KiB, or 6 KiB for gamma attempts) and 24
-bytes per arrival, so a full lockstep of trajectories with 200 arrivals
-holds about 5 to 8 MB.  A model with ``_ROWS`` or more trajectories
-fills a lockstep of its own, and steps the same way.  A trajectory
-ends, with a warning, after ``_MAX_EVENTS`` arrivals, so that a fit
-whose rate explodes inside the horizon costs bounded time and memory.
+window share a lockstep of at most ``_ROWS`` slot rows: a row of
+Marsaglia-Tsang attempts counts three, any other row one.  The cap
+bounds memory: a slot row holds ``_BLOCK`` pre-drawn slots (2 KiB), and
+a row 24 bytes per arrival, so a full lockstep of trajectories with 200
+arrivals holds about 3 to 5 MB.  A model with ``_ROWS`` or more slot
+rows fills a lockstep of its own, and steps the same way.  A lockstep's
+generators are built when it is packed, so one lockstep's generators,
+slots and arrivals are held at once.  A trajectory ends, with a warning,
+after ``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside
+the horizon costs bounded time and memory.
 
 Each trajectory owns an rng stream, which ``simulate_sets`` derives from
 (seed, trajectory index) as ``SeedSequence(seed).spawn(m)[i]`` does, in
-one vectorized pass.  The stream first yields the uniform of the first
-gap.  Once the first arrival lands before the horizon end it yields the
-trajectory's slots in blocks of ``_BLOCK``: ``_BLOCK`` innovations (a
+one vectorized pass over the records of a lockstep.  The stream first
+yields the uniform of the first gap.  Once the first arrival lands
+before the horizon end it yields the trajectory's slots in blocks of
+``_BLOCK``: ``_BLOCK`` innovations (a
 GenF with p >= ``GENGAM_P_EPS`` draws ``_BLOCK`` gamma variates at each
 of its two shapes for them), or, for a gamma whose shape varies in time,
 ``_BLOCK`` normals and then ``2 * _BLOCK`` uniforms, the (x, u, v) of
@@ -70,7 +75,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,13 +85,14 @@ from numpy.random.bit_generator import ISeedSequence
 from .distributions import KERNELS, truncated_quantile
 from .errors import DomainError, ParameterError, TailExhaustedError
 from .fitting import FittedModel
-from .models import FuncKind, feasible_on_grid, join
+from .models import Family, FuncKind, ModelSpec, feasible_on_grid, join
 
 __all__ = [
     "TrajectorySet",
     "simulate_trajectories",
     "simulate_sets",
     "simulate_set",
+    "cells_per_group",
     "counts_on_grid",
     "counts_matrix",
     "pick_anchor",
@@ -100,10 +106,12 @@ logger = logging.getLogger(__name__)
 # 230 arrivals, so it draws one block or two; of 64, 128, 256 and 512,
 # 256 simulated a 37-model cell fastest at M = 40 and M = 1,000.
 _BLOCK = 256
-# Most trajectories in one lockstep.  The cap bounds the memory a lockstep
-# adds over simulating its models one at a time (module docstring).  A
-# sweep over the 37 models of 3 cells of 28-day GenF fits (CPU ms per
-# cell, best of 5 rounds, one process on a shared 2-core x86_64 VM;
+# Most slot rows in one lockstep: trajectories, with a row of Marsaglia-
+# Tsang attempts counted three times.  The cap bounds the memory a
+# lockstep adds over simulating its models one at a time, however many
+# cells share it (module docstring).  A sweep of the row cap over the 37
+# models of 3 cells of 28-day GenF fits, one cell to a lockstep (CPU ms
+# per cell, best of 5 rounds, one process on a shared 2-core x86_64 VM;
 # tracemalloc peak MB at M = 40 and 200):
 #
 #   M         8     20     40    100    200   peak 40   peak 200
@@ -140,9 +148,10 @@ class _State(ISeedSequence):
         return self.state
 
 
-def _streams(seed: int, m: int) -> list[np.random.Generator]:
+def _streams(seeds: list[int], m: int) -> list[np.random.Generator]:
     """The generators ``default_rng(SeedSequence(seed).spawn(m)[i])``, bit
-    for bit, i < m < 2**32, from one vectorized pass over i.
+    for bit, for each seed of ``seeds`` in turn and each i < m < 2**32,
+    from one vectorized pass over (seed, i).
 
     Child i's entropy is the seed's 32-bit words, zero-padded to the
     4-word pool, then i.  Mixing the padded words gives the pool of
@@ -153,33 +162,37 @@ def _streams(seed: int, m: int) -> list[np.random.Generator]:
     into 8 words: the 4 uint64 of the child's
     ``generate_state(4, np.uint64)``.
     """
-    words = max(1, -(-seed.bit_length() // 32))
-    pool = np.random.SeedSequence(seed).pool
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    pools, consts = [], []
+    for seed in seeds:
+        words = max(1, -(-seed.bit_length() // 32))
+        pools.append(np.random.SeedSequence(seed).pool)
+        const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+        consts.append([const * pow(_MULT_A, k, 1 << 32) & _MASK32 for k in range(5)])
+    pools = np.array(pools, dtype=np.uint32)  # (seeds, 4)
+    consts = np.array(consts, dtype=np.uint32)  # (seeds, 5): pool word w hashes with w, w + 1
     i = np.arange(m, dtype=np.uint32)
     mixed = []
-    for word in pool.tolist():
-        h = i ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        h *= np.uint32(const)
+    for w in range(4):
+        h = i ^ consts[:, w, np.newaxis]  # (seeds, m)
+        h *= consts[:, w + 1, np.newaxis]
         h ^= h >> np.uint32(16)
-        h = np.uint32(_MIX_L * word & _MASK32) - np.uint32(_MIX_R) * h
+        h = np.uint32(_MIX_L) * pools[:, w, np.newaxis] - np.uint32(_MIX_R) * h
         h ^= h >> np.uint32(16)
         mixed.append(h)
-    state = np.empty((m, 8), dtype=np.uint32)
+    state = np.empty((len(seeds), m, 8), dtype=np.uint32)
     const = _INIT_B
     for k in range(8):
         h = mixed[k % 4] ^ np.uint32(const)
         const = const * _MULT_B & _MASK32
         h *= np.uint32(const)
         h ^= h >> np.uint32(16)
-        state[:, k] = h
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
+        state[:, :, k] = h
+    state = state.reshape(-1, 8).astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_State(row))) for row in state]
 
 
 class _Member:
-    """The trajectories of one group, one lockstep row each."""
+    """The trajectories of one record, one lockstep row each."""
 
     def __init__(self, index, key, fitted, rngs, params, live, t):
         self.index, self.key = index, key
@@ -197,11 +210,32 @@ def _lockstep_key(fitted: FittedModel) -> tuple:
     ``take``: Marsaglia-Tsang attempts for a Gamma whose shape varies in
     time, one innovation per slot for every other model."""
     lo, hi = fitted.window
-    return (
-        KERNELS[fitted.spec.family].step,
-        fitted.spec.shape_kind not in (None, FuncKind.CONST),
+    return _spec_key(fitted.spec) + (
         (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None,
     )
+
+
+def _spec_key(spec: ModelSpec) -> tuple:
+    return KERNELS[spec.family].step, spec.shape_kind not in (None, FuncKind.CONST)
+
+
+def _width(spec: ModelSpec) -> int:
+    """Slots per row of the model's sampler: the (x, u, v) of a
+    Marsaglia-Tsang attempt for a Gamma whose shape varies in time, one
+    innovation otherwise."""
+    return 3 if spec.family is Family.GAMMA and spec.shape_kind is not FuncKind.CONST else 1
+
+
+def cells_per_group(specs: Iterable[ModelSpec], m: int) -> int:
+    """How many cells, each simulating M = ``m`` trajectories of every model
+    of ``specs``, fill the locksteps of every key they hold: the most
+    cells any key's slot rows take before one more cell would overflow
+    ``_ROWS``, and at least one.  One at M >= ``_ROWS``."""
+    slots: dict[tuple, int] = {}
+    for spec in specs:
+        key = _spec_key(spec)
+        slots[key] = slots.get(key, 0) + m * _width(spec)
+    return max(max(1, _ROWS // n) for n in slots.values())
 
 
 def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
@@ -240,46 +274,53 @@ def simulate_trajectories(
     t_end: float,
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
     """One trajectory on ``(t_start, t_end)`` per generator, for each
-    ``(fitted, rngs)`` group.
-
-    Consecutive groups with one lockstep key (see ``_lockstep_key``) share
-    a lockstep of at most ``_ROWS`` trajectories, packed whole per group;
-    a group larger than ``_ROWS`` runs alone.  ``groups`` is read one group
-    at a time and ``(group index, trajectories)`` is yielded as each
-    lockstep finishes, so only one lockstep's rngs and arrivals are held
-    at once.  Each trajectory draws only from its own generator,
-    in the order the module docstring states.
+    ``(fitted, rngs)`` group: ``(group index, trajectories)``, each group
+    in a lockstep of its own.  Each trajectory draws only from its own
+    generator, in the order the module docstring states.
     """
-    if not anchor <= t_start < t_end:
-        raise DomainError(
-            f"need anchor <= t_start < t_end, got {anchor}, {t_start}, {t_end}"
-        )
-    batch: list[_Member] = []
-
-    def rows():
-        return sum(len(m.rngs) for m in batch)
-
-    def run():
-        trajectories = _lockstep(batch, t_end)
-        start = 0
-        for member in batch:
-            yield member.index, trajectories[start:start + len(member.rngs)]
-            start += len(member.rngs)
-        batch.clear()
-
+    _check_horizon([anchor], t_start, t_end)
     for g, (fitted, rngs) in enumerate(groups):
+        for _, arrivals, lengths in _simulate([(g, fitted, anchor, rngs)], t_start, t_end):
+            yield g, _split(arrivals, lengths)
+
+
+def _check_horizon(anchors, t_start, t_end):
+    for anchor in anchors:
+        if not anchor <= t_start < t_end:
+            raise DomainError(
+                f"need anchor <= t_start < t_end, got {anchor}, {t_start}, {t_end}"
+            )
+
+
+def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(index, arrivals, lengths)`` for each ``(index, fitted, anchor,
+    rngs)`` of ``lockstep``, whose models share one lockstep key: the
+    arrivals of its trajectories one after another and each one's count.
+
+    A model whose first arrivals all miss the horizon yields at once; the
+    others step together in one ``_lockstep``.
+    """
+    members: list[_Member] = []
+    for index, fitted, anchor, rngs in lockstep:
         key = _lockstep_key(fitted)
         first = _first_arrivals(fitted, key[2], anchor, t_start, t_end, rngs)
         if first is None or not first[1].size:
-            yield g, [np.empty(0) for _ in rngs]
-            continue
-        if batch and (key != batch[0].key or rows() + len(rngs) > _ROWS):
-            yield from run()
-        batch.append(_Member(g, key, fitted, rngs, *first))
-        if rows() >= _ROWS:
-            yield from run()
-    if batch:
-        yield from run()
+            yield index, np.empty(0), np.zeros(len(rngs), dtype=np.intp)
+        else:
+            members.append(_Member(index, key, fitted, rngs, *first))
+    if not members:
+        return
+    arrivals, lengths = _lockstep(members, t_end)
+    rows = np.cumsum([0] + [len(member.rngs) for member in members])
+    ends = np.concatenate([[0], np.cumsum(lengths)])[rows]
+    for k, member in enumerate(members):
+        # a copy, so that a set kept while the next lockstep runs does not
+        # keep this lockstep's arrivals
+        yield member.index, arrivals[ends[k]:ends[k + 1]].copy(), lengths[rows[k]:rows[k + 1]]
+
+
+def _split(arrivals: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    return np.split(arrivals, np.cumsum(lengths)[:-1])
 
 
 class _Innovations:
@@ -339,9 +380,10 @@ class _Innovations:
             self.blocks[i] = self.draws[i](self.rngs[i], _BLOCK)
 
 
-def _lockstep(members: list[_Member], t_end: float) -> list[np.ndarray]:
+def _lockstep(members: list[_Member], t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """One trajectory per generator of ``members``, which share one key, in
-    order; a row per trajectory, advanced in lockstep.
+    order, a row per trajectory, advanced in lockstep: the arrivals of the
+    trajectories one after another and each one's count.
 
     Step k gives every live row its k-th arrival.  The rows step under
     the :func:`join` of the members' specs, each with its own parameter
@@ -412,14 +454,16 @@ def _lockstep(members: list[_Member], t_end: float) -> list[np.ndarray]:
     flat = np.empty(ends[-1])
     for k, (idx, values) in enumerate(steps):
         flat[starts[idx] + k] = values
-    return np.split(flat, ends[:-1])
+    return flat, lengths
 
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """M simulated trajectories for one forecast cell."""
+    """M simulated trajectories for one forecast cell: their arrivals one
+    trajectory after another, and each trajectory's count."""
 
-    trajectories: list[np.ndarray]
+    arrivals: np.ndarray
+    lengths: np.ndarray
     t_start: float
     t_end: float
     anchor: float
@@ -427,42 +471,62 @@ class TrajectorySet:
 
     @property
     def m(self) -> int:
-        return len(self.trajectories)
+        return self.lengths.size
+
+    @property
+    def trajectories(self) -> list[np.ndarray]:
+        """One array of arrival times per trajectory."""
+        return _split(self.arrivals, self.lengths)
 
     def counts(self, grid: np.ndarray) -> np.ndarray:
         """(M, J) matrix of counting-path values on ``grid``."""
-        return counts_matrix(self.trajectories, grid)
+        return _counts(self.arrivals, self.lengths, grid)
 
 
 def simulate_sets(
     records: list[FittedModel],
-    anchor: float,
+    anchor: float | Sequence[float],
     t_start: float,
     t_end: float,
     m: int,
     seeds: list[int],
 ) -> Iterator[tuple[int, TrajectorySet]]:
     """M independent trajectories per record, from rng streams derived
-    from (its seed, trajectory index).
+    from (its seed, trajectory index), each anchored at ``anchor`` or at
+    its own entry of ``anchor``.
 
-    Records with one lockstep key are simulated together.  Yields
-    ``(record index, set)`` once per record, in the order the locksteps
-    finish.
+    Records with one lockstep key share locksteps of whole records, in
+    their order: as few as hold them in at most ``_ROWS`` slot rows each,
+    of sizes that differ by one record at most; a record with more slot
+    rows runs alone.  A lockstep's generators are built when it is
+    packed, so only one lockstep's generators, slots and arrivals are held
+    at once.  Yields ``(record index, set)`` once per record, as each
+    lockstep finishes.
     """
+    anchors = [float(anchor)] * len(records) if np.ndim(anchor) == 0 else list(map(float, anchor))
     if m < 1:
         raise DomainError("need at least one trajectory")
-    if len(seeds) != len(records):
-        raise DomainError(f"need one seed per record, got {len(seeds)} for {len(records)}")
+    for name, values in (("seed", seeds), ("anchor", anchors)):
+        if len(values) != len(records):
+            raise DomainError(
+                f"need one {name} per record, got {len(values)} for {len(records)}"
+            )
     if any(seed < 0 for seed in seeds):
         raise DomainError(f"seeds must be non-negative, got {min(seeds)}")
+    _check_horizon(anchors, t_start, t_end)
     by_key: dict[tuple, list[int]] = {}
     for i, record in enumerate(records):
         by_key.setdefault(_lockstep_key(record), []).append(i)
-    order = [i for indices in by_key.values() for i in indices]
-    groups = ((records[i], _streams(seeds[i], m)) for i in order)
-    for g, trajectories in simulate_trajectories(groups, anchor, t_start, t_end):
-        i = order[g]
-        yield i, TrajectorySet(trajectories, t_start, t_end, anchor, seeds[i])
+    for indices in by_key.values():
+        per = max(1, _ROWS // (m * _width(records[indices[0]].spec)))
+        for chunk in np.array_split(indices, -(-len(indices) // per)):
+            chunk = chunk.tolist()
+            rngs = _streams([seeds[i] for i in chunk], m)
+            lockstep = [
+                (i, records[i], anchors[i], rngs[k * m:(k + 1) * m]) for k, i in enumerate(chunk)
+            ]
+            for i, arrivals, lengths in _simulate(lockstep, t_start, t_end):
+                yield i, TrajectorySet(arrivals, lengths, t_start, t_end, anchors[i], seeds[i])
 
 
 def simulate_set(
@@ -483,16 +547,22 @@ def counts_on_grid(arrivals: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def counts_matrix(trajectories: list[np.ndarray], grid: np.ndarray) -> np.ndarray:
-    """(M, J) matrix of :func:`counts_on_grid` rows, one per trajectory.
+    """(M, J) matrix of :func:`counts_on_grid` rows, one per trajectory."""
+    return _counts(np.concatenate(trajectories), [len(tr) for tr in trajectories], grid)
+
+
+def _counts(arrivals: np.ndarray, lengths, grid: np.ndarray) -> np.ndarray:
+    """(M, J) counting-path values on ``grid`` of the trajectories that
+    ``lengths`` cuts ``arrivals`` into.
 
     An arrival a is counted at grid point g_j iff a <= g_j, that is iff
     the first grid index i with g_i >= a is at most j: a per-row histogram
     of those indices, cumulated, gives the counts exactly.
     """
     grid = np.asarray(grid)
-    m, j = len(trajectories), grid.size
-    bins = np.searchsorted(grid, np.concatenate(trajectories), side="left")
-    bins += np.repeat(np.arange(0, m * (j + 1), j + 1), [len(tr) for tr in trajectories])
+    m, j = len(lengths), grid.size
+    bins = np.searchsorted(grid, arrivals, side="left")
+    bins += np.repeat(np.arange(0, m * (j + 1), j + 1), lengths)
     hist = np.bincount(bins, minlength=m * (j + 1)).reshape(m, j + 1)
     del bins  # one arrival-sized array fewer at the peak, in the cumsum
     return np.cumsum(hist[:, :j], axis=1)

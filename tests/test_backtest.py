@@ -1,7 +1,10 @@
 """Study orchestration checks: determinism, resumability, persistence."""
 
+import concurrent.futures
+import functools
 import json
 import math
+import multiprocessing
 import weakref
 from datetime import date
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arrivalsim import backtest
 from arrivalsim.backtest import (
     RunConfig,
     cell_seed,
@@ -216,6 +220,60 @@ class TestRun:
         run(tiny_config(synth_csv, out_b, parallelism=2, **kw))
         assert report.missing.tolist() == [[1, 1, 3], [1, 1, 3]]
         assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    def test_cells_simulated_together_give_the_outputs_of_one_cell_at_a_time(
+        self, synth_csv, tmp_path, monkeypatch, parallelism
+    ):
+        """Report CSVs and trajectory dumps of a study whose cells share
+        locksteps equal those of one cell at a time, with skipped cells
+        among them, at any parallelism.  A Gamma model's first gap depends
+        on its cell's anchor, which an Exp model's barely does."""
+        kw = dict(products=(5, 6, 7), start_date="2017-09-11", out_days=3, dump_trajectories=True,
+                  models=("Exp.Const", "Exp.Lin", "Gamma.Const.Const"))
+        cfg = tiny_config(synth_csv, tmp_path / "grouped", parallelism=parallelism, **kw)
+        assert backtest.cells_per_group(map(model_from_name, cfg.models), cfg.trajectories) >= 9
+        run(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(backtest, "cells_per_group", lambda specs, m: 1)
+            run(tiny_config(synth_csv, tmp_path / "alone", **kw))
+        grouped, alone = tree_bytes(tmp_path / "grouped"), tree_bytes(tmp_path / "alone")
+        assert sum(name.endswith("trajectories.csv") for name in alone) == 12
+        assert grouped == alone
+
+    def test_parallelism_invariant_under_forkserver(self, synth_csv, tmp_path, monkeypatch):
+        """Workers started by a forkserver, the default start method on
+        Linux from Python 3.14: the group task, its initializer and the
+        study they receive pickle."""
+        out_a, out_b = tmp_path / "p1", tmp_path / "p2"
+        run(tiny_config(synth_csv, out_a, parallelism=1))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("forkserver"),
+        ))
+        run(tiny_config(synth_csv, out_b, parallelism=2))
+        assert tree_bytes(out_a) == tree_bytes(out_b)
+
+    def test_run_calls_the_functions_the_benchmark_traces_by_module_name(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        """perfbench/sample.py times each layer by replacing these names in
+        ``arrivalsim.backtest``: a call that moves elsewhere would read 0."""
+        names = ("load_input", "parse_csv", "build_series", "slice_window", "merge_samples",
+                 "fit_cascade", "score_cell", "product_criteria", "write_report_csvs")
+        called = set()
+
+        def counted(name, fn, *args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        for name in names:
+            monkeypatch.setattr(backtest, name, functools.partial(
+                counted, name, getattr(backtest, name)
+            ))
+        run(tiny_config(synth_csv, tmp_path / "out"))
+        assert called == set(names)
+        assert callable(backtest.simulate_set)
 
     def test_a_serial_run_holds_one_training_sample_at_a_time(self, synth_csv, monkeypatch):
         samples = []

@@ -16,6 +16,7 @@ from arrivalsim.simulate import (
     _BLOCK,
     _ROWS,
     TrajectorySet,
+    cells_per_group,
     counts_matrix,
     counts_on_grid,
     pick_anchor,
@@ -235,12 +236,15 @@ class TestStreams:
     @pytest.mark.parametrize("m", [1, 7, 300, 1000])
     def test_streams_are_numpy_spawned_streams(self, m):
         """Trajectory i's generator is default_rng(SeedSequence(seed).spawn(m)[i]),
-        bit for bit: numpy's own SeedSequence is the reference."""
-        for seed in self.SEEDS:
-            got = simulate._streams(seed, m)
-            want = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(m)]
+        bit for bit, for every seed of one call, seed by seed: numpy's own
+        SeedSequence is the reference.  The seeds include 0 and seeds wider
+        than four 32-bit words."""
+        for seeds in (self.SEEDS, self.SEEDS[:1], self.SEEDS[-1:]):
+            got = simulate._streams(seeds, m)
+            want = [np.random.default_rng(c)
+                    for seed in seeds for c in np.random.SeedSequence(seed).spawn(m)]
             assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
-            assert [g.random() for g in got[:3]] == [w.random() for w in want[:3]]
+            assert [g.random() for g in got] == [w.random() for w in want]
 
     def test_a_negative_seed_is_refused(self):
         with pytest.raises(DomainError, match="non-negative"):
@@ -251,6 +255,14 @@ class TestStreams:
         for seeds in ([1], [1, 2, 3]):
             with pytest.raises(DomainError, match="one seed per record"):
                 next(simulate_sets(records, T1, T1, T2, 3, seeds))
+
+    def test_one_anchor_per_record_at_or_before_the_horizon(self):
+        records = [fitted("Exp.Const", [10.0]), fitted("Exp.Lin", [10.0, 1.0])]
+        for anchors in ([T1], [T1] * 3):
+            with pytest.raises(DomainError, match="one anchor per record"):
+                next(simulate_sets(records, anchors, T1, T2, 3, [1, 2]))
+        with pytest.raises(DomainError, match="anchor <= t_start"):
+            next(simulate_sets(records, [T1, T1 + 0.1], T1, T2, 3, [1, 2]))
 
 
 class TestDeterminism:
@@ -501,14 +513,15 @@ class TestGroupedLocksteps:
         }
 
     def test_rows_beyond_the_cap_split_into_locksteps(self, caplog, lockstep_sizes):
-        # one lockstep key, 7 * 120 rows > _ROWS: two locksteps of whole models
+        # one lockstep key, 7 * 120 rows > _ROWS: two locksteps of whole
+        # models, as even as they go
         names = ["GenGam.Const.Const", "GenGam.Lin.Const", "GenGam.Quadr.Const", "GenF.Const.Const",
                  "GenF.Lin.Const", "GenF.Quadr.Const", "GenF.Expon.Const"]
         rng = np.random.default_rng(6)
         records = [fitted(n, feasible_theta(model_from_name(n), rng)) for n in names]
         simulate_both(caplog, records, m=120)
         assert 6 * 120 <= _ROWS < 7 * 120
-        assert lockstep_sizes == [6, 1] + [1] * 7
+        assert lockstep_sizes == [4, 3] + [1] * 7
 
     @pytest.mark.parametrize("names, layout", [
         (["Exp.Const", "Exp.Lin", "Exp.Quadr"], ["Exp.Quadr"]),
@@ -546,6 +559,31 @@ class TestGroupedLocksteps:
         records = [fitted("Exp.Const", [40.0]), fitted("Exp.Lin", [40.0, 2.0])]
         simulate_both(caplog, records, m=_ROWS + 1)
         assert lockstep_sizes == [1, 1, 1, 1]
+
+    def test_the_models_of_several_cells_share_a_lockstep(self, lockstep_sizes):
+        """Two cells' models, each cell with its own anchor, share one
+        lockstep at small M, and each gives the trajectories it gives alone;
+        a model with ``_ROWS`` trajectories or more still runs alone."""
+        records = [fitted("Exp.Const", [40.0]), fitted("Exp.Lin", [40.0, 2.0])] * 2
+        anchors = [T1 - 0.2, T1 - 0.2, T1 - 0.05, T1 - 0.05]
+        seeds = [1, 2, 3, 4]
+        for m, sizes in ((10, [4]), (_ROWS, [1] * 4)):
+            lockstep_sizes.clear()
+            grouped = dict(simulate_sets(records, anchors, T1, T2, m, seeds))
+            assert lockstep_sizes == sizes
+            for i, (record, anchor, seed) in enumerate(zip(records, anchors, seeds)):
+                alone = simulate_set(record, anchor, T1, T2, m, seed)
+                assert (grouped[i].anchor, grouped[i].seed) == (anchor, seed)
+                np.testing.assert_array_equal(grouped[i].arrivals, alone.arrivals)
+                np.testing.assert_array_equal(grouped[i].lengths, alone.lengths)
+
+    def test_gamma_attempts_cap_a_lockstep_at_a_third_of_the_rows(self, caplog, lockstep_sizes):
+        """A lockstep holds at most ``_ROWS`` slot rows: a Gamma whose shape
+        varies in time keeps three slots a row."""
+        records = [fitted(name, theta) for name, theta in VARYING_GAMMA]
+        m = _ROWS // 3 // 2  # two such models to a lockstep
+        simulate_both(caplog, records, m=m)
+        assert lockstep_sizes[:-7] == [2, 2, 2, 1]
 
     def test_infeasible_rows_end_with_one_warning_naming_their_model(self, caplog):
         healthy = [
@@ -585,6 +623,11 @@ class TestGroupedLocksteps:
         assert messages == ["Exp.Const: trajectory hit max_events=100 before -0.5"] * 5
 
 
+def trajectory_set(trajectories):
+    lengths = np.array([len(tr) for tr in trajectories], dtype=np.intp)
+    return TrajectorySet(np.concatenate(trajectories), lengths, T1, T2, T1, 0)
+
+
 def test_counts_matrix_equals_counts_on_grid_per_row():
     rng = np.random.default_rng(0)
     grid = minute_grid(T1, T2)
@@ -595,10 +638,43 @@ def test_counts_matrix_equals_counts_on_grid_per_row():
         trajectories.append(np.sort(np.concatenate([inside, on_grid])) if k % 4 else np.empty(0))
     trajectories.append(np.empty(0))
     want = np.vstack([counts_on_grid(tr, grid) for tr in trajectories])
-    got = TrajectorySet(trajectories, T1, T2, T1, 0).counts(grid)
+    got = trajectory_set(trajectories).counts(grid)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(counts_matrix([np.empty(0)], grid), np.zeros((1, grid.size)))
+
+
+def test_counts_bin_the_flat_arrivals_as_counts_matrix_does(caplog):
+    """Sets with empty trajectories: a tail exhausted from an early anchor,
+    and a rate too low to give every trajectory an arrival."""
+    grid = minute_grid(T1, T2)
+    records = [fitted("Exp.Const", [200.0]), fitted("Exp.Const", [0.5]), fitted("Exp.Lin", [3.0, 0.1])]
+    with caplog.at_level("WARNING"):
+        sets = dict(simulate_sets(records, [-10.0, T1, T1], T1, T2, 40, [1, 2, 3]))
+    empty = [int(np.count_nonzero(sets[i].lengths == 0)) for i in range(3)]
+    assert empty[0] == 40 and 0 < empty[1] < 40
+    for ts in sets.values():
+        assert sum(len(tr) for tr in ts.trajectories) == ts.arrivals.size
+        np.testing.assert_array_equal(ts.counts(grid), counts_matrix(ts.trajectories, grid))
+
+
+def test_the_width_of_a_model_is_its_sampler_width():
+    rng = np.random.default_rng(4)
+    for spec in enumerate_models():
+        params = [float(v) for v in spec.params_at(np.asarray(feasible_theta(spec, rng)), T1)[0]]
+        sampler = distributions.KERNELS[spec.family].innovations(
+            simulate._spec_key(spec)[1], *params
+        )
+        assert simulate._width(spec) == sampler.width, spec.name
+
+
+def test_cells_per_group_fill_every_lockstep_key():
+    exp = [model_from_name("Exp.Const"), model_from_name("Exp.Lin")]
+    assert cells_per_group(exp, 50) == 7  # 7 * 100 rows fit in _ROWS, 8 * 100 do not
+    assert cells_per_group(exp, _ROWS // 2) == 1
+    # the 8 Exp and constant-shape Gamma models take the most cells: 2 * 8 * 40 rows
+    assert cells_per_group(enumerate_models(), 40) == 2
+    assert cells_per_group(enumerate_models(), 1000) == 1
 
 
 @pytest.mark.parametrize("sizes", [(3, 1, 0, 0), (0, 0, 0)])
@@ -606,7 +682,7 @@ def test_dump_round_trip_keeps_empty_trajectories(tmp_path, sizes):
     rng = np.random.default_rng(1)
     trajectories = [np.sort(rng.uniform(T1, T2, n)) for n in sizes]
     path = tmp_path / "traj.csv"
-    write_trajectories(TrajectorySet(trajectories, T1, T2, T1, 0), path)
+    write_trajectories(trajectory_set(trajectories), path)
     back = read_trajectories(path)
     assert [tr.size for tr in back] == list(sizes)
     for got, want in zip(back, trajectories):
