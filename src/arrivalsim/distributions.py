@@ -12,19 +12,19 @@ Each extends the previous one: ``Exp(lam) == Gamma(1, lam)``,
 ``Gamma(a, b) == GenGam(-log(b/a), 1/sqrt(a), 1/sqrt(a))`` and
 ``GenGam(mu, sigma, q) == GenF(mu, sigma, q, 0)``.
 
-Each family is six kernels -- its log-density, cdf, quantile, score,
-innovation sampler and simulation step (see :class:`Kernels`) -- gathered
-in :data:`KERNELS`, keyed by :class:`~arrivalsim.models.Family`; this
-module is the one place that defines a family.  The kernels take the
+Each family is seven kernels -- its log-density, cdf, quantile, score,
+innovation sampler, simulation step and mean (see :class:`Kernels`) --
+gathered in :data:`KERNELS`, keyed by :class:`~arrivalsim.models.Family`;
+this module is the one place that defines a family.  The kernels take the
 family parameters in the order :meth:`ModelSpec.params_at` returns them:
 the time-varying entries broadcast, ``q`` and ``p`` are scalars (rows,
 in a simulation step).  They do not validate their arguments:
 ``params_at`` decides feasibility, and
 :class:`~arrivalsim.ingest.InterArrivalSample` keeps every ``x`` positive
 and finite.  The likelihood reads the logpdf and score kernels; the
-simulator's first gap reads :func:`truncated_quantile` and every later
-step the innovations and step kernels.  All density math happens in log
-space.
+simulator's first gap reads :func:`truncated_quantile`, every later step
+the innovations and step kernels, and its choice of block length the
+mean.  All density math happens in log space.
 """
 
 from __future__ import annotations
@@ -367,16 +367,21 @@ def _digamma_step(x: float, s: float) -> float:
 class Sampler(NamedTuple):
     """Standardized innovations, drawn in blocks of slots.
 
-    ``draw(rng, n)`` is a ``(width, n)`` block of n slots;
-    ``take(slots, *params)`` turns a ``(width, rows)`` array of slots into
-    the rows' innovations at their current family parameters, and gives a
-    mask of the slots it accepts (None: every slot).  A rejected slot is
-    spent, and its row takes its next slot.
+    ``draw(rng, n, out=None)`` writes n slots into ``out``, an ``(n,
+    width)`` C-contiguous array (a new one if None), and returns it as a
+    ``(width, n)`` block; ``take(slots, *params)`` turns a ``(width,
+    rows)`` array of slots into the rows' innovations at their current
+    family parameters, and gives a mask of the slots it accepts (None:
+    every slot).  A rejected slot is spent, and its row takes its next
+    slot.  ``invariant``: ``draw(rng, a)`` then ``draw(rng, b)`` gives
+    bitwise ``draw(rng, a + b)``, so the block length is free; a sampler
+    that is not reads its stream in an order that depends on n.
     """
 
     draw: Callable
     take: Callable
     width: int
+    invariant: bool
 
 
 def _accept_all(slots, *params):
@@ -384,13 +389,23 @@ def _accept_all(slots, *params):
     return slots[0], None
 
 
-def _one_per_slot(draw):
-    return Sampler(lambda r, n: draw(r, n)[np.newaxis], _accept_all, 1)
+def _sampler(fill, take=_accept_all, width=1, invariant=True):
+    """The :class:`Sampler` whose ``fill(rng, out)`` writes the slots into
+    ``out``: an ``(n,)`` array for one-wide slots, else ``(n, width)``."""
+
+    def draw(rng, n, out=None):
+        if out is None:
+            out = np.empty((n, width))
+        fill(rng, out[:, 0] if width == 1 else out)
+        return out.T
+
+    return Sampler(draw, take, width, invariant)
 
 
 def _marsaglia_tsang(slots, shape, rate):
-    """Gamma(shape, 1) variates, one attempt per (normal x, uniform u,
-    uniform v) slot, by Marsaglia and Tsang (ACM TOMS 26, 2000).
+    """Gamma(shape, 1) variates, one attempt per (uniform u0, uniform u,
+    uniform v) slot, by Marsaglia and Tsang (ACM TOMS 26, 2000), with the
+    attempt's normal x = ``ndtri(u0)``.
 
     With ``d = shape - 1/3`` and ``y = 1 + x / sqrt(9 d)`` the attempt
     gives ``d y**3`` and is accepted when ``y > 0`` and ``log u < x**2 / 2
@@ -399,7 +414,8 @@ def _marsaglia_tsang(slots, shape, rate):
     ``y <= 0`` its log is NaN or -inf, and the test fails).  A shape below
     1 draws at ``shape + 1`` and scales by ``v**(1/shape)``.
     """
-    x, u, v = slots
+    u0, u, v = slots
+    x = special.ndtri(u0)
     boost = shape < 1.0
     d = np.where(boost, shape + 1.0, shape) - 1.0 / 3.0
     y = 1.0 + x / np.sqrt(9.0 * d)
@@ -412,32 +428,32 @@ def _marsaglia_tsang(slots, shape, rate):
     return w, ok
 
 
-def _gamma_attempts(r, n):
-    """n normals, then 2n uniforms: the (x, u, v) of n attempts."""
-    slots = np.empty((3, n))
-    r.standard_normal(n, out=slots[0])
-    r.random(out=slots[1:])
-    return slots
-
-
-_GAMMA_ATTEMPTS = Sampler(_gamma_attempts, _marsaglia_tsang, 3)
+# the (u0, u, v) of each attempt, one row of uniforms after another
+_GAMMA_ATTEMPTS = _sampler(lambda r, out: r.random(out=out), _marsaglia_tsang, 3)
 
 
 def exp_innovations(varying, rate):
-    return _one_per_slot(lambda r, n: r.exponential(1.0, n))
+    return _sampler(lambda r, out: r.standard_exponential(out=out))
 
 
 def gamma_innovations(varying, shape, rate):
     if varying:
         return _GAMMA_ATTEMPTS
-    return _one_per_slot(lambda r, n: r.gamma(shape, 1.0, n))
+    return _sampler(lambda r, out: r.standard_gamma(shape, out=out))
 
 
 def gengam_innovations(varying, mu, sigma, q):
-    if abs(q) >= LOGNORMAL_Q_EPS:
-        a = q ** -2
-        return _one_per_slot(lambda r, n: np.log(r.gamma(a, 1.0, n) / a) / q)
-    return _one_per_slot(lambda r, n: r.standard_normal(n))
+    if abs(q) < LOGNORMAL_Q_EPS:
+        return _sampler(lambda r, out: r.standard_normal(out=out))
+    a = q ** -2
+
+    def fill(r, out):  # log(G / a) / q, G ~ Gamma(a)
+        r.standard_gamma(a, out=out)
+        out /= a
+        np.log(out, out=out)
+        out /= q
+
+    return _sampler(fill)
 
 
 def genf_innovations(varying, mu, sigma, q, p):
@@ -445,9 +461,46 @@ def genf_innovations(varying, mu, sigma, q, p):
         return gengam_innovations(varying, mu, sigma, q)
     delta, s1, s2 = _genf_shapes(q, p)
     ratio = s2 / s1
-    return _one_per_slot(
-        lambda r, n: np.log(ratio * r.gamma(s1, 1.0, n) / r.gamma(s2, 1.0, n)) / delta
-    )
+
+    def fill(r, out):  # log(ratio G1 / G2) / delta: n draws of G1, then n of G2
+        r.standard_gamma(s1, out=out)
+        out *= ratio
+        out /= r.standard_gamma(s2, out.size)
+        np.log(out, out=out)
+        out /= delta
+
+    return _sampler(fill, invariant=False)
+
+
+def exp_mean(rate):
+    return 1.0 / rate
+
+
+def gamma_mean(shape, rate):
+    return shape / rate
+
+
+def gengam_mean(mu, sigma, q):
+    """exp(mu) E[(G / a)**r], G ~ Gamma(a = q**-2), r = sigma / q: infinite
+    where a + r <= 0."""
+    if abs(q) < LOGNORMAL_Q_EPS:
+        return np.exp(mu + 0.5 * sigma * sigma)
+    a = q ** -2
+    r = sigma / q
+    log_m = special.gammaln(a + r) - special.gammaln(a) - r * math.log(a)
+    return np.where(a + r > 0.0, np.exp(mu + log_m), math.inf)
+
+
+def genf_mean(mu, sigma, q, p):
+    """exp(mu) E[(s2 G1 / (s1 G2))**r], G_i ~ Gamma(s_i), r = sigma / delta:
+    infinite where s2 <= r."""
+    if p < GENGAM_P_EPS:
+        return gengam_mean(mu, sigma, q)
+    delta, s1, s2 = _genf_shapes(q, p)
+    r = sigma / delta
+    log_m = (special.gammaln(s1 + r) + special.gammaln(s2 - r)
+             - special.gammaln(s1) - special.gammaln(s2) + r * math.log(s2 / s1))
+    return np.where(s2 > r, np.exp(mu + log_m), math.inf)
 
 
 def _rate_step(w, *params):
@@ -461,7 +514,7 @@ def _location_scale_step(w, mu, sigma, *shapes):
 
 
 class Kernels(NamedTuple):
-    """The six kernels of one family, on the parameters of ``params_at``.
+    """The seven kernels of one family, on the parameters of ``params_at``.
 
     ``logpdf(x, *params)``, ``cdf(x, *params)``, ``quantile(u, *params)``;
     ``score(x, log_x, *params)``: the per-spell derivatives of the
@@ -470,8 +523,9 @@ class Kernels(NamedTuple):
     Q and P; ``innovations(varying, *params)``: the :class:`Sampler` of a
     model whose shape function varies in time or not (``varying``), built
     from the entries that do not vary (a constant Gamma shape, q and p);
-    ``step(w, *params)``: the inter-arrivals of innovations ``w``.  Only a
-    Gamma with a varying shape reads its current shape to draw, in
+    ``step(w, *params)``: the inter-arrivals of innovations ``w``;
+    ``mean(*params)``: the mean inter-arrival, inf where it diverges.  Only
+    a Gamma with a varying shape reads its current shape to draw, in
     Marsaglia-Tsang attempts; every other sampler gives one innovation per
     slot.
     """
@@ -482,17 +536,18 @@ class Kernels(NamedTuple):
     score: Callable
     innovations: Callable
     step: Callable
+    mean: Callable
 
 
 KERNELS = {
-    Family.EXP: Kernels(
-        exp_logpdf, exp_cdf, exp_quantile, exp_score, exp_innovations, _rate_step),
-    Family.GAMMA: Kernels(
-        gamma_logpdf, gamma_cdf, gamma_quantile, gamma_score, gamma_innovations, _rate_step),
+    Family.EXP: Kernels(exp_logpdf, exp_cdf, exp_quantile, exp_score, exp_innovations,
+                        _rate_step, exp_mean),
+    Family.GAMMA: Kernels(gamma_logpdf, gamma_cdf, gamma_quantile, gamma_score,
+                          gamma_innovations, _rate_step, gamma_mean),
     Family.GENGAM: Kernels(gengam_logpdf, gengam_cdf, gengam_quantile, gengam_score,
-                           gengam_innovations, _location_scale_step),
+                           gengam_innovations, _location_scale_step, gengam_mean),
     Family.GENF: Kernels(genf_logpdf, genf_cdf, genf_quantile, genf_score,
-                         genf_innovations, _location_scale_step),
+                         genf_innovations, _location_scale_step, genf_mean),
 }
 
 # The largest double below 1.  A probability that rounds up to 1 is

@@ -373,6 +373,8 @@ def parse_csv(
     repeat are candidate duplicates: only when there are any is the file
     read a second time, to compare the candidates' texts exactly, so the
     rows kept depend on neither the hash salt nor a digest collision.
+    Duplicates are dropped one column at a time, so that step holds one
+    column twice rather than every column.
     """
     path = Path(path)
     columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64),
@@ -382,17 +384,18 @@ def parse_csv(
         for keys, lines in blocks:
             digests.append(_digests(keys))
             columns.append(_parse_block(keys, lines, index, schema, n_products))
-    rows = Transactions(*_joined(columns))
+    columns = _joined(columns)
     digests = np.concatenate(digests)  # rebinding drops the digest blocks before the sort
     candidates = _repeated(digests)
     del digests
     twins = _later_twins(path, schema, candidates) if candidates.size else []
-    if not twins:
-        return rows
-    logger.warning("dropped %d exact duplicate rows from %s", len(twins), path)
-    keep = np.ones(len(rows), bool)
-    keep[twins] = False
-    return rows.select(keep)
+    if twins:
+        logger.warning("dropped %d exact duplicate rows from %s", len(twins), path)
+        keep = np.ones(columns[0].size, bool)
+        keep[twins] = False
+        for k, column in enumerate(columns):  # each old column is freed as the next is copied
+            columns[k] = column[keep]
+    return Transactions(*columns)
 
 
 def dejitter_us(us: np.ndarray) -> np.ndarray:

@@ -33,41 +33,53 @@ own anchor, which only its first gaps read.  Exp and Gamma models step
 ``w / rate``, GenGam and GenF models ``exp(mu + sigma * w)``; the rows of
 a lockstep draw with one sampler kind, Marsaglia-Tsang attempts if they
 are Gamma rows with a time-varying shape and one innovation per slot
-otherwise, and keep their slots in blocks of one width.  A lockstep
-evaluates its rows in :func:`~arrivalsim.models.join` of its members'
-specs, the narrowest layout that holds them all, with a parameter column
-per row (:meth:`ModelSpec.embed`): a kind that every member shares
-kept; other Const and Lin functions padded with zeros to Quadr; Quadr
-and Expon functions side by side as ``c + b1 t + b2 t t + exp(a1 + a2
-t)``, with a1 = -inf for a polynomial and b1 = b2 = 0 for an Expon; an
-Exp as a Gamma with a shape of 1, which the rate step does not read; a
-GenGam as a GenF with p = 0, since a step uses only mu and sigma.  Each
-gives bitwise its model's own values at finite t.  Exp rows alone keep
-the Exp layout.  Models with one step kernel, kind of shape and fit
-window share a lockstep of at most ``_ROWS`` slot rows: a row of
-Marsaglia-Tsang attempts counts three, any other row one.  The cap
-bounds memory: a slot row holds ``_BLOCK`` pre-drawn slots (2 KiB), and
-a row 24 bytes per arrival, so a full lockstep of trajectories with 200
-arrivals holds about 3 to 5 MB.  A model with ``_ROWS`` or more slot
-rows fills a lockstep of its own, and steps the same way.  A lockstep's
-generators are built when it is packed, so one lockstep's generators,
-slots and arrivals are held at once.  A trajectory ends, with a warning,
-after ``_MAX_EVENTS`` arrivals, so that a fit whose rate explodes inside
-the horizon costs bounded time and memory.
+otherwise, and keep their slots in blocks of one length and width.  A
+lockstep evaluates its rows in :func:`~arrivalsim.models.join` of its
+members' specs, the narrowest layout that holds them all, with a
+parameter column per row (:meth:`ModelSpec.embed`): a kind that every
+member shares kept; other Const and Lin functions padded with zeros to
+Quadr; Quadr and Expon functions side by side as ``c + b1 t + b2 t t +
+exp(a1 + a2 t)``, with a1 = -inf for a polynomial and b1 = b2 = 0 for an
+Expon; an Exp as a Gamma with a shape of 1, which the rate step does not
+read; a GenGam as a GenF with p = 0, since a step uses only mu and
+sigma.  Each gives bitwise its model's own values at finite t.  Exp rows
+alone keep the Exp layout.  Models with one step kernel, kind of shape
+and fit window share a lockstep of at most ``_ROWS`` trajectories.  A
+model with ``_ROWS`` or more trajectories fills a lockstep of its own,
+and steps the same way.
+
+A lockstep's block length is the expected arrival count on the horizon
+of the member that expects the most, plus a margin, so that most rows
+draw one block; the count is the horizon over the family's mean
+inter-arrival (its ``mean`` kernel), averaged on a grid of the horizon
+clamped into the fit window.  It is capped so that the lockstep holds at
+most ``_ROWS * _BLOCK`` slot values, 1.5 MB, and is ``_BLOCK`` where an
+estimate is not finite; a record that runs alone draws at least a
+quarter of ``_BLOCK`` slots at a time.  A row holds 16 bytes per arrival
+while its lockstep gathers them, so a full lockstep of trajectories with
+about 200 arrivals peaked at 3.1 MB (tracemalloc, the 37 models of two
+28-day cells at M = 200).  A lockstep's generators are built when it is
+packed, so one lockstep's generators, slots and arrivals are held at
+once.  A trajectory ends, with a warning, after ``_MAX_EVENTS``
+arrivals, so that a fit whose rate explodes inside the horizon costs
+bounded time and memory.
 
 Each trajectory owns an rng stream, which ``simulate_sets`` derives from
 (seed, trajectory index) as ``SeedSequence(seed).spawn(m)[i]`` does, in
 one vectorized pass over the records of a lockstep.  The stream first
 yields the uniform of the first gap.  Once the first arrival lands
-before the horizon end it yields the trajectory's slots in blocks of
-``_BLOCK``: ``_BLOCK`` innovations (a
-GenF with p >= ``GENGAM_P_EPS`` draws ``_BLOCK`` gamma variates at each
-of its two shapes for them), or, for a gamma whose shape varies in time,
-``_BLOCK`` normals and then ``2 * _BLOCK`` uniforms, the (x, u, v) of
-``_BLOCK`` attempts.  A row draws its next block when it has spent the
-last, so a trajectory does not depend on the rest of its set nor on the
-models it shares a lockstep with, and a set is bitwise reproducible
-however the work is scheduled and grouped and however large M is.
+before the horizon end it yields the trajectory's slots one after
+another: innovations, or, for a gamma whose shape varies in time, the
+uniforms (u0, u, v) of Marsaglia-Tsang attempts, whose normal is
+``ndtri(u0)``.  Every sampler reads its stream in an order that does not
+depend on how many slots it draws at a time, so the block length changes
+no trajectory, with one exception: a GenF with p >= ``GENGAM_P_EPS``
+draws a block's gamma variates at one of its two shapes and then those
+at the other, so a lockstep that holds one draws blocks of ``_BLOCK``.
+A row draws its next block when it has spent the last, so a trajectory
+does not depend on the rest of its set nor on the models it shares a
+lockstep with, and a set is bitwise reproducible however the work is
+scheduled and grouped and however large M is.
 """
 
 from __future__ import annotations
@@ -85,7 +97,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .distributions import KERNELS, truncated_quantile
 from .errors import DomainError, ParameterError, TailExhaustedError
 from .fitting import FittedModel
-from .models import Family, FuncKind, ModelSpec, feasible_on_grid, join
+from .models import FuncKind, ModelSpec, feasible_on_grid, join
 
 __all__ = [
     "TrajectorySet",
@@ -102,17 +114,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Slots a row draws per rng call.  A healthy trajectory has about 140 to
-# 230 arrivals, so it draws one block or two; of 64, 128, 256 and 512,
-# 256 simulated a 37-model cell fastest at M = 40 and M = 1,000.
+# Slots a row draws per rng call where its lockstep has no estimate of
+# its arrivals, or holds a sampler whose stream order depends on the
+# block length; with ``_ROWS``, the bound on a lockstep's slot values.  A
+# healthy trajectory has about 140 to 230 arrivals, so it draws one block
+# or two; of 64, 128, 256 and 512, 256 simulated a 37-model cell fastest
+# at M = 40 and M = 1,000 when every row drew blocks of one fixed length.
 _BLOCK = 256
-# Most slot rows in one lockstep: trajectories, with a row of Marsaglia-
-# Tsang attempts counted three times.  The cap bounds the memory a
+# Most trajectories in one lockstep.  The cap bounds the memory a
 # lockstep adds over simulating its models one at a time, however many
 # cells share it (module docstring).  A sweep of the row cap over the 37
 # models of 3 cells of 28-day GenF fits, one cell to a lockstep (CPU ms
 # per cell, best of 5 rounds, one process on a shared 2-core x86_64 VM;
-# tracemalloc peak MB at M = 40 and 200):
+# tracemalloc peak MB at M = 40 and 200), when a Marsaglia-Tsang row
+# counted three rows and every row drew blocks of ``_BLOCK``:
 #
 #   M         8     20     40    100    200   peak 40   peak 200
 #   256     46.8   84.1  130.0  309.6  554.3    1.9       2.0
@@ -123,10 +138,13 @@ _BLOCK = 256
 # 768 takes most of the gain up to M = 100; 1,024 adds at most 10% more
 # (at M = 200) for half as much memory again.
 _ROWS = 768
+# Points of the horizon at which a lockstep's block length reads the mean
+# inter-arrival.
+_GRID = 16
 # Most arrivals of one trajectory.  The longest healthy trajectory of the
 # benchmark inputs has about 200; a fit whose rate explodes inside the
 # horizon runs every trajectory to this bound, which then holds about
-# 160 MB (a row index and a time per arrival) for M = 1,000.
+# 160 MB (two times per arrival, as they are gathered) for M = 1,000.
 _MAX_EVENTS = 10_000
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -219,23 +237,16 @@ def _spec_key(spec: ModelSpec) -> tuple:
     return KERNELS[spec.family].step, spec.shape_kind not in (None, FuncKind.CONST)
 
 
-def _width(spec: ModelSpec) -> int:
-    """Slots per row of the model's sampler: the (x, u, v) of a
-    Marsaglia-Tsang attempt for a Gamma whose shape varies in time, one
-    innovation otherwise."""
-    return 3 if spec.family is Family.GAMMA and spec.shape_kind is not FuncKind.CONST else 1
-
-
 def cells_per_group(specs: Iterable[ModelSpec], m: int) -> int:
     """How many cells, each simulating M = ``m`` trajectories of every model
     of ``specs``, fill the locksteps of every key they hold: the most
-    cells any key's slot rows take before one more cell would overflow
+    cells any key's trajectories take before one more cell would overflow
     ``_ROWS``, and at least one.  One at M >= ``_ROWS``."""
-    slots: dict[tuple, int] = {}
+    rows: dict[tuple, int] = {}
     for spec in specs:
         key = _spec_key(spec)
-        slots[key] = slots.get(key, 0) + m * _width(spec)
-    return max(max(1, _ROWS // n) for n in slots.values())
+        rows[key] = rows.get(key, 0) + m
+    return max(max(1, _ROWS // n) for n in rows.values())
 
 
 def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
@@ -310,7 +321,11 @@ def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, np.ndarray, np.nd
             members.append(_Member(index, key, fitted, rngs, *first))
     if not members:
         return
-    arrivals, lengths = _lockstep(members, t_end)
+    if all(m.sampler.invariant for m in members):
+        block = _block_length(members, t_start, t_end)
+    else:
+        block = _BLOCK
+    arrivals, lengths = _lockstep(members, t_end, block)
     rows = np.cumsum([0] + [len(member.rngs) for member in members])
     ends = np.concatenate([[0], np.cumsum(lengths)])[rows]
     for k, member in enumerate(members):
@@ -319,26 +334,61 @@ def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, np.ndarray, np.nd
         yield member.index, arrivals[ends[k]:ends[k + 1]].copy(), lengths[rows[k]:rows[k + 1]]
 
 
+def _block_length(members: list[_Member], t_start: float, t_end: float) -> int:
+    """Slots a row of ``members`` draws at a time: the expected arrivals on
+    [t_start, t_end) of the member that expects the most, n, plus 3 sqrt(n)
+    + 8, so that most rows draw one block (``_BLOCK`` if an n is not
+    finite); at most as many as keep the lockstep within ``_ROWS *
+    _BLOCK`` slot values, or ``_BLOCK // 4``.  n is the span times the
+    member's :func:`_arrival_rate` on ``_GRID`` points of it, clamped into
+    the fit window that the members share.
+
+    The floor binds only for a record that runs alone with more than 1,024
+    rows of attempts or 3,072 other rows; it keeps their draws to a few per
+    trajectory, in a quarter of the memory blocks of ``_BLOCK`` take."""
+    rows = sum(len(m.rngs) for m in members)
+    cap = max(_BLOCK // 4, _ROWS * _BLOCK // (rows * members[0].sampler.width))
+    t, bounds = np.linspace(t_start, t_end, _GRID), members[0].key[2]
+    if bounds:
+        t = np.clip(t, *bounds)
+    with np.errstate(all="ignore"):
+        n = (t_end - t_start) * max(_arrival_rate(m.spec, m.theta, t) for m in members)
+    return min(cap, math.ceil(n + 3.0 * math.sqrt(n) + 8.0) if math.isfinite(n) else _BLOCK)
+
+
+def _arrival_rate(spec: ModelSpec, theta, t: np.ndarray) -> float:
+    """The reciprocal of the mean inter-arrival of ``spec`` at ``theta``,
+    averaged over the times ``t``: inf where the parameters are infeasible
+    or a mean is not finite."""
+    params, ok = spec.params_at(theta, t)
+    if not ok:
+        return math.inf
+    mean = KERNELS[spec.family].mean(*params)
+    return float(np.sum(1.0 / mean)) / t.size if np.isfinite(mean).all() else math.inf
+
+
 def _split(arrivals: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
     return np.split(arrivals, np.cumsum(lengths)[:-1])
 
 
 class _Innovations:
-    """Per-row blocks of ``_BLOCK`` pre-drawn slots of one sampler
-    ``take``, in one array as wide as its slots.
+    """Per-row blocks of ``size`` pre-drawn slots of one sampler ``take``,
+    in one ``(rows, size, width)`` array.
 
-    A row draws its next block from its own generator once it has spent
-    its last slot, so a rejected slot costs that row's stream only.  The
-    rows step at one shared position (``_BLOCK`` before the first step,
-    which draws a block) until the first of them has a slot rejected, and
-    each at its own position in ``pos`` from then on.
+    A row draws its next block from its own generator, straight into its
+    row of the array, once it has spent its last slot, so a rejected slot
+    costs that row's stream only.  The rows step at one shared position
+    (``size`` before the first step, which draws a block) until the first
+    of them has a slot rejected, and each at its own position in ``pos``
+    from then on.
     """
 
-    def __init__(self, rngs, samplers):
+    def __init__(self, rngs, samplers, size):
         self.rngs, self.draws = rngs, [s.draw for s in samplers]
         self.take = samplers[0].take
-        self.blocks = np.empty((len(rngs), samplers[0].width, _BLOCK))
-        self.at = _BLOCK  # the shared position; None once the rows have moved apart
+        self.size = size
+        self.blocks = np.empty((len(rngs), size, samplers[0].width))
+        self.at = size  # the shared position; None once the rows have moved apart
         self.pos = np.empty(len(rngs), dtype=np.intp)
 
     def next(self, live, params):
@@ -347,11 +397,11 @@ class _Innovations:
         if at is None:
             slots = self._advance(live)
         else:
-            if at == _BLOCK:
+            if at == self.size:
                 self._draw(live.tolist())
                 at = 0
             self.at = at + 1
-            slots = self.blocks[live, :, at].T
+            slots = self.blocks[live, at].T
         w, ok = self.take(slots, *params)
         if ok is None:
             return w
@@ -368,34 +418,36 @@ class _Innovations:
     def _advance(self, rows):
         """The current slots of ``rows``, as (width, rows); each row moves on."""
         pos = self.pos[rows]
-        spent = pos == _BLOCK
+        spent = pos == self.size
         if spent.any():
             self._draw(rows[spent].tolist())
             pos[spent] = 0
         self.pos[rows] = pos + 1
-        return self.blocks[rows, :, pos].T
+        return self.blocks[rows, pos].T
 
     def _draw(self, rows):
         for i in rows:
-            self.blocks[i] = self.draws[i](self.rngs[i], _BLOCK)
+            self.draws[i](self.rngs[i], self.size, self.blocks[i])
 
 
-def _lockstep(members: list[_Member], t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep(members: list[_Member], t_end: float, block: int) -> tuple[np.ndarray, np.ndarray]:
     """One trajectory per generator of ``members``, which share one key, in
-    order, a row per trajectory, advanced in lockstep: the arrivals of the
-    trajectories one after another and each one's count.
+    order, a row per trajectory, advanced in lockstep, each row drawing
+    ``block`` slots at a time: the arrivals of the trajectories one after
+    another and each one's count.
 
     Step k gives every live row its k-th arrival.  The rows step under
     the :func:`join` of the members' specs, each with its own parameter
     column, which is kept compacted to the live rows and compacted only on
-    steps where rows end.
+    steps where rows end.  The rows live at step k are those with more than
+    k arrivals, in row order, so a step keeps only its arrival times.
     """
     spec, bounds = join(m.spec for m in members), members[0].key[2]
     sizes = [len(m.rngs) for m in members]
     names = [name for m in members for name in [m.spec.name] * len(m.rngs)]
     rngs = [rng for m in members for rng in m.rngs]
     innovations = _Innovations(
-        rngs, [sampler for m in members for sampler in [m.sampler] * len(m.rngs)]
+        rngs, [sampler for m in members for sampler in [m.sampler] * len(m.rngs)], block
     )
     offsets = np.cumsum(sizes) - sizes
     live = np.concatenate([offset + m.live for offset, m in zip(offsets, members)])
@@ -404,7 +456,7 @@ def _lockstep(members: list[_Member], t_end: float) -> tuple[np.ndarray, np.ndar
     theta = np.repeat(theta, sizes, axis=1)[:, live]
     step = KERNELS[spec.family].step
     lengths = np.zeros(len(rngs), dtype=np.intp)  # filled in as rows end
-    steps = [(live, t)]  # live rows and their k-th arrivals, per step k
+    steps = [t]  # the k-th arrivals of the live rows, per step k
     with np.errstate(over="ignore"):
         while live.size:
             tc = np.minimum(np.maximum(t, bounds[0]), bounds[1]) if bounds else t
@@ -439,7 +491,7 @@ def _lockstep(members: list[_Member], t_end: float) -> tuple[np.ndarray, np.ndar
                 live, t, theta = live[keep], nxt[keep], theta[:, keep]
                 if not live.size:
                     break
-            steps.append((live, t))
+            steps.append(t)
             if len(steps) >= _MAX_EVENTS:
                 for i in live.tolist():
                     logger.warning(
@@ -450,10 +502,16 @@ def _lockstep(members: list[_Member], t_end: float) -> tuple[np.ndarray, np.ndar
     del innovations  # the slots are spent: free them before the arrivals are gathered
 
     ends = np.cumsum(lengths)
-    starts = ends - lengths
     flat = np.empty(ends[-1])
-    for k, (idx, values) in enumerate(steps):
-        flat[starts[idx] + k] = values
+    at = (ends - lengths)[lengths > 0]  # where each row's next arrival goes
+    left = lengths[lengths > 0]  # and how many it has left
+    for values in steps:
+        if at.size > values.size:
+            more = left > 0
+            at, left = at[more], left[more]
+        flat[at] = values
+        at += 1
+        left -= 1
     return flat, lengths
 
 
@@ -496,9 +554,9 @@ def simulate_sets(
     its own entry of ``anchor``.
 
     Records with one lockstep key share locksteps of whole records, in
-    their order: as few as hold them in at most ``_ROWS`` slot rows each,
-    of sizes that differ by one record at most; a record with more slot
-    rows runs alone.  A lockstep's generators are built when it is
+    their order: as few as hold them in at most ``_ROWS`` trajectories
+    each, of sizes that differ by one record at most; a record with more
+    trajectories runs alone.  A lockstep's generators are built when it is
     packed, so only one lockstep's generators, slots and arrivals are held
     at once.  Yields ``(record index, set)`` once per record, as each
     lockstep finishes.
@@ -518,7 +576,7 @@ def simulate_sets(
     for i, record in enumerate(records):
         by_key.setdefault(_lockstep_key(record), []).append(i)
     for indices in by_key.values():
-        per = max(1, _ROWS // (m * _width(records[indices[0]].spec)))
+        per = max(1, _ROWS // m)
         for chunk in np.array_split(indices, -(-len(indices) // per)):
             chunk = chunk.tolist()
             rngs = _streams([seeds[i] for i in chunk], m)

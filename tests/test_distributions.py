@@ -323,6 +323,74 @@ class TestSampling:
             b = sample(family, params, np.random.default_rng(77), 64)
             np.testing.assert_array_equal(a, b)
 
+    # a sampler of each stream layout: exponential, gamma at a constant
+    # shape below and above 1, Marsaglia-Tsang attempts, log-gamma at q of
+    # either sign, the lognormal limit, and a GenF at p below GENGAM_P_EPS
+    INVARIANT = [
+        (EXP, False, (4.0,)),
+        (GAMMA, False, (0.6, 2.0)),
+        (GAMMA, False, (3.5, 2.0)),
+        (GAMMA, True, (3.5, 2.0)),
+        (GENGAM, False, (0.1, 0.5, 0.8)),
+        (GENGAM, False, (0.1, 0.5, -0.9)),
+        (GENGAM, False, (0.1, 0.5, 1e-6)),
+        (GENF, False, (0.1, 0.5, 0.8, 1e-9)),
+    ]
+
+    @pytest.mark.parametrize("family, varying, params", INVARIANT)
+    def test_two_blocks_read_the_stream_as_one(self, family, varying, params):
+        """draw(rng, a) then draw(rng, b) gives bitwise draw(rng, a + b),
+        returned or written into ``out``."""
+        sampler = KERNELS[family].innovations(varying, *params)
+        assert sampler.invariant
+        whole = sampler.draw(np.random.default_rng(3), 300)
+        assert whole.shape == (sampler.width, 300)
+        for a in (0, 1, 7, 190, 300):
+            rng = np.random.default_rng(3)
+            parts = np.hstack([sampler.draw(rng, a), sampler.draw(rng, 300 - a)])
+            np.testing.assert_array_equal(parts, whole)
+            rng, out = np.random.default_rng(3), np.empty((300, sampler.width))
+            sampler.draw(rng, a, out[:a])
+            sampler.draw(rng, 300 - a, out[a:])
+            np.testing.assert_array_equal(out.T, whole)
+
+    def test_a_genf_block_reads_one_shape_then_the_other(self):
+        """The exception: a GenF at p >= GENGAM_P_EPS draws a block's gamma
+        variates at one shape and then those at the other, so its slots
+        depend on the block length."""
+        sampler = KERNELS[GENF].innovations(False, 0.1, 0.5, 0.8, 1.0)
+        assert not sampler.invariant
+        whole = sampler.draw(np.random.default_rng(3), 300)
+        rng = np.random.default_rng(3)
+        parts = np.hstack([sampler.draw(rng, 100), sampler.draw(rng, 200)])
+        assert not np.array_equal(parts, whole)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_mean_kernel_matches_the_oracle(self, family):
+        """The mean inter-arrival, inf where it diverges, in the lognormal
+        limit and at shapes whose law has no mean; and entry by entry at an
+        array of first parameters."""
+        rng = np.random.default_rng(31)
+        cases = [random_params(rng, family) for _ in range(20)]
+        if family is GENGAM:
+            cases += [(0.3, 0.9, 0.0), (0.0, 1.0, -2.0)]
+        if family is GENF:
+            cases += [(0.3, 0.9, 0.5, 1e-9), (0.0, 1.5, -2.0, 0.1)]
+        for params in cases:
+            want = oracle(family, params).mean()
+            sigma, q = params[1:3] if family is GENGAM else (0.0, 1.0)
+            if q < 0.0 and q ** -2 + sigma / q <= 0.0:
+                # E[G**-s] of G ~ Gamma(a) diverges for s >= a, where scipy's
+                # gengamma reports a finite moment
+                want = math.inf
+            got = KERNELS[family].mean(*params)
+            assert got == pytest.approx(want, rel=1e-8), params
+            first = np.array([params[0], params[0] + 0.5])
+            np.testing.assert_array_equal(
+                KERNELS[family].mean(first, *params[1:]),
+                [KERNELS[family].mean(v, *params[1:]) for v in first],
+            )
+
     def test_exp_monte_carlo_mean(self):
         draws = sample(EXP, (4.0,), np.random.default_rng(1), 10**6)
         assert abs(draws.mean() - 0.25) < 3.0 * 0.25 / 1e3

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes, truncated_quantile
 from arrivalsim.fitting import FittedModel
@@ -94,20 +94,23 @@ def marsaglia_tsang(a, slots):
 def reference_trajectory(fm, anchor, t_start, t_end, rng):
     """One trajectory from a sequential stepper on scalars: the oracle of the
     lockstep kernel, with the same use of ``rng``: the first gap's uniform,
-    then blocks of ``_BLOCK`` innovations, or, for a gamma with a
-    time-varying shape, blocks of ``_BLOCK`` normals, ``_BLOCK`` uniforms
-    and ``_BLOCK`` uniforms read as (normal, uniform, uniform) attempts."""
+    then one slot at a time, an innovation or, for a gamma with a
+    time-varying shape, the uniforms (u0, u, v) of an attempt, read as
+    (normal ndtri(u0), uniform, uniform).  A GenF with p >= GENGAM_P_EPS
+    draws blocks of ``_BLOCK`` innovations: ``_BLOCK`` gamma variates at
+    each of its two shapes."""
     spec, theta, family = fm.spec, fm.theta, fm.spec.family
     lo, hi = fm.window
     rate = scalar_func(spec.rate_kind, theta[spec.rate_slice])
     if spec.shape_kind is not None:
         shape = scalar_func(spec.shape_kind, theta[spec.shape_slice])
+    block = 1
     if family is Family.EXP:
         draw = lambda n: rng.exponential(1.0, n)
     elif family is Family.GAMMA and spec.shape_kind is FuncKind.CONST:
         draw = lambda n: rng.gamma(shape(0.0), 1.0, n)
     elif family is Family.GAMMA:
-        draw = lambda n: zip(rng.standard_normal(n), rng.random(n), rng.random(n))
+        draw = lambda n: [(special.ndtri(u0), u, v) for u0, u, v in rng.random((n, 3))]
     else:
         q = float(theta[spec.q_index])
         p = float(theta[spec.p_index]) if family is Family.GENF else 0.0
@@ -115,6 +118,7 @@ def reference_trajectory(fm, anchor, t_start, t_end, rng):
             delta, s1, s2 = _genf_shapes(q, p)
             ratio = s2 / s1
             draw = lambda n: np.log(ratio * rng.gamma(s1, 1.0, n) / rng.gamma(s2, 1.0, n)) / delta
+            block = _BLOCK
         elif abs(q) >= LOGNORMAL_Q_EPS:
             draw = lambda n: np.log(rng.gamma(q ** -2, 1.0, n) / q ** -2) / q
         else:
@@ -122,7 +126,7 @@ def reference_trajectory(fm, anchor, t_start, t_end, rng):
 
     def slots():
         while True:
-            yield from draw(_BLOCK)
+            yield from draw(block)
 
     stream = slots()
     first = params_at(spec, theta, min(max(anchor, lo), hi))
@@ -577,13 +581,26 @@ class TestGroupedLocksteps:
                 np.testing.assert_array_equal(grouped[i].arrivals, alone.arrivals)
                 np.testing.assert_array_equal(grouped[i].lengths, alone.lengths)
 
-    def test_gamma_attempts_cap_a_lockstep_at_a_third_of_the_rows(self, caplog, lockstep_sizes):
-        """A lockstep holds at most ``_ROWS`` slot rows: a Gamma whose shape
-        varies in time keeps three slots a row."""
+    def test_gamma_attempts_count_one_row_each(self, caplog, lockstep_sizes):
+        """A lockstep holds at most ``_ROWS`` trajectories, whatever their
+        sampler: a Gamma whose shape varies in time counts one row, like
+        any other model."""
         records = [fitted(name, theta) for name, theta in VARYING_GAMMA]
-        m = _ROWS // 3 // 2  # two such models to a lockstep
-        simulate_both(caplog, records, m=m)
-        assert lockstep_sizes[:-7] == [2, 2, 2, 1]
+        for m, sizes in ((_ROWS // 7, [7]), (_ROWS // 7 + 1, [4, 3])):
+            lockstep_sizes.clear()
+            simulate_both(caplog, records, m=m)
+            assert lockstep_sizes[:-7] == sizes
+
+    def test_the_catalogue_of_two_cells_packs_into_five_locksteps(self, lockstep_sizes):
+        """37 models x 2 cells at M = 40: Exp and constant-shape Gamma (16
+        records), time-varying Gamma (14), constant-shape GenGam and GenF
+        (16) each fill one lockstep, and the 28 time-varying GenGam and GenF
+        records two."""
+        rng = np.random.default_rng(5)
+        records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in enumerate_models()] * 2
+        anchors = [T1 - 0.01] * 37 + [T1 - 0.05] * 37
+        dict(simulate_sets(records, anchors, T1, T2, 40, list(range(74))))
+        assert lockstep_sizes == [16, 14, 16, 14, 14]
 
     def test_infeasible_rows_end_with_one_warning_naming_their_model(self, caplog):
         healthy = [
@@ -658,14 +675,95 @@ def test_counts_bin_the_flat_arrivals_as_counts_matrix_does(caplog):
         np.testing.assert_array_equal(ts.counts(grid), counts_matrix(ts.trajectories, grid))
 
 
-def test_the_width_of_a_model_is_its_sampler_width():
-    rng = np.random.default_rng(4)
-    for spec in enumerate_models():
-        params = [float(v) for v in spec.params_at(np.asarray(feasible_theta(spec, rng)), T1)[0]]
-        sampler = distributions.KERNELS[spec.family].innovations(
-            simulate._spec_key(spec)[1], *params
-        )
-        assert simulate._width(spec) == sampler.width, spec.name
+@pytest.fixture
+def block_lengths(monkeypatch):
+    """(rows, slot width, block length) of each lockstep run while the test
+    runs."""
+    runs = []
+    kernel = simulate._lockstep
+
+    def recording(members, t_end, block):
+        runs.append((sum(len(m.rngs) for m in members), members[0].sampler.width, block))
+        return kernel(members, t_end, block)
+
+    monkeypatch.setattr(simulate, "_lockstep", recording)
+    return runs
+
+
+def margin(n):
+    return math.ceil(n + 3.0 * math.sqrt(n) + 8.0)
+
+
+# the rate 10 + exp(5 + 3 t) of a window that ends at -2, held after it
+CLAMPED = np.clip(np.linspace(T1, T2, simulate._GRID), T1 - 1.0, -2.0)
+
+
+@pytest.mark.parametrize("names, thetas, window, m, want", [
+    # the larger expected count, 100/h over the 2.75 h horizon, and its margin
+    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], (T1, T2), 10, margin(275.0)),
+    # 768 rows keep it to _BLOCK slots
+    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], (T1, T2), _ROWS // 2, _BLOCK),
+    # the rate read in the fit window
+    (["Exp.Expon"], [[10.0, 5.0, 3.0]], (T1 - 1.0, -2.0), 10,
+     margin(SPAN * float(np.mean(10.0 + np.exp(5.0 + 3.0 * CLAMPED))))),
+    # 763 rows of attempts, three slot values each
+    ([name for name, _ in VARYING_GAMMA], [theta for _, theta in VARYING_GAMMA], (T1, T2),
+     _ROWS // 7, _ROWS * _BLOCK // (3 * 7 * (_ROWS // 7))),
+    # a GenF with p >= GENGAM_P_EPS reads its stream in blocks of _BLOCK
+    (["GenGam.Const.Const", "GenF.Const.Const"], [[150.0, 1.6, 0.8], [150.0, 1.6, 0.8, 1.0]],
+     (T1, T2), 10, _BLOCK),
+    # a mean inter-arrival that diverges: Gamma(1/4) to the power -2
+    (["GenGam.Const.Const"], [[50.0, 1.0, -2.0]], (T1, T2), 10, _BLOCK),
+    # one record of 1,100 rows of attempts: the cap, 59, is below the floor
+    (["Gamma.Lin.Lin"], [[40.0, 0.0, 3.0, 0.5]], (T1, T2), 1100, _BLOCK // 4),
+])
+def test_the_block_length_covers_the_expected_arrivals_within_the_slot_bound(
+    caplog, block_lengths, names, thetas, window, m, want
+):
+    records = [fitted(name, theta, window) for name, theta in zip(names, thetas)]
+    with caplog.at_level("WARNING"):
+        dict(simulate_sets(records, T1, T1, T2, m, list(range(len(records)))))
+    (rows, width, block), = block_lengths
+    assert block == want
+    assert rows * width * block <= max(_ROWS * _BLOCK, rows * width * _BLOCK // 4)
+
+
+def test_the_arrival_rate_follows_a_time_varying_rate():
+    """Exp.Lin at rate 100 + 20 t: the reciprocal mean inter-arrival
+    averaged over the times given, about the rate's mean 62.5 over the
+    horizon; infinite where the rate is negative."""
+    spec, theta = model_from_name("Exp.Lin"), np.array([100.0, 20.0])
+    grid = np.linspace(T1, T2, simulate._GRID)
+    assert simulate._arrival_rate(spec, theta, grid) == pytest.approx(62.5, rel=1e-12)
+    clamped = np.clip(grid, -4.0, -2.0)
+    assert simulate._arrival_rate(spec, theta, clamped) == pytest.approx(
+        float(np.mean(100.0 + 20.0 * clamped)), rel=1e-12)
+    assert simulate._arrival_rate(spec, np.array([-100.0, 20.0]), grid) == math.inf
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK])
+@pytest.mark.parametrize("cell", ["every model", "GenGam"])
+def test_the_block_length_changes_no_trajectory(caplog, monkeypatch, block, cell):
+    """Blocks of 1, 7 or ``_BLOCK`` slots give bitwise the sets of the
+    estimated block length: every model, the time-varying Gamma models at
+    a rate that spends several blocks, and the stream cases; and the GenGam
+    models, with one in the lognormal limit, in locksteps without a GenF
+    whose p holds them at ``_BLOCK``."""
+    rng = np.random.default_rng(12)
+    specs = [s for s in enumerate_models() if cell != "GenGam" or s.family is Family.GENGAM]
+    records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in specs]
+    if cell == "GenGam":
+        records.append(fitted("GenGam.Lin.Const", [150.0, -5.0, 1.6, LOGNORMAL_Q_EPS / 2]))
+    else:
+        records += [fitted(name, theta) for name, theta in VARYING_GAMMA + STREAM_CASES]
+    seeds = list(range(len(records)))
+    with caplog.at_level("WARNING"):
+        want = dict(simulate_sets(records, T1 - 0.01, T1, T2, 6, seeds))
+        monkeypatch.setattr(simulate, "_block_length", lambda members, *args: block)
+        got = dict(simulate_sets(records, T1 - 0.01, T1, T2, 6, seeds))
+    for i, record in enumerate(records):
+        np.testing.assert_array_equal(got[i].lengths, want[i].lengths, err_msg=record.spec.name)
+        np.testing.assert_array_equal(got[i].arrivals, want[i].arrivals, err_msg=record.spec.name)
 
 
 def test_cells_per_group_fill_every_lockstep_key():
