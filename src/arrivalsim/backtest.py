@@ -36,7 +36,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_int, is_real
 from .fitting import FitOptions, FittedModel, fit_cascade
 from .ingest import (
     ArrivalSeries,
@@ -82,6 +82,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ALL_MODEL_NAMES = tuple(spec.name for spec in enumerate_models())
+# options of the retired Nelder-Mead fallback, still accepted in a config's
+# fit section and ignored
+_RETIRED_FIT_KEYS = {"polish", "x_tol"}
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,10 @@ class RunConfig:
                           ("parallelism", 1), ("tau_grid_size", 1), ("max_gap_days", 0),
                           ("n_products", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not _is_int(value) or value < low:
+            if not is_int(value) or value < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("t1", "t2"):
-            if not _is_real(getattr(self, name)):
+            if not is_real(getattr(self, name)):
                 raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.dump_trajectories, bool):
             raise ParameterError(
@@ -138,7 +141,7 @@ class RunConfig:
             except (ZoneInfoNotFoundError, ValueError):
                 raise ParameterError(f"unknown timezone {self.timezone!r}") from None
         products = self.products if isinstance(self.products, (list, tuple)) else ()
-        if (not products or any(not _is_int(s) or not 1 <= s <= self.n_products for s in products)
+        if (not products or any(not is_int(s) or not 1 <= s <= self.n_products for s in products)
                 or len(set(products)) < len(products)):
             raise ParameterError(f"products must be a nonempty list of distinct integers in "
                                  f"1..{self.n_products}, got {self.products!r}")
@@ -146,7 +149,7 @@ class RunConfig:
             bounds = getattr(self, key)
             if bounds is not None and not (
                 isinstance(bounds, dict) and set(products) <= set(bounds)
-                and all(map(_is_real, bounds.values()))
+                and all(map(is_real, bounds.values()))
             ):
                 raise ParameterError(f"{key} must map every product in products to a number")
         for s in self.products:
@@ -178,10 +181,15 @@ class RunConfig:
             bounds = data.get(key)
             if isinstance(bounds, dict):
                 try:  # JSON keys are strings; validate() checks the values
-                    data[key] = {int(k): float(v) if _is_real(v) else v
+                    data[key] = {int(k): float(v) if is_real(v) else v
                                  for k, v in bounds.items()}
                 except ValueError:
                     raise ParameterError(f"{key} must map products to numbers") from None
+        fit = data.get("fit")
+        retired = sorted(_RETIRED_FIT_KEYS & set(fit)) if isinstance(fit, dict) else []
+        if retired:
+            logger.warning("ignoring the retired fit options %s", retired)
+            data["fit"] = {k: v for k, v in fit.items() if k not in _RETIRED_FIT_KEYS}
         for section, section_cls in (("fit", FitOptions), ("csv", CsvSchema)):
             if isinstance(data.get(section), dict):
                 data[section] = _from_fields(section_cls, data[section], f"{section}.")
@@ -209,14 +217,6 @@ class RunConfig:
             else:
                 data[key] = value
         return RunConfig.from_dict(data)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _from_fields(cls, data: dict, prefix: str = ""):

@@ -102,8 +102,7 @@ def _cmd_simulate(args) -> int:
     record = FittedModel.load(args.fit)
     ts = simulate_set(record, args.anchor, args.t_start, args.t_end, args.m, args.seed)
     write_trajectories(ts, args.out)
-    counts = [len(tr) for tr in ts.trajectories]
-    print(f"wrote {args.m} trajectories (mean count {np.mean(counts):.2f}) to {args.out}")
+    print(f"wrote {args.m} trajectories (mean count {np.mean(ts.lengths):.2f}) to {args.out}")
     return 0
 
 

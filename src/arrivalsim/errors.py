@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks of
+config values that raise them."""
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an integer or a float, not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ArrivalSimError(Exception):

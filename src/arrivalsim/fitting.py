@@ -11,11 +11,10 @@ Optimization follows the analytic score: :func:`log_likelihood_and_score`
 returns the likelihood and its gradient in one vectorized pass, and a
 projected quasi-Newton run climbs it inside the box bounds.  Its model
 Hessian starts as forward differences of the score, one evaluation per
-parameter, and BFGS updates it after each step.  A bounded Nelder-Mead
-simplex, the one user of ``scipy.optimize``, runs only as a logged
-fallback, counted on the fit record, when the quasi-Newton runs of a start
-stop short of convergence.  The likelihood surfaces are low dimensional (at
-most 8 parameters) but can be multimodal, so richer models are
+parameter, and BFGS updates it after each step.  A start whose runs stop
+short of convergence keeps their end point, flagged unconverged on the fit
+record.  The likelihood surfaces are low dimensional (at most 8
+parameters) but can be multimodal, so richer models are
 warm-started from simpler ones (see :func:`fit_cascade`).  The 16 models
 with an Expon rate or shape function, and any Gamma, GenGam or GenF fit
 from the moment default, also run from the next-ranked candidate starts.
@@ -42,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import KERNELS
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, is_int, is_real
 from .ingest import InterArrivalSample
 from .models import Family, FuncKind, ModelSpec, model_from_name
 
@@ -60,10 +59,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# finite stand-in for +inf in the Nelder-Mead fallback, whose convergence
-# test subtracts objective values
-_BIG = 1e300
-_GRADIENT_RUNS = 4  # quasi-Newton runs per start before the Nelder-Mead fallback
+_GRADIENT_RUNS = 4  # quasi-Newton runs per start, each from the end of the last
 _HALVINGS = 40  # step halvings before a quasi-Newton run gives up
 _EIG_FLOOR = 1e-10  # smallest model-Hessian eigenvalue, relative to the largest
 # a run steps on until its step promises this fraction of f_tol; stopping
@@ -80,21 +76,16 @@ _JITTER_SCALE = 0.1
 class FitOptions:
     max_evals: int = 20_000
     f_tol: float = 1e-8
-    x_tol: float = 1e-8
     restarts: int = 3
-    polish: bool = True
     min_obs_per_param: int = 10
 
     def __post_init__(self):
-        for name, ok, rule in (
-            ("max_evals", self.max_evals >= 1, ">= 1"),
-            ("f_tol", self.f_tol > 0, "> 0"),
-            ("x_tol", self.x_tol > 0, "> 0"),
-            ("restarts", self.restarts >= 0, ">= 0"),
-            ("min_obs_per_param", self.min_obs_per_param >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise ParameterError(f"fit.{name} must be {rule}, got {getattr(self, name)!r}")
+        for name, low in (("max_evals", 1), ("restarts", 0), ("min_obs_per_param", 1)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise ParameterError(f"fit.{name} must be an integer >= {low}, got {value!r}")
+        if not (is_real(self.f_tol) and 0 < self.f_tol < math.inf):
+            raise ParameterError(f"fit.f_tol must be a finite number > 0, got {self.f_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,6 @@ class FittedModel:
     converged: bool = False
     start_source: str = ""
     fallback: bool = False
-    nm_fallbacks: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -130,7 +120,6 @@ class FittedModel:
                 "converged": self.converged,
                 "start_source": self.start_source,
                 "fallback": self.fallback,
-                "nm_fallbacks": self.nm_fallbacks,
             },
             indent=2,
             sort_keys=True,
@@ -171,7 +160,6 @@ class FittedModel:
             converged=data["converged"],
             start_source=data.get("start_source", ""),
             fallback=data.get("fallback", False),
-            nm_fallbacks=data.get("nm_fallbacks", 0),
         )
 
     def save(self, path: str | Path) -> None:
@@ -194,9 +182,7 @@ _RECORD_KEYS = ("model", "theta", "log_likelihood", "n_obs", "days", "window", "
 
 def _numbers(values, n: int) -> bool:
     """Whether a JSON value is a list of n numbers."""
-    return isinstance(values, list) and len(values) == n and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    )
+    return isinstance(values, list) and len(values) == n and all(map(is_real, values))
 
 
 def log_likelihood(spec: ModelSpec, theta, sample: InterArrivalSample) -> float:
@@ -367,19 +353,17 @@ def warm_start_candidates(
 
 
 def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, options: FitOptions):
-    """One optimizer run from ``theta0``: (theta, -LL, converged, evals, Nelder-Mead runs).
+    """One optimizer run from ``theta0``: (theta, -LL, converged, evals).
 
     The -LL is the negated value of :func:`log_likelihood` at that theta,
-    bitwise, or at least ``_BIG`` where the likelihood is undefined.
+    bitwise, or ``inf`` where the likelihood is undefined.
 
     A projected quasi-Newton run climbs the analytic score inside the box
     (:func:`_quasi_newton`).  An unconverged run that still gained at
     least ``options.f_tol`` is continued by a fresh run from its end, up
-    to ``_GRADIENT_RUNS`` runs.  Then a bounded Nelder-Mead simplex
-    (``options.x_tol``, ``options.f_tol``) runs from that end, or from
-    ``theta0`` where the likelihood is undefined, then one more
-    quasi-Newton run when ``options.polish`` is set, and the best point
-    wins.  Every run stops after ``options.max_evals`` evaluations.
+    to ``_GRADIENT_RUNS`` runs; if the last one stops short of
+    convergence, its best point is returned unconverged.  Every run stops
+    after ``options.max_evals`` evaluations.
     """
     x, f, ok, evals = _quasi_newton(spec, sample, theta0, options)
     for _ in range(_GRADIENT_RUNS - 1):
@@ -392,35 +376,7 @@ def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, o
             x, f, ok = x_new, f_new, ok_new
         if not ok and gained < options.f_tol:
             break
-    if ok:
-        return x, f, True, evals, 0
-    logger.info("%s: quasi-Newton stopped at -LL %.12g, unconverged; Nelder-Mead fallback", spec.name, f)
-    from scipy import optimize  # only the fallback needs scipy's optimizers
-
-    def objective(theta):
-        value = log_likelihood(spec, theta, sample)
-        return -value if math.isfinite(value) else _BIG
-
-    res = optimize.minimize(
-        objective,
-        x,
-        method="Nelder-Mead",
-        bounds=optimize.Bounds(*spec.bounds()),
-        options={
-            "maxfev": options.max_evals,
-            "fatol": options.f_tol,
-            "xatol": options.x_tol,
-            "adaptive": len(theta0) > 3,
-        },
-    )
-    evals += int(res.nfev)
-    best = (x, f, False) if f <= float(res.fun) else (res.x, float(res.fun), bool(res.success))
-    if options.polish and best[1] < _BIG:
-        x, f, ok, more = _quasi_newton(spec, sample, best[0], options)
-        evals += more
-        if f <= best[1]:
-            best = (x, f, ok or best[2])
-    return *best, evals, 1
+    return x, f, ok, evals
 
 
 def _quasi_newton(spec: ModelSpec, sample: InterArrivalSample, x: np.ndarray, options: FitOptions):
@@ -535,9 +491,8 @@ def fit(
     model with a Const, Lin or Quadr rate has a concave log-likelihood,
     whose one local optimum any start reaches (see the module docstring).
     Each start runs :func:`_minimize` and the best local optimum wins; its
-    value is the record's log-likelihood, and ``nm_fallbacks`` counts the
-    starts that needed Nelder-Mead.  A model that never converged is still
-    returned, flagged, with the best vector.
+    value is the record's log-likelihood.  A model that never converged is
+    still returned, flagged, with the best vector.
     """
     if sample.n < options.min_obs_per_param * spec.n_params:
         raise InsufficientDataError(
@@ -577,7 +532,7 @@ def fit(
 
     results = [_minimize(spec, sample, start, options) for start in runs]
     best, converged = None, False
-    for x, f, success, _, _ in results:
+    for x, f, success, _ in results:
         if best is None or f < best[1]:
             best, converged = (x, f), success
         elif success and math.isclose(f, best[1], rel_tol=1e-9, abs_tol=1e-9):
@@ -585,14 +540,13 @@ def fit(
     return FittedModel(
         spec=spec,
         theta=np.asarray(best[0], dtype=float),
-        log_likelihood=-best[1] if best[1] < _BIG else -math.inf,
+        log_likelihood=-best[1],  # -inf where no start had a defined likelihood
         n_obs=sample.n,
         days=sample.days,
         window=(sample.window_start, sample.window_end),
         n_evals=sum(r[3] for r in results),
         converged=converged,
         start_source=start_source,
-        nm_fallbacks=sum(r[4] for r in results),
     )
 
 

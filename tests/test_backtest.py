@@ -143,6 +143,21 @@ class TestRunConfig:
         assert over.models == ("Exp.Lin",)
         assert over.fit.restarts == 2
 
+    def test_retired_fit_options_are_ignored_with_one_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="arrivalsim.backtest"):
+            cfg = RunConfig.from_dict({"input": "x.csv", "fit": {"polish": False, "x_tol": 1e-5}})
+        assert cfg.fit == FitOptions()
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring the retired fit options ['polish', 'x_tol']"]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="arrivalsim.backtest"):
+            over = cfg.with_overrides({"fit.polish": "false"})
+        assert over == cfg
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring the retired fit options ['polish']"]
+        with pytest.raises(ParameterError, match=r"fit\.x_toll"):
+            RunConfig.from_dict({"input": "x.csv", "fit": {"x_toll": 1e-5}})
+
     def test_models_all(self):
         cfg = RunConfig.from_dict({"input": "x.csv", "models": "all"})
         assert len(cfg.models) == 37

@@ -1,7 +1,8 @@
 """Every imported name under src/ and tests/ is used in its module, every
 ``__all__`` entry under src/ names something its module defines, no
 module under src/ imports another module's private (underscore) names, and
-importing the package leaves scipy's optimizers unloaded."""
+neither importing the package nor fitting a model loads scipy's
+optimizers."""
 
 import ast
 import os
@@ -119,11 +120,35 @@ def test_check_flags_a_private_import():
 
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    """Only the Nelder-Mead fallback of a fit needs ``scipy.optimize``, and
-    it imports it when it runs."""
+    """Nothing under src/ imports ``scipy.optimize``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run(
         [sys.executable, "-c",
          "import arrivalsim, sys; assert 'scipy.optimize' not in sys.modules"],
+        env=env, check=True,
+    )
+
+
+def test_a_stalled_fit_returns_its_start_unconverged_without_scipy_optimize():
+    """A fit cut short by ``max_evals`` keeps the quasi-Newton end point,
+    here its start, flagged unconverged, and runs no other optimizer."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, "-c", """
+import sys
+import numpy as np
+from arrivalsim.fitting import FitOptions, default_start, fit, log_likelihood
+from arrivalsim.ingest import InterArrivalSample
+from arrivalsim.models import model_from_name
+
+x = np.random.default_rng(3).gamma(2.0, 1 / 100.0, 300)
+sample = InterArrivalSample(x, np.linspace(-3.25, -0.5, x.size, endpoint=False), -3.25, -0.5)
+spec = model_from_name("Gamma.Const.Const")
+result = fit(spec, sample, FitOptions(max_evals=1, restarts=0))
+np.testing.assert_array_equal(result.theta, default_start(spec, sample))
+assert not result.converged
+assert result.log_likelihood == log_likelihood(spec, result.theta, sample)
+assert 'scipy.optimize' not in sys.modules
+"""],
         env=env, check=True,
     )
