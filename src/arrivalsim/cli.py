@@ -29,7 +29,7 @@ from .fitting import FittedModel, fit_cascade
 from .ingest import write_store
 from .models import model_from_name
 from .scoring import default_tau_grid, minute_grid, score_cell
-from .simulate import counts_matrix, read_trajectories, simulate_set, write_trajectories
+from .simulate import read_trajectories, simulate_set, write_trajectories
 from .synth import synth_generate
 
 __all__ = ["main"]
@@ -116,7 +116,7 @@ def _cmd_score(args) -> int:
         return 1
     grid = minute_grid(config.t1, config.t2)
     obs_counts = bt.observed_counts(observed.arrivals, config.t1, config.t2)
-    sims = counts_matrix(read_trajectories(args.trajectories), grid)
+    sims = read_trajectories(args.trajectories).counts(grid)
     taus = default_tau_grid(config.tau_grid_size)
     scores = score_cell(obs_counts, sims, taus)
     payload = {

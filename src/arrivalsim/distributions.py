@@ -12,8 +12,8 @@ Each extends the previous one: ``Exp(lam) == Gamma(1, lam)``,
 ``Gamma(a, b) == GenGam(-log(b/a), 1/sqrt(a), 1/sqrt(a))`` and
 ``GenGam(mu, sigma, q) == GenF(mu, sigma, q, 0)``.
 
-Each family is seven kernels -- its log-density, cdf, quantile, score,
-innovation sampler, simulation step and mean (see :class:`Kernels`) --
+Each family is six kernels -- its log-density, cdf, quantile, score,
+innovation sampler and simulation step (see :class:`Kernels`) --
 gathered in :data:`KERNELS`, keyed by :class:`~arrivalsim.models.Family`;
 this module is the one place that defines a family.  The kernels take the
 family parameters in the order :meth:`ModelSpec.params_at` returns them:
@@ -22,9 +22,9 @@ in a simulation step).  They do not validate their arguments:
 ``params_at`` decides feasibility, and
 :class:`~arrivalsim.ingest.InterArrivalSample` keeps every ``x`` positive
 and finite.  The likelihood reads the logpdf and score kernels; the
-simulator's first gap reads :func:`truncated_quantile`, every later step
-the innovations and step kernels, and its choice of block length the
-mean.  All density math happens in log space.
+simulator's first gap reads :func:`truncated_quantile`, and every later
+step the innovations and step kernels.  All density math happens in log
+space.
 """
 
 from __future__ import annotations
@@ -472,37 +472,6 @@ def genf_innovations(varying, mu, sigma, q, p):
     return _sampler(fill, invariant=False)
 
 
-def exp_mean(rate):
-    return 1.0 / rate
-
-
-def gamma_mean(shape, rate):
-    return shape / rate
-
-
-def gengam_mean(mu, sigma, q):
-    """exp(mu) E[(G / a)**r], G ~ Gamma(a = q**-2), r = sigma / q: infinite
-    where a + r <= 0."""
-    if abs(q) < LOGNORMAL_Q_EPS:
-        return np.exp(mu + 0.5 * sigma * sigma)
-    a = q ** -2
-    r = sigma / q
-    log_m = special.gammaln(a + r) - special.gammaln(a) - r * math.log(a)
-    return np.where(a + r > 0.0, np.exp(mu + log_m), math.inf)
-
-
-def genf_mean(mu, sigma, q, p):
-    """exp(mu) E[(s2 G1 / (s1 G2))**r], G_i ~ Gamma(s_i), r = sigma / delta:
-    infinite where s2 <= r."""
-    if p < GENGAM_P_EPS:
-        return gengam_mean(mu, sigma, q)
-    delta, s1, s2 = _genf_shapes(q, p)
-    r = sigma / delta
-    log_m = (special.gammaln(s1 + r) + special.gammaln(s2 - r)
-             - special.gammaln(s1) - special.gammaln(s2) + r * math.log(s2 / s1))
-    return np.where(s2 > r, np.exp(mu + log_m), math.inf)
-
-
 def _rate_step(w, *params):
     """Exp and Gamma: the innovation over the rate, the last parameter."""
     return w / params[-1]
@@ -514,7 +483,7 @@ def _location_scale_step(w, mu, sigma, *shapes):
 
 
 class Kernels(NamedTuple):
-    """The seven kernels of one family, on the parameters of ``params_at``.
+    """The six kernels of one family, on the parameters of ``params_at``.
 
     ``logpdf(x, *params)``, ``cdf(x, *params)``, ``quantile(u, *params)``;
     ``score(x, log_x, *params)``: the per-spell derivatives of the
@@ -523,8 +492,7 @@ class Kernels(NamedTuple):
     Q and P; ``innovations(varying, *params)``: the :class:`Sampler` of a
     model whose shape function varies in time or not (``varying``), built
     from the entries that do not vary (a constant Gamma shape, q and p);
-    ``step(w, *params)``: the inter-arrivals of innovations ``w``;
-    ``mean(*params)``: the mean inter-arrival, inf where it diverges.  Only
+    ``step(w, *params)``: the inter-arrivals of innovations ``w``.  Only
     a Gamma with a varying shape reads its current shape to draw, in
     Marsaglia-Tsang attempts; every other sampler gives one innovation per
     slot.
@@ -536,18 +504,17 @@ class Kernels(NamedTuple):
     score: Callable
     innovations: Callable
     step: Callable
-    mean: Callable
 
 
 KERNELS = {
     Family.EXP: Kernels(exp_logpdf, exp_cdf, exp_quantile, exp_score, exp_innovations,
-                        _rate_step, exp_mean),
+                        _rate_step),
     Family.GAMMA: Kernels(gamma_logpdf, gamma_cdf, gamma_quantile, gamma_score,
-                          gamma_innovations, _rate_step, gamma_mean),
+                          gamma_innovations, _rate_step),
     Family.GENGAM: Kernels(gengam_logpdf, gengam_cdf, gengam_quantile, gengam_score,
-                           gengam_innovations, _location_scale_step, gengam_mean),
+                           gengam_innovations, _location_scale_step),
     Family.GENF: Kernels(genf_logpdf, genf_cdf, genf_quantile, genf_score,
-                         genf_innovations, _location_scale_step, genf_mean),
+                         genf_innovations, _location_scale_step),
 }
 
 # The largest double below 1.  A probability that rounds up to 1 is

@@ -127,10 +127,10 @@ class FittedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "FittedModel":
-        """The record of :meth:`to_json` text.  Raises
-        :class:`ParameterError` for text that is not JSON, a record that is
-        not an object or lacks a key, a ``window`` that is not two numbers
-        and a ``theta`` that is not ``spec.n_params`` numbers."""
+        """The record of :meth:`to_json` text.  Raises :class:`ParameterError`
+        for text that is not JSON, a record that is not an object or lacks a
+        key, a ``theta`` that is not ``spec.n_params`` numbers, and a value
+        that its check in ``_RECORD_TYPES`` refuses."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -143,12 +143,14 @@ class FittedModel:
         if missing:
             raise ParameterError(f"fit record lacks {missing}")
         spec, theta, window = model_from_name(data["model"]), data["theta"], data["window"]
-        if not _numbers(window, 2):
-            raise ParameterError(f"fit record window must be two numbers, got {window!r}")
         if not _numbers(theta, spec.n_params):
             raise ParameterError(
                 f"{spec.name} fit record needs {spec.n_params} theta numbers, got {theta!r}"
             )
+        data.setdefault("fallback", False)
+        for key, holds, meaning in _RECORD_TYPES:
+            if not holds(data[key]):
+                raise ParameterError(f"fit record {key} must be {meaning}, got {data[key]!r}")
         return cls(
             spec=spec,
             theta=np.asarray(theta, dtype=float),
@@ -159,7 +161,7 @@ class FittedModel:
             n_evals=data["n_evals"],
             converged=data["converged"],
             start_source=data.get("start_source", ""),
-            fallback=data.get("fallback", False),
+            fallback=data["fallback"],
         )
 
     def save(self, path: str | Path) -> None:
@@ -178,6 +180,16 @@ class FittedModel:
 
 # the keys of a fit record that have no default
 _RECORD_KEYS = ("model", "theta", "log_likelihood", "n_obs", "days", "window", "n_evals", "converged")
+
+
+# what :meth:`FittedModel.from_json` checks of each key but model and theta
+_RECORD_TYPES = (
+    ("window", lambda v: _numbers(v, 2), "two numbers"),
+    *((key, lambda v: is_int(v) and v >= 0, "a non-negative integer")
+      for key in ("n_obs", "days", "n_evals")),
+    *((key, lambda v: isinstance(v, bool), "true or false") for key in ("converged", "fallback")),
+    ("log_likelihood", lambda v: v is None or is_real(v), "a number or null"),
+)
 
 
 def _numbers(values, n: int) -> bool:

@@ -48,17 +48,16 @@ and fit window share a lockstep of at most ``_ROWS`` trajectories.  A
 model with ``_ROWS`` or more trajectories fills a lockstep of its own,
 and steps the same way.
 
-A lockstep's block length is the expected arrival count on the horizon
-of the member that expects the most, plus a margin, so that most rows
-draw one block; the count is the horizon over the family's mean
-inter-arrival (its ``mean`` kernel), averaged on a grid of the horizon
-clamped into the fit window.  It is capped so that the lockstep holds at
-most ``_ROWS * _BLOCK`` slot values, 1.5 MB, and is ``_BLOCK`` where an
-estimate is not finite; a record that runs alone draws at least a
-quarter of ``_BLOCK`` slots at a time.  A row holds 16 bytes per arrival
-while its lockstep gathers them, so a full lockstep of trajectories with
-about 200 arrivals peaked at 3.1 MB (tracemalloc, the 37 models of two
-28-day cells at M = 200).  A lockstep's generators are built when it is
+A lockstep's block length is the most arrivals on the horizon that a
+member's record counts, its ``n_obs / days`` spells per day over its fit
+window scaled to the horizon, plus a margin, so that most rows draw one
+block.  It is capped so that the lockstep holds at most ``_ROWS *
+_BLOCK`` slot values, 1.5 MB, and is ``_BLOCK`` where a record holds no
+count; a record that runs alone draws at least a quarter of ``_BLOCK``
+slots at a time.  A row holds 16 bytes per arrival while its lockstep
+gathers them, so a full lockstep of trajectories with about 200 arrivals
+peaked at 3.1 MB (tracemalloc, the 37 models of two 28-day cells at M =
+200).  A lockstep's generators are built when it is
 packed, so one lockstep's generators, slots and arrivals are held at
 once.  A trajectory ends, with a warning, after ``_MAX_EVENTS``
 arrivals, so that a fit whose rate explodes inside the horizon costs
@@ -95,7 +94,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import KERNELS, truncated_quantile
-from .errors import DomainError, ParameterError, TailExhaustedError
+from .errors import DomainError, ParameterError, RowError, SchemaError, TailExhaustedError
 from .fitting import FittedModel
 from .models import FuncKind, ModelSpec, feasible_on_grid, join
 
@@ -106,7 +105,6 @@ __all__ = [
     "simulate_set",
     "cells_per_group",
     "counts_on_grid",
-    "counts_matrix",
     "pick_anchor",
     "write_trajectories",
     "read_trajectories",
@@ -114,12 +112,13 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Slots a row draws per rng call where its lockstep has no estimate of
-# its arrivals, or holds a sampler whose stream order depends on the
-# block length; with ``_ROWS``, the bound on a lockstep's slot values.  A
-# healthy trajectory has about 140 to 230 arrivals, so it draws one block
-# or two; of 64, 128, 256 and 512, 256 simulated a 37-model cell fastest
-# at M = 40 and M = 1,000 when every row drew blocks of one fixed length.
+# Slots a row draws per rng call where a record of its lockstep holds no
+# spell count, or the lockstep holds a sampler whose stream order depends
+# on the block length; with ``_ROWS``, the bound on a lockstep's slot
+# values.  A healthy trajectory has about 140 to 230 arrivals, so it
+# draws one block or two; of 64, 128, 256 and 512, 256 simulated a
+# 37-model cell fastest at M = 40 and M = 1,000 when every row drew
+# blocks of one fixed length.
 _BLOCK = 256
 # Most trajectories in one lockstep.  The cap bounds the memory a
 # lockstep adds over simulating its models one at a time, however many
@@ -138,9 +137,6 @@ _BLOCK = 256
 # 768 takes most of the gain up to M = 100; 1,024 adds at most 10% more
 # (at M = 200) for half as much memory again.
 _ROWS = 768
-# Points of the horizon at which a lockstep's block length reads the mean
-# inter-arrival.
-_GRID = 16
 # Most arrivals of one trajectory.  The longest healthy trajectory of the
 # benchmark inputs has about 200; a fit whose rate explodes inside the
 # horizon runs every trajectory to this bound, which then holds about
@@ -213,10 +209,9 @@ class _Member:
     """The trajectories of one record, one lockstep row each."""
 
     def __init__(self, index, key, fitted, rngs, params, live, t):
-        self.index, self.key = index, key
-        self.spec, self.theta = fitted.spec, fitted.theta
+        self.index, self.key, self.fitted = index, key, fitted
         # the innovation sampler at the anchor's parameters
-        self.sampler = KERNELS[self.spec.family].innovations(key[1], *params)
+        self.sampler = KERNELS[fitted.spec.family].innovations(key[1], *params)
         self.rngs = rngs
         self.live = live  # rows whose first arrival lands before the horizon end
         self.t = t  # and those arrivals
@@ -279,20 +274,15 @@ def _first_arrivals(fitted, bounds, anchor, t_start, t_end, rngs):
 
 
 def simulate_trajectories(
-    groups: Iterable[tuple[FittedModel, list[np.random.Generator]]],
-    anchor: float,
-    t_start: float,
+    fitted: FittedModel, rngs: list[np.random.Generator], anchor: float, t_start: float,
     t_end: float,
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """One trajectory on ``(t_start, t_end)`` per generator, for each
-    ``(fitted, rngs)`` group: ``(group index, trajectories)``, each group
-    in a lockstep of its own.  Each trajectory draws only from its own
+) -> TrajectorySet:
+    """One trajectory on ``(t_start, t_end)`` per generator of ``rngs``, in
+    a lockstep of their own.  Each trajectory draws only from its own
     generator, in the order the module docstring states.
     """
     _check_horizon([anchor], t_start, t_end)
-    for g, (fitted, rngs) in enumerate(groups):
-        for _, arrivals, lengths in _simulate([(g, fitted, anchor, rngs)], t_start, t_end):
-            yield g, _split(arrivals, lengths)
+    return next(_simulate([(0, fitted, anchor, rngs)], t_start, t_end))[1]
 
 
 def _check_horizon(anchors, t_start, t_end):
@@ -303,10 +293,9 @@ def _check_horizon(anchors, t_start, t_end):
             )
 
 
-def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(index, arrivals, lengths)`` for each ``(index, fitted, anchor,
-    rngs)`` of ``lockstep``, whose models share one lockstep key: the
-    arrivals of its trajectories one after another and each one's count.
+def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, TrajectorySet]]:
+    """``(index, set)`` for each ``(index, fitted, anchor, rngs)`` of
+    ``lockstep``, whose models share one lockstep key.
 
     A model whose first arrivals all miss the horizon yields at once; the
     others step together in one ``_lockstep``.
@@ -316,59 +305,45 @@ def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, np.ndarray, np.nd
         key = _lockstep_key(fitted)
         first = _first_arrivals(fitted, key[2], anchor, t_start, t_end, rngs)
         if first is None or not first[1].size:
-            yield index, np.empty(0), np.zeros(len(rngs), dtype=np.intp)
+            yield index, TrajectorySet(np.empty(0), np.zeros(len(rngs), dtype=np.intp))
         else:
             members.append(_Member(index, key, fitted, rngs, *first))
     if not members:
         return
-    if all(m.sampler.invariant for m in members):
-        block = _block_length(members, t_start, t_end)
-    else:
-        block = _BLOCK
+    invariant = all(m.sampler.invariant for m in members)
+    block = _block_length(members, t_start, t_end) if invariant else _BLOCK
     arrivals, lengths = _lockstep(members, t_end, block)
     rows = np.cumsum([0] + [len(member.rngs) for member in members])
     ends = np.concatenate([[0], np.cumsum(lengths)])[rows]
     for k, member in enumerate(members):
         # a copy, so that a set kept while the next lockstep runs does not
         # keep this lockstep's arrivals
-        yield member.index, arrivals[ends[k]:ends[k + 1]].copy(), lengths[rows[k]:rows[k + 1]]
+        yield member.index, TrajectorySet(
+            arrivals[ends[k]:ends[k + 1]].copy(), lengths[rows[k]:rows[k + 1]]
+        )
 
 
 def _block_length(members: list[_Member], t_start: float, t_end: float) -> int:
-    """Slots a row of ``members`` draws at a time: the expected arrivals on
-    [t_start, t_end) of the member that expects the most, n, plus 3 sqrt(n)
-    + 8, so that most rows draw one block (``_BLOCK`` if an n is not
-    finite); at most as many as keep the lockstep within ``_ROWS *
-    _BLOCK`` slot values, or ``_BLOCK // 4``.  n is the span times the
-    member's :func:`_arrival_rate` on ``_GRID`` points of it, clamped into
-    the fit window that the members share.
+    """Slots a row of ``members`` draws at a time: n + 3 sqrt(n) + 8, so
+    that most rows draw one block, for n the most arrivals on [t_start,
+    t_end) of a member, its record's ``n_obs / days`` spells per day over
+    its fit window scaled to the horizon's span; ``_BLOCK`` if a record
+    has no positive spell or day count or finite window span.  At most as
+    many as keep the lockstep within ``_ROWS * _BLOCK`` slot values, or
+    ``_BLOCK // 4``.
 
     The floor binds only for a record that runs alone with more than 1,024
     rows of attempts or 3,072 other rows; it keeps their draws to a few per
     trajectory, in a quarter of the memory blocks of ``_BLOCK`` take."""
     rows = sum(len(m.rngs) for m in members)
     cap = max(_BLOCK // 4, _ROWS * _BLOCK // (rows * members[0].sampler.width))
-    t, bounds = np.linspace(t_start, t_end, _GRID), members[0].key[2]
-    if bounds:
-        t = np.clip(t, *bounds)
-    with np.errstate(all="ignore"):
-        n = (t_end - t_start) * max(_arrival_rate(m.spec, m.theta, t) for m in members)
-    return min(cap, math.ceil(n + 3.0 * math.sqrt(n) + 8.0) if math.isfinite(n) else _BLOCK)
-
-
-def _arrival_rate(spec: ModelSpec, theta, t: np.ndarray) -> float:
-    """The reciprocal of the mean inter-arrival of ``spec`` at ``theta``,
-    averaged over the times ``t``: inf where the parameters are infeasible
-    or a mean is not finite."""
-    params, ok = spec.params_at(theta, t)
-    if not ok:
-        return math.inf
-    mean = KERNELS[spec.family].mean(*params)
-    return float(np.sum(1.0 / mean)) / t.size if np.isfinite(mean).all() else math.inf
-
-
-def _split(arrivals: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    return np.split(arrivals, np.cumsum(lengths)[:-1])
+    n = 0.0
+    for record in (m.fitted for m in members):
+        span = record.window[1] - record.window[0]
+        if not (record.n_obs > 0 and record.days > 0 and 0.0 < span < math.inf):
+            return min(cap, _BLOCK)
+        n = max(n, record.n_obs / record.days * (t_end - t_start) / span)
+    return min(cap, math.ceil(n + 3.0 * math.sqrt(n) + 8.0))
 
 
 class _Innovations:
@@ -442,9 +417,9 @@ def _lockstep(members: list[_Member], t_end: float, block: int) -> tuple[np.ndar
     steps where rows end.  The rows live at step k are those with more than
     k arrivals, in row order, so a step keeps only its arrival times.
     """
-    spec, bounds = join(m.spec for m in members), members[0].key[2]
+    spec, bounds = join(m.fitted.spec for m in members), members[0].key[2]
     sizes = [len(m.rngs) for m in members]
-    names = [name for m in members for name in [m.spec.name] * len(m.rngs)]
+    names = [name for m in members for name in [m.fitted.spec.name] * len(m.rngs)]
     rngs = [rng for m in members for rng in m.rngs]
     innovations = _Innovations(
         rngs, [sampler for m in members for sampler in [m.sampler] * len(m.rngs)], block
@@ -452,7 +427,7 @@ def _lockstep(members: list[_Member], t_end: float, block: int) -> tuple[np.ndar
     offsets = np.cumsum(sizes) - sizes
     live = np.concatenate([offset + m.live for offset, m in zip(offsets, members)])
     t = np.concatenate([m.t for m in members])
-    theta = np.column_stack([m.spec.embed(m.theta, spec) for m in members])
+    theta = np.column_stack([m.fitted.spec.embed(m.fitted.theta, spec) for m in members])
     theta = np.repeat(theta, sizes, axis=1)[:, live]
     step = KERNELS[spec.family].step
     lengths = np.zeros(len(rngs), dtype=np.intp)  # filled in as rows end
@@ -517,15 +492,11 @@ def _lockstep(members: list[_Member], t_end: float, block: int) -> tuple[np.ndar
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """M simulated trajectories for one forecast cell: their arrivals one
-    trajectory after another, and each trajectory's count."""
+    """M trajectories: their arrivals one trajectory after another, each
+    trajectory's in increasing order, and each trajectory's count."""
 
     arrivals: np.ndarray
     lengths: np.ndarray
-    t_start: float
-    t_end: float
-    anchor: float
-    seed: int
 
     @property
     def m(self) -> int:
@@ -534,11 +505,23 @@ class TrajectorySet:
     @property
     def trajectories(self) -> list[np.ndarray]:
         """One array of arrival times per trajectory."""
-        return _split(self.arrivals, self.lengths)
+        return np.split(self.arrivals, np.cumsum(self.lengths)[:-1])
 
     def counts(self, grid: np.ndarray) -> np.ndarray:
-        """(M, J) matrix of counting-path values on ``grid``."""
-        return _counts(self.arrivals, self.lengths, grid)
+        """(M, J) matrix of counting-path values on ``grid``, one
+        :func:`counts_on_grid` row per trajectory.
+
+        An arrival a is counted at grid point g_j iff a <= g_j, that is iff
+        the first grid index i with g_i >= a is at most j: a per-row
+        histogram of those indices, cumulated, gives the counts exactly.
+        """
+        grid = np.asarray(grid)
+        m, j = self.m, grid.size
+        bins = np.searchsorted(grid, self.arrivals, side="left")
+        bins += np.repeat(np.arange(0, m * (j + 1), j + 1), self.lengths)
+        hist = np.bincount(bins, minlength=m * (j + 1)).reshape(m, j + 1)
+        del bins  # one arrival-sized array fewer at the peak, in the cumsum
+        return np.cumsum(hist[:, :j], axis=1)
 
 
 def simulate_sets(
@@ -583,8 +566,7 @@ def simulate_sets(
             lockstep = [
                 (i, records[i], anchors[i], rngs[k * m:(k + 1) * m]) for k, i in enumerate(chunk)
             ]
-            for i, arrivals, lengths in _simulate(lockstep, t_start, t_end):
-                yield i, TrajectorySet(arrivals, lengths, t_start, t_end, anchors[i], seeds[i])
+            yield from _simulate(lockstep, t_start, t_end)
 
 
 def simulate_set(
@@ -604,33 +586,14 @@ def counts_on_grid(arrivals: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.asarray(arrivals), grid, side="right")
 
 
-def counts_matrix(trajectories: list[np.ndarray], grid: np.ndarray) -> np.ndarray:
-    """(M, J) matrix of :func:`counts_on_grid` rows, one per trajectory."""
-    return _counts(np.concatenate(trajectories), [len(tr) for tr in trajectories], grid)
-
-
-def _counts(arrivals: np.ndarray, lengths, grid: np.ndarray) -> np.ndarray:
-    """(M, J) counting-path values on ``grid`` of the trajectories that
-    ``lengths`` cuts ``arrivals`` into.
-
-    An arrival a is counted at grid point g_j iff a <= g_j, that is iff
-    the first grid index i with g_i >= a is at most j: a per-row histogram
-    of those indices, cumulated, gives the counts exactly.
-    """
-    grid = np.asarray(grid)
-    m, j = len(lengths), grid.size
-    bins = np.searchsorted(grid, arrivals, side="left")
-    bins += np.repeat(np.arange(0, m * (j + 1), j + 1), lengths)
-    hist = np.bincount(bins, minlength=m * (j + 1)).reshape(m, j + 1)
-    del bins  # one arrival-sized array fewer at the peak, in the cumsum
-    return np.cumsum(hist[:, :j], axis=1)
-
-
 def pick_anchor(arrivals: np.ndarray, t_start: float) -> float:
     """Last observed arrival at or before ``t_start``; ``t_start`` if none."""
     z = np.asarray(arrivals, dtype=float)
     idx = int(np.searchsorted(z, t_start, side="right")) - 1
     return float(z[idx]) if idx >= 0 else t_start
+
+
+_DUMP_COLUMNS = ("trajectory_index", "arrival_time_hours")
 
 
 def write_trajectories(ts: TrajectorySet, path) -> None:
@@ -640,19 +603,37 @@ def write_trajectories(ts: TrajectorySet, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["trajectory_index", "arrival_time_hours"])
+        writer.writerow(_DUMP_COLUMNS)
         for i, tr in enumerate(ts.trajectories):
             writer.writerows([[i, repr(float(t))] for t in tr] or [[i, ""]])
 
 
-def read_trajectories(path) -> list[np.ndarray]:
-    """The trajectories of a :func:`write_trajectories` dump, in index order."""
-    groups: dict[int, list[float]] = {}
+def read_trajectories(path) -> TrajectorySet:
+    """The set of a :func:`write_trajectories` dump, trajectories in index
+    order, each one's arrivals sorted.  Raises :class:`SchemaError` for a
+    dump without the two columns, :class:`RowError` for a row whose index
+    is not a non-negative integer or whose time is neither empty nor a
+    finite number, and :class:`ParameterError` for a dump without rows."""
+    index, times, last = [], [], -1
     with Path(path).open(newline="") as handle:
-        for record in csv.DictReader(handle):
-            arrivals = groups.setdefault(int(record["trajectory_index"]), [])
-            if record["arrival_time_hours"]:
-                arrivals.append(float(record["arrival_time_hours"]))
-    if not groups:
+        reader = csv.DictReader(handle)
+        missing = [c for c in _DUMP_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SchemaError(f"{path} lacks the trajectory dump columns {missing}")
+        for record in reader:
+            i, t = record["trajectory_index"], record["arrival_time_hours"]
+            try:
+                i, t = int(i), float(t) if t else None
+            except (TypeError, ValueError):
+                raise RowError(reader.line_num, f"bad trajectory row {i!r}, {t!r}") from None
+            if i < 0 or not (t is None or math.isfinite(t)):
+                raise RowError(reader.line_num, f"bad trajectory row {i!r}, {t!r}")
+            last = max(last, i)
+            if t is not None:
+                index.append(i)
+                times.append(t)
+    if last < 0:
         raise ParameterError(f"no trajectories in {path}")
-    return [np.sort(np.asarray(groups.get(i, []), dtype=float)) for i in range(max(groups) + 1)]
+    index, times = np.array(index, dtype=np.intp), np.array(times)
+    order = np.lexsort((times, index))
+    return TrajectorySet(times[order], np.bincount(index, minlength=last + 1))

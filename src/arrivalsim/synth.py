@@ -70,7 +70,7 @@ def synth_generate(
             raise ParameterError(f"{spec.name}: theta is infeasible on [{a}, {gen_end})")
         fitted = FittedModel(spec=spec, theta=theta, log_likelihood=None, window=(a, gen_end))
         rngs = [_cell_rng(seed, day_index, product) for day_index in range(days)]
-        arrivals[product] = next(simulate_trajectories([(fitted, rngs)], a, a, gen_end))[1]
+        arrivals[product] = simulate_trajectories(fitted, rngs, a, a, gen_end).trajectories
 
     with out_path.open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -113,6 +113,27 @@ class TestSynth:
                 out_path=tmp_path / "x.csv", gen_start=-4.25,
             )
 
+    @pytest.mark.parametrize("name, theta, gen_start, rows, hours", [
+        ("GenF.Lin.Const", [60.0, -5.0, 1.0, 0.5, 1.0], None, 2845, -33762.15237131778),
+        ("GenF.Const.Const", [80.0, 1.0, 0.5, 1.0], None, 2033, -21692.613069760002),
+        ("Exp.Expon", [20.0, 5.0, 1.0], -4.25, 345, -662.0547623588889),
+    ])
+    def test_the_benchmark_models_draw_the_pinned_transactions(
+        self, tmp_path, name, theta, gen_start, rows, hours
+    ):
+        """The data-generating models of the benchmark workloads, at 2 days
+        of product 12: a change to a sampler's stream layout or to the
+        simulator's blocks that would move the benchmark inputs fails
+        here."""
+        path = synth_generate(
+            model_from_name(name), theta, days=2, seed=0, out_path=tmp_path / "raw.csv",
+            products=(12,), gen_start=gen_start,
+        )
+        assert len(path.read_text().splitlines()) - 1 == rows
+        series = build_series(parse_csv(path))
+        assert sum(float(s.arrivals.sum()) for s in series.values()) == pytest.approx(
+            hours, rel=1e-9)
+
     def test_deterministic(self, tmp_path):
         kw = dict(days=2, seed=4, products=(5,), gen_start=-2.0)
         a = synth_generate(model_from_name("Exp.Const"), [50.0],
@@ -356,10 +377,12 @@ class TestRun:
         lambda record: [],
         lambda record: {**record, "window": None},
         lambda record: {**record, "theta": record["theta"] * 2},
+        lambda record: {**record, "days": "x"},
     ])
     def test_resume_refits_a_record_that_does_not_hold(self, synth_csv, tmp_path, caplog, edit):
-        """A fit.json that is not an object, or whose window or theta is not
-        what its model needs, is refitted with one warning."""
+        """A fit.json that is not an object, whose window or theta is not
+        what its model needs, or whose day count is not a count, is
+        refitted with one warning."""
         out = tmp_path / "out"
         cfg = tiny_config(synth_csv, out)
         run(cfg)

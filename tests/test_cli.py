@@ -237,3 +237,40 @@ def test_simulate_rejects_a_file_that_is_not_a_fit_record(workspace, tmp_path, c
                  "--out", str(tmp_path / "traj.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: fit record is not JSON")
+
+
+def test_simulate_rejects_a_record_whose_days_are_not_a_count(tmp_path, capsys):
+    fit_path = tmp_path / "fit.json"
+    record = json.loads(FittedModel(
+        spec=model_from_name("Exp.Const"), theta=np.array([10.0]), log_likelihood=None,
+        n_obs=100, days=2, window=(-3.25, -0.5),
+    ).to_json())
+    fit_path.write_text(json.dumps({**record, "days": "x"}))
+    code = main(["simulate", "--fit", str(fit_path), "--anchor", "-3.3", "--t-start", "-3.25",
+                 "--t-end", "-0.5", "-m", "5", "--out", str(tmp_path / "traj.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: fit record days must be")
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("dump, message", [
+    ("arrival_time_hours\n-3.0\n", "['trajectory_index']"),
+    ("trajectory_index,time\n0,-3.0\n", "['arrival_time_hours']"),
+    ("", "['trajectory_index', 'arrival_time_hours']"),
+    ("trajectory_index,arrival_time_hours\n0,-3.0\nabc,-2.0\n", "line 3: "),
+    ("trajectory_index,arrival_time_hours\n0,-3.0\n-1,-2.0\n", "line 3: "),
+    ("trajectory_index,arrival_time_hours\n0,-3.0x\n", "line 2: "),
+    ("trajectory_index,arrival_time_hours\n0,-3.0\n0,nan\n", "line 3: "),
+    ("trajectory_index,arrival_time_hours\n0,inf\n", "line 2: "),
+    ("trajectory_index,arrival_time_hours\n", "no trajectories"),
+], ids=["no index", "no time", "empty", "bad index", "negative index", "bad time", "nan time",
+        "inf time", "no rows"])
+def test_score_rejects_a_malformed_trajectory_dump(workspace, tmp_path, capsys, dump, message):
+    """Missing columns, a bad index or time, or no rows: an error line."""
+    path = tmp_path / "traj.csv"
+    path.write_text(dump)
+    code = main(["score", "--config", str(workspace / "cfg.json"), "--date", "2017-09-08",
+                 "--product", "5", "--trajectories", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -365,32 +365,6 @@ class TestSampling:
         parts = np.hstack([sampler.draw(rng, 100), sampler.draw(rng, 200)])
         assert not np.array_equal(parts, whole)
 
-    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-    def test_mean_kernel_matches_the_oracle(self, family):
-        """The mean inter-arrival, inf where it diverges, in the lognormal
-        limit and at shapes whose law has no mean; and entry by entry at an
-        array of first parameters."""
-        rng = np.random.default_rng(31)
-        cases = [random_params(rng, family) for _ in range(20)]
-        if family is GENGAM:
-            cases += [(0.3, 0.9, 0.0), (0.0, 1.0, -2.0)]
-        if family is GENF:
-            cases += [(0.3, 0.9, 0.5, 1e-9), (0.0, 1.5, -2.0, 0.1)]
-        for params in cases:
-            want = oracle(family, params).mean()
-            sigma, q = params[1:3] if family is GENGAM else (0.0, 1.0)
-            if q < 0.0 and q ** -2 + sigma / q <= 0.0:
-                # E[G**-s] of G ~ Gamma(a) diverges for s >= a, where scipy's
-                # gengamma reports a finite moment
-                want = math.inf
-            got = KERNELS[family].mean(*params)
-            assert got == pytest.approx(want, rel=1e-8), params
-            first = np.array([params[0], params[0] + 0.5])
-            np.testing.assert_array_equal(
-                KERNELS[family].mean(first, *params[1:]),
-                [KERNELS[family].mean(v, *params[1:]) for v in first],
-            )
-
     def test_exp_monte_carlo_mean(self):
         draws = sample(EXP, (4.0,), np.random.default_rng(1), 10**6)
         assert abs(draws.mean() - 0.25) < 3.0 * 0.25 / 1e3

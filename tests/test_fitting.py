@@ -269,6 +269,13 @@ class TestFit:
         (lambda record: {**record, "theta": ["2"]}, "needs 1 theta numbers"),
         (lambda record: {k: v for k, v in record.items() if k != "n_obs"}, "lacks \\['n_obs'\\]"),
         (lambda record: {**record, "model": 5}, "not a valid model name"),
+        (lambda record: {**record, "n_obs": "many"}, "n_obs must be a non-negative integer"),
+        (lambda record: {**record, "n_obs": 2.5}, "n_obs must be a non-negative integer"),
+        (lambda record: {**record, "days": -3}, "days must be a non-negative integer"),
+        (lambda record: {**record, "n_evals": True}, "n_evals must be a non-negative integer"),
+        (lambda record: {**record, "converged": "yes"}, "converged must be true or false"),
+        (lambda record: {**record, "fallback": 0}, "fallback must be true or false"),
+        (lambda record: {**record, "log_likelihood": "x"}, "log_likelihood must be a number"),
     ])
     def test_a_record_that_does_not_hold_is_a_parameter_error(self, edit, message):
         record = json.loads(FittedModel(

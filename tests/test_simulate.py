@@ -17,7 +17,6 @@ from arrivalsim.simulate import (
     _ROWS,
     TrajectorySet,
     cells_per_group,
-    counts_matrix,
     counts_on_grid,
     pick_anchor,
     read_trajectories,
@@ -65,15 +64,19 @@ NEGATIVE_RATE_CASES = [
 ]
 
 
-def fitted(name, theta, window=(T1, T2)):
+def fitted(name, theta, window=(T1, T2), counts=(0, 0)):
+    """A record of ``name`` at ``theta`` fitted on ``window``, with ``counts``
+    = (spells, days): none by default."""
+    n_obs, days = counts
     return FittedModel(
-        spec=model_from_name(name), theta=theta, log_likelihood=None, window=window
+        spec=model_from_name(name), theta=theta, log_likelihood=None, n_obs=n_obs, days=days,
+        window=window,
     )
 
 
 def simulate_one(fm, anchor, t_start, t_end, rng):
     """One trajectory from the kernel, on one generator."""
-    return next(simulate_trajectories([(fm, [rng])], anchor, t_start, t_end))[1][0]
+    return simulate_trajectories(fm, [rng], anchor, t_start, t_end).trajectories[0]
 
 
 def marsaglia_tsang(a, slots):
@@ -429,7 +432,7 @@ def simulate_both(caplog, records, m, anchor=T1):
         runs.append(([sets[i] for i in range(len(records))], messages))
     (grouped, messages), (alone, alone_messages) = runs
     for record, a, b in zip(records, grouped, alone):
-        assert (a.m, a.seed) == (b.m, b.seed), record.spec.name
+        assert a.m == b.m, record.spec.name
         for x, y in zip(a.trajectories, b.trajectories):
             np.testing.assert_array_equal(x, y, err_msg=record.spec.name)
     assert messages == alone_messages
@@ -577,7 +580,6 @@ class TestGroupedLocksteps:
             assert lockstep_sizes == sizes
             for i, (record, anchor, seed) in enumerate(zip(records, anchors, seeds)):
                 alone = simulate_set(record, anchor, T1, T2, m, seed)
-                assert (grouped[i].anchor, grouped[i].seed) == (anchor, seed)
                 np.testing.assert_array_equal(grouped[i].arrivals, alone.arrivals)
                 np.testing.assert_array_equal(grouped[i].lengths, alone.lengths)
 
@@ -642,10 +644,15 @@ class TestGroupedLocksteps:
 
 def trajectory_set(trajectories):
     lengths = np.array([len(tr) for tr in trajectories], dtype=np.intp)
-    return TrajectorySet(np.concatenate(trajectories), lengths, T1, T2, T1, 0)
+    return TrajectorySet(np.concatenate(trajectories), lengths)
 
 
-def test_counts_matrix_equals_counts_on_grid_per_row():
+def counts_per_row(ts, grid):
+    """The oracle of ``ts.counts``: :func:`counts_on_grid` row by row."""
+    return np.vstack([counts_on_grid(tr, grid) for tr in ts.trajectories])
+
+
+def test_counts_equal_counts_on_grid_per_row():
     rng = np.random.default_rng(0)
     grid = minute_grid(T1, T2)
     trajectories = []
@@ -658,10 +665,11 @@ def test_counts_matrix_equals_counts_on_grid_per_row():
     got = trajectory_set(trajectories).counts(grid)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(counts_matrix([np.empty(0)], grid), np.zeros((1, grid.size)))
+    np.testing.assert_array_equal(
+        trajectory_set([np.empty(0)]).counts(grid), np.zeros((1, grid.size)))
 
 
-def test_counts_bin_the_flat_arrivals_as_counts_matrix_does(caplog):
+def test_counts_bin_the_flat_arrivals_as_counts_on_grid_does(caplog):
     """Sets with empty trajectories: a tail exhausted from an early anchor,
     and a rate too low to give every trajectory an arrival."""
     grid = minute_grid(T1, T2)
@@ -672,7 +680,7 @@ def test_counts_bin_the_flat_arrivals_as_counts_matrix_does(caplog):
     assert empty[0] == 40 and 0 < empty[1] < 40
     for ts in sets.values():
         assert sum(len(tr) for tr in ts.trajectories) == ts.arrivals.size
-        np.testing.assert_array_equal(ts.counts(grid), counts_matrix(ts.trajectories, grid))
+        np.testing.assert_array_equal(ts.counts(grid), counts_per_row(ts, grid))
 
 
 @pytest.fixture
@@ -694,68 +702,66 @@ def margin(n):
     return math.ceil(n + 3.0 * math.sqrt(n) + 8.0)
 
 
-# the rate 10 + exp(5 + 3 t) of a window that ends at -2, held after it
-CLAMPED = np.clip(np.linspace(T1, T2, simulate._GRID), T1 - 1.0, -2.0)
+# (spells, days) of records fitted on the horizon: 100/h and 40/h over
+# its 2.75 h
+FAST, SLOW = (1100, 4), (440, 4)
 
 
-@pytest.mark.parametrize("names, thetas, window, m, want", [
-    # the larger expected count, 100/h over the 2.75 h horizon, and its margin
-    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], (T1, T2), 10, margin(275.0)),
+@pytest.mark.parametrize("names, thetas, counts, window, t_end, m, want", [
+    # the larger count, 275 arrivals on the horizon, and its margin
+    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], [SLOW, FAST], (T1, T2), T2, 10,
+     margin(275.0)),
+    # a horizon that ends before the window: 100/h over 1.75 h of it
+    (["Exp.Const"], [[100.0]], [FAST], (T1, T2), -1.5, 10, margin(175.0)),
+    # a window that starts before the horizon: 2.75 h of its 3.75 h; the
+    # count is the record's, whatever the rate
+    (["Exp.Expon"], [[10.0, 5.0, 3.0]], [FAST], (T1 - 1.0, T2), T2, 10,
+     margin(275.0 * SPAN / 3.75)),
     # 768 rows keep it to _BLOCK slots
-    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], (T1, T2), _ROWS // 2, _BLOCK),
-    # the rate read in the fit window
-    (["Exp.Expon"], [[10.0, 5.0, 3.0]], (T1 - 1.0, -2.0), 10,
-     margin(SPAN * float(np.mean(10.0 + np.exp(5.0 + 3.0 * CLAMPED))))),
+    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], [SLOW, FAST], (T1, T2), T2, _ROWS // 2,
+     _BLOCK),
     # 763 rows of attempts, three slot values each
-    ([name for name, _ in VARYING_GAMMA], [theta for _, theta in VARYING_GAMMA], (T1, T2),
-     _ROWS // 7, _ROWS * _BLOCK // (3 * 7 * (_ROWS // 7))),
+    ([name for name, _ in VARYING_GAMMA], [theta for _, theta in VARYING_GAMMA], [FAST] * 7,
+     (T1, T2), T2, _ROWS // 7, _ROWS * _BLOCK // (3 * 7 * (_ROWS // 7))),
+    # one record of 1,100 rows of attempts: the cap, 59, is below the floor
+    (["Gamma.Lin.Lin"], [[40.0, 0.0, 3.0, 0.5]], [SLOW], (T1, T2), T2, 1100, _BLOCK // 4),
     # a GenF with p >= GENGAM_P_EPS reads its stream in blocks of _BLOCK
     (["GenGam.Const.Const", "GenF.Const.Const"], [[150.0, 1.6, 0.8], [150.0, 1.6, 0.8, 1.0]],
-     (T1, T2), 10, _BLOCK),
-    # a mean inter-arrival that diverges: Gamma(1/4) to the power -2
-    (["GenGam.Const.Const"], [[50.0, 1.0, -2.0]], (T1, T2), 10, _BLOCK),
-    # one record of 1,100 rows of attempts: the cap, 59, is below the floor
-    (["Gamma.Lin.Lin"], [[40.0, 0.0, 3.0, 0.5]], (T1, T2), 1100, _BLOCK // 4),
+     [SLOW, SLOW], (T1, T2), T2, 10, _BLOCK),
+    # a record without spells, days or a window span: _BLOCK
+    (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], [SLOW, (0, 0)], (T1, T2), T2, 10, _BLOCK),
+    (["Exp.Const"], [[100.0]], [(1100, 0)], (T1, T2), T2, 10, _BLOCK),
+    (["Exp.Const"], [[100.0]], [FAST], (math.nan, math.nan), T2, 10, _BLOCK),
+    (["Exp.Const"], [[100.0]], [FAST], (-math.inf, math.inf), T2, 10, _BLOCK),
 ])
 def test_the_block_length_covers_the_expected_arrivals_within_the_slot_bound(
-    caplog, block_lengths, names, thetas, window, m, want
+    caplog, block_lengths, names, thetas, counts, window, t_end, m, want
 ):
-    records = [fitted(name, theta, window) for name, theta in zip(names, thetas)]
+    records = [fitted(n, theta, window, c) for n, theta, c in zip(names, thetas, counts)]
     with caplog.at_level("WARNING"):
-        dict(simulate_sets(records, T1, T1, T2, m, list(range(len(records)))))
+        dict(simulate_sets(records, T1, T1, t_end, m, list(range(len(records)))))
     (rows, width, block), = block_lengths
     assert block == want
     assert rows * width * block <= max(_ROWS * _BLOCK, rows * width * _BLOCK // 4)
-
-
-def test_the_arrival_rate_follows_a_time_varying_rate():
-    """Exp.Lin at rate 100 + 20 t: the reciprocal mean inter-arrival
-    averaged over the times given, about the rate's mean 62.5 over the
-    horizon; infinite where the rate is negative."""
-    spec, theta = model_from_name("Exp.Lin"), np.array([100.0, 20.0])
-    grid = np.linspace(T1, T2, simulate._GRID)
-    assert simulate._arrival_rate(spec, theta, grid) == pytest.approx(62.5, rel=1e-12)
-    clamped = np.clip(grid, -4.0, -2.0)
-    assert simulate._arrival_rate(spec, theta, clamped) == pytest.approx(
-        float(np.mean(100.0 + 20.0 * clamped)), rel=1e-12)
-    assert simulate._arrival_rate(spec, np.array([-100.0, 20.0]), grid) == math.inf
 
 
 @pytest.mark.parametrize("block", [1, 7, _BLOCK])
 @pytest.mark.parametrize("cell", ["every model", "GenGam"])
 def test_the_block_length_changes_no_trajectory(caplog, monkeypatch, block, cell):
     """Blocks of 1, 7 or ``_BLOCK`` slots give bitwise the sets of the
-    estimated block length: every model, the time-varying Gamma models at
-    a rate that spends several blocks, and the stream cases; and the GenGam
-    models, with one in the lognormal limit, in locksteps without a GenF
-    whose p holds them at ``_BLOCK``."""
+    block length the records' counts give: every model, the time-varying
+    Gamma models at a rate that spends several blocks, and the stream
+    cases; and the GenGam models, with one in the lognormal limit, in
+    locksteps without a GenF whose p holds them at ``_BLOCK``."""
     rng = np.random.default_rng(12)
     specs = [s for s in enumerate_models() if cell != "GenGam" or s.family is Family.GENGAM]
-    records = [fitted(spec.name, feasible_theta(spec, rng)) for spec in specs]
+    cases = [(spec.name, feasible_theta(spec, rng)) for spec in specs]
     if cell == "GenGam":
-        records.append(fitted("GenGam.Lin.Const", [150.0, -5.0, 1.6, LOGNORMAL_Q_EPS / 2]))
+        cases.append(("GenGam.Lin.Const", [150.0, -5.0, 1.6, LOGNORMAL_Q_EPS / 2]))
     else:
-        records += [fitted(name, theta) for name, theta in VARYING_GAMMA + STREAM_CASES]
+        cases += VARYING_GAMMA + STREAM_CASES
+    # 20 spells a day: blocks of 42 slots, which most rows spend more than once
+    records = [fitted(name, theta, counts=(80, 4)) for name, theta in cases]
     seeds = list(range(len(records)))
     with caplog.at_level("WARNING"):
         want = dict(simulate_sets(records, T1 - 0.01, T1, T2, 6, seeds))
@@ -782,6 +788,14 @@ def test_dump_round_trip_keeps_empty_trajectories(tmp_path, sizes):
     path = tmp_path / "traj.csv"
     write_trajectories(trajectory_set(trajectories), path)
     back = read_trajectories(path)
-    assert [tr.size for tr in back] == list(sizes)
-    for got, want in zip(back, trajectories):
+    assert back.lengths.tolist() == list(sizes)
+    for got, want in zip(back.trajectories, trajectories):
         np.testing.assert_array_equal(got, want)
+
+
+def test_a_dump_reads_in_index_order_whatever_its_row_order(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("trajectory_index,arrival_time_hours\n1,-2.0\n3,\n0,-1.0\n1,-3.0\n")
+    back = read_trajectories(path)
+    assert back.lengths.tolist() == [1, 2, 0, 0]
+    assert back.arrivals.tolist() == [-1.0, -3.0, -2.0]
