@@ -116,9 +116,15 @@ def _cmd_score(args) -> int:
         return 1
     grid = minute_grid(config.t1, config.t2)
     obs_counts = bt.observed_counts(observed.arrivals, config.t1, config.t2)
-    sims = read_trajectories(args.trajectories).counts(grid)
+    dump = read_trajectories(args.trajectories)
+    outside = dump.arrivals[(dump.arrivals <= config.t1) | (dump.arrivals >= config.t2)]
+    if outside.size:
+        raise ParameterError(
+            f"{args.trajectories} holds an arrival at {float(outside[0])!r} hours, outside the "
+            f"horizon ({config.t1}, {config.t2}): simulate on that horizon"
+        )
     taus = default_tau_grid(config.tau_grid_size)
-    scores = score_cell(obs_counts, sims, taus)
+    scores = score_cell(obs_counts, dump.counts(grid), taus)
     payload = {
         "date": args.date,
         "product": args.product,

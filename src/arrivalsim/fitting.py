@@ -11,22 +11,22 @@ Optimization follows the analytic score: :func:`log_likelihood_and_score`
 returns the likelihood and its gradient in one vectorized pass, and a
 projected quasi-Newton run climbs it inside the box bounds.  Its model
 Hessian starts as forward differences of the score, one evaluation per
-parameter, and BFGS updates it after each step.  A start whose runs stop
-short of convergence keeps their end point, flagged unconverged on the fit
-record.  The likelihood surfaces are low dimensional (at most 8
-parameters) but can be multimodal, so richer models are
-warm-started from simpler ones (see :func:`fit_cascade`).  The 16 models
-with an Expon rate or shape function, and any Gamma, GenGam or GenF fit
-from the moment default, also run from the next-ranked candidate starts.
-On synthetic cells, skipping those starts lost up to 2.8 LL units on Expon
-models and up to 3.0 on GenF models started from the default, while every
-other model started from a fitted donor reached its multi-start optimum to
-within 3e-6 LL.  An Exp model with a Const, Lin or Quadr rate needs no
-further start from anywhere: its rate is linear in θ, so its
-log-likelihood, the sum of ``log λ(t_i) - λ(t_i) x_i``, is concave in θ
-on a convex feasible set (the box, cut by ``λ > 0`` at every spell start),
-and every local optimum is the global one.  For Exp.Const the moment
-default is the maximum itself.
+parameter, and BFGS updates it after each step.  Each start runs once: a
+run that stops short of convergence keeps its end point, flagged
+unconverged on the fit record.  The likelihood surfaces are low
+dimensional (at most 8 parameters) but can be multimodal, so richer models
+are warm-started from simpler ones (see :func:`fit_cascade`).  The 16
+models with an Expon rate or shape function, and any Gamma, GenGam or GenF
+fit from the moment default, also run from the next-ranked candidate
+starts.  On twelve synthetic 37-model cells, those starts raised 17 of the
+444 fits above the run from their best-ranked start, by up to 11.26 LL
+units, while every other model started from a fitted donor reached its
+multi-start optimum to within 3e-6 LL.  An Exp model with a Const, Lin
+or Quadr rate needs no further start from anywhere: its rate is linear in
+θ, so its log-likelihood, the sum of ``log λ(t_i) - λ(t_i) x_i``, is
+concave in θ on a convex feasible set (the box, cut by ``λ > 0`` at every
+spell start), and every local optimum is the global one.  For Exp.Const
+the moment default is the maximum itself.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_GRADIENT_RUNS = 4  # quasi-Newton runs per start, each from the end of the last
 _HALVINGS = 40  # step halvings before a quasi-Newton run gives up
 _EIG_FLOOR = 1e-10  # smallest model-Hessian eigenvalue, relative to the largest
 # a run steps on until its step promises this fraction of f_tol; stopping
@@ -67,9 +66,6 @@ _EIG_FLOOR = 1e-10  # smallest model-Hessian eigenvalue, relative to the largest
 _STOP = 1e-3
 _EXPON_SMALL_C = 1e-3
 _SHAPE_ONE_EXPON_A1 = math.log(1e-8)
-# fixed perturbations of the best start fill the starts candidates leave empty
-_JITTER_SEED = 0
-_JITTER_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -364,35 +360,11 @@ def warm_start_candidates(
     return out
 
 
-def _minimize(spec: ModelSpec, sample: InterArrivalSample, theta0: np.ndarray, options: FitOptions):
-    """One optimizer run from ``theta0``: (theta, -LL, converged, evals).
+def _quasi_newton(spec: ModelSpec, sample: InterArrivalSample, x: np.ndarray, options: FitOptions):
+    """One projected quasi-Newton run on -LL from ``x``: (theta, -LL, converged, evals).
 
     The -LL is the negated value of :func:`log_likelihood` at that theta,
     bitwise, or ``inf`` where the likelihood is undefined.
-
-    A projected quasi-Newton run climbs the analytic score inside the box
-    (:func:`_quasi_newton`).  An unconverged run that still gained at
-    least ``options.f_tol`` is continued by a fresh run from its end, up
-    to ``_GRADIENT_RUNS`` runs; if the last one stops short of
-    convergence, its best point is returned unconverged.  Every run stops
-    after ``options.max_evals`` evaluations.
-    """
-    x, f, ok, evals = _quasi_newton(spec, sample, theta0, options)
-    for _ in range(_GRADIENT_RUNS - 1):
-        if ok or f == math.inf:
-            break
-        x_new, f_new, ok_new, more = _quasi_newton(spec, sample, x, options)
-        evals += more
-        gained = f - f_new
-        if gained >= 0:
-            x, f, ok = x_new, f_new, ok_new
-        if not ok and gained < options.f_tol:
-            break
-    return x, f, ok, evals
-
-
-def _quasi_newton(spec: ModelSpec, sample: InterArrivalSample, x: np.ndarray, options: FitOptions):
-    """One projected quasi-Newton run on -LL from ``x``: (theta, -LL, converged, evals).
 
     The model Hessian H starts as forward differences of the score, one
     evaluation per coordinate k at a step of ``1e-6 max(|x_k|, 1)`` (down
@@ -495,16 +467,16 @@ def fit(
     best-ranked start always runs and labels the record's
     ``start_source``.  When the rate or shape function is Expon, or that
     start is the moment default of a Gamma, GenGam or GenF model, up to
-    ``options.restarts`` more run: the next-ranked distinct candidates
-    where the likelihood is defined, then fixed perturbations of the best
-    start, each moved halfway back toward it until the likelihood is
-    defined.  Other models run from their best start alone: more starts
-    did not improve the optima of models started from a donor, and an Exp
-    model with a Const, Lin or Quadr rate has a concave log-likelihood,
-    whose one local optimum any start reaches (see the module docstring).
-    Each start runs :func:`_minimize` and the best local optimum wins; its
-    value is the record's log-likelihood.  A model that never converged is
-    still returned, flagged, with the best vector.
+    ``options.restarts`` more run from the next-ranked distinct candidates
+    where the likelihood is defined; with fewer such candidates, fewer run.
+    Other models run from their best start alone: more starts did not
+    improve the optima of models started from a donor, and an Exp model
+    with a Const, Lin or Quadr rate has a concave log-likelihood, whose one
+    local optimum any start reaches (see the module docstring).  Each start
+    runs :func:`_quasi_newton` once and the best local optimum wins; its
+    value is the record's log-likelihood.  A run that stops short of
+    convergence ends at its best point, and a model none of whose runs
+    converged is still returned, flagged, with the best vector.
     """
     if sample.n < options.min_obs_per_param * spec.n_params:
         raise InsufficientDataError(
@@ -513,36 +485,24 @@ def fit(
         )
     lo, hi = spec.bounds()
     ranked = starts or [("default", default_start(spec, sample))]
-    start_source, theta0, *known0 = ranked[0]
+    start_source, theta0, *_ = ranked[0]
     theta0 = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     restart = FuncKind.EXPON in (spec.rate_kind, spec.shape_kind) or (
         start_source == "default" and spec.family is not Family.EXP
     )
     n_starts = 1 + (options.restarts if restart else 0)
 
-    def defined(theta, known) -> bool:
-        return math.isfinite(known[0] if known else log_likelihood(spec, theta, sample))
-
     runs = [theta0]
     for _, theta, *known in ranked[1:]:
         if len(runs) == n_starts:
             break
         theta = np.clip(np.asarray(theta, dtype=float), lo, hi)
-        if not any(np.array_equal(theta, run) for run in runs) and defined(theta, known):
+        if any(np.array_equal(theta, run) for run in runs):
+            continue
+        if math.isfinite(known[0] if known else log_likelihood(spec, theta, sample)):
             runs.append(theta)
-    if len(runs) < n_starts:
-        rng = np.random.default_rng(_JITTER_SEED)
-        scale = np.maximum(np.abs(theta0), 1.0)
-        theta0_feasible = defined(theta0, known0)
-        while len(runs) < n_starts:
-            jitter = np.clip(theta0 + _JITTER_SCALE * scale * rng.standard_normal(len(theta0)), lo, hi)
-            # a gradient run needs a feasible start: move an infeasible jitter
-            # back toward theta0 until the likelihood is defined
-            while theta0_feasible and not math.isfinite(log_likelihood(spec, jitter, sample)):
-                jitter = 0.5 * (jitter + theta0)
-            runs.append(jitter)
 
-    results = [_minimize(spec, sample, start, options) for start in runs]
+    results = [_quasi_newton(spec, sample, start, options) for start in runs]
     best, converged = None, False
     for x, f, success, _ in results:
         if best is None or f < best[1]:

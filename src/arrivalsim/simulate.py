@@ -611,27 +611,32 @@ def write_trajectories(ts: TrajectorySet, path) -> None:
 def read_trajectories(path) -> TrajectorySet:
     """The set of a :func:`write_trajectories` dump, trajectories in index
     order, each one's arrivals sorted.  Raises :class:`SchemaError` for a
-    dump without the two columns, :class:`RowError` for a row whose index
-    is not a non-negative integer or whose time is neither empty nor a
-    finite number, and :class:`ParameterError` for a dump without rows."""
+    dump without the two columns, :class:`RowError` for a row that the csv
+    module cannot read or whose index is not a non-negative integer or
+    whose time is neither empty nor a finite number, and
+    :class:`ParameterError` for a dump without rows."""
     index, times, last = [], [], -1
     with Path(path).open(newline="") as handle:
         reader = csv.DictReader(handle)
-        missing = [c for c in _DUMP_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SchemaError(f"{path} lacks the trajectory dump columns {missing}")
-        for record in reader:
-            i, t = record["trajectory_index"], record["arrival_time_hours"]
-            try:
-                i, t = int(i), float(t) if t else None
-            except (TypeError, ValueError):
-                raise RowError(reader.line_num, f"bad trajectory row {i!r}, {t!r}") from None
-            if i < 0 or not (t is None or math.isfinite(t)):
-                raise RowError(reader.line_num, f"bad trajectory row {i!r}, {t!r}")
-            last = max(last, i)
-            if t is not None:
-                index.append(i)
-                times.append(t)
+        try:
+            missing = [c for c in _DUMP_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise SchemaError(f"{path} lacks the trajectory dump columns {missing}")
+            for record in reader:
+                i, t = record["trajectory_index"], record["arrival_time_hours"]
+                try:
+                    i, t = int(i), float(t) if t else None
+                except (TypeError, ValueError):
+                    raise RowError(reader.line_num, f"bad trajectory row {i!r}, {t!r}") from None
+                if i < 0 or not (t is None or math.isfinite(t)):
+                    raise RowError(reader.line_num, f"bad trajectory row {i!r}, {t!r}")
+                last = max(last, i)
+                if t is not None:
+                    index.append(i)
+                    times.append(t)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            # the DictReader's own line_num is still the last good row's
+            raise RowError(reader.reader.line_num, str(exc)) from exc
     if last < 0:
         raise ParameterError(f"no trajectories in {path}")
     index, times = np.array(index, dtype=np.intp), np.array(times)

@@ -263,10 +263,13 @@ def test_simulate_rejects_a_record_whose_days_are_not_a_count(tmp_path, capsys):
     ("trajectory_index,arrival_time_hours\n0,-3.0\n0,nan\n", "line 3: "),
     ("trajectory_index,arrival_time_hours\n0,inf\n", "line 2: "),
     ("trajectory_index,arrival_time_hours\n", "no trajectories"),
+    ("trajectory_index,arrival_time_hours\n0,-3.0\n0,-2." + "5" * 200_000 + "\n",
+     "line 3: field larger than field limit"),
 ], ids=["no index", "no time", "empty", "bad index", "negative index", "bad time", "nan time",
-        "inf time", "no rows"])
+        "inf time", "no rows", "field over the csv limit"])
 def test_score_rejects_a_malformed_trajectory_dump(workspace, tmp_path, capsys, dump, message):
-    """Missing columns, a bad index or time, or no rows: an error line."""
+    """Missing columns, a bad index or time, a field the csv module cannot
+    read, or no rows: an error line."""
     path = tmp_path / "traj.csv"
     path.write_text(dump)
     code = main(["score", "--config", str(workspace / "cfg.json"), "--date", "2017-09-08",
@@ -274,3 +277,16 @@ def test_score_rejects_a_malformed_trajectory_dump(workspace, tmp_path, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("time", ["-4.0", "-3.25", "-0.5", "-0.25"])
+def test_score_rejects_a_dump_simulated_on_another_horizon(workspace, tmp_path, capsys, time):
+    """An arrival at or outside the config's horizon (t1, t2) = (-3.25, -0.5),
+    which the realized path never counts, is named in an error line."""
+    path = tmp_path / "traj.csv"
+    path.write_text(f"trajectory_index,arrival_time_hours\n0,-3.0\n1,-2.0\n1,{time}\n2,\n")
+    code = main(["score", "--config", str(workspace / "cfg.json"), "--date", "2017-09-08",
+                 "--product", "5", "--trajectories", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} holds an arrival at {float(time)!r} hours, outside")

@@ -301,12 +301,16 @@ class TestFit:
 class TestRestartRule:
     """Further starts run for models with an Expon rate or shape function and
     for every Gamma, GenGam or GenF fit whose best-ranked start is the moment
-    default: first the next-ranked candidates, then fixed perturbations of
-    the best one."""
+    default: the next-ranked distinct candidates where the likelihood is
+    defined, up to ``restarts`` of them, and no other start."""
 
     def fits(self, name, sample, start_source):
+        """Fits from two candidates, the moment default labelled
+        ``start_source`` and that vector scaled by 1.1, with the default
+        options and with ``restarts=0``."""
         spec = model_from_name(name)
-        starts = [(start_source, default_start(spec, sample))]
+        theta = default_start(spec, sample)
+        starts = [(start_source, theta), ("scaled", 1.1 * theta)]
         return fit(spec, sample, starts=starts), fit(spec, sample, FitOptions(restarts=0), starts)
 
     def test_no_restarts_from_a_donor_start(self):
@@ -359,7 +363,7 @@ class TestRestartRule:
         np.testing.assert_array_equal(lone.theta, given.theta)
         assert (lone.n_evals, lone.start_source) == (given.n_evals, "default")
 
-    def test_ranked_candidates_run_before_perturbations(self):
+    def test_the_further_starts_are_the_next_ranked_candidates(self):
         """With one further start and two candidates, the fit runs from
         exactly the two candidates and keeps the better optimum; the label
         stays the best-ranked one's."""
@@ -377,7 +381,8 @@ class TestRestartRule:
 
     def test_repeated_and_infeasible_candidates_are_passed_over(self):
         """A candidate equal to an earlier one, or where the likelihood is
-        undefined, takes no start: perturbations fill in as for a lone start."""
+        undefined, takes no start: the fit runs as from its best-ranked
+        start alone."""
         sample = draws_sample(1.0, 100.0, 300, seed=12)
         spec = model_from_name("Exp.Expon")
         best = ("Exp.Const", default_start(spec, sample))
@@ -387,6 +392,56 @@ class TestRestartRule:
         lone = fit(spec, sample, starts=[best])
         np.testing.assert_array_equal(passed_over.theta, lone.theta)
         assert passed_over.n_evals == lone.n_evals
+
+    @pytest.mark.parametrize("restarts", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_candidates_give_at_most_k_minus_one_more_starts(self, monkeypatch, restarts, k):
+        """With k distinct candidates where the likelihood is defined, among
+        repeated and infeasible ones, the fit runs from exactly the first
+        min(restarts, k - 1) + 1 of them, in their ranked order."""
+        sample = draws_sample(1.0, 100.0, 300, seed=12)
+        spec = model_from_name("Exp.Expon")
+        theta = default_start(spec, sample)
+        defined = [theta * (1.0 + 0.05 * j) for j in range(k)]
+        ranked = [("best", defined[0]), ("repeat", defined[0].copy())]
+        for j, candidate in enumerate(defined[1:]):
+            ranked += [(f"candidate {j}", candidate), ("infeasible", np.array([1e-3, 1e4, 0.0]))]
+        started = []
+        quasi_newton = fitting._quasi_newton
+        monkeypatch.setattr(
+            fitting, "_quasi_newton",
+            lambda spec, sample, x, options: started.append(x) or quasi_newton(spec, sample, x, options),
+        )
+        fit(spec, sample, FitOptions(restarts=restarts), ranked)
+        assert len(started) == 1 + min(restarts, k - 1)
+        for x, candidate in zip(started, defined):
+            np.testing.assert_array_equal(x, candidate)
+
+    def test_each_start_runs_one_quasi_newton_run(self, monkeypatch):
+        """A run that stops at ``max_evals``, short of convergence, is the
+        start's result: no further run continues it, and the record holds
+        the best run's end point, its value and the runs' summed
+        evaluations, flagged unconverged."""
+        sample = draws_sample(1.0, 100.0, 300, seed=12)
+        spec = model_from_name("Exp.Expon")
+        theta = default_start(spec, sample)
+        runs = []
+        quasi_newton = fitting._quasi_newton
+
+        def counted(spec, sample, x, options):
+            runs.append(quasi_newton(spec, sample, x, options))
+            return runs[-1]
+
+        monkeypatch.setattr(fitting, "_quasi_newton", counted)
+        options = FitOptions(max_evals=8, restarts=1)
+        result = fit(spec, sample, options, [("default", theta), ("scaled", 1.1 * theta)])
+        assert len(runs) == 2
+        assert not any(converged for _, _, converged, _ in runs)
+        x, f, _, _ = min(runs, key=lambda run: run[1])
+        np.testing.assert_array_equal(result.theta, x)
+        assert result.log_likelihood == -f
+        assert result.n_evals == sum(evals for *_, evals in runs) == 2 * options.max_evals
+        assert not result.converged
 
 
 @pytest.fixture(scope="module")
@@ -525,6 +580,22 @@ class TestCascade:
             for start in starts[: options.restarts + 1]:
                 single = fit(spec, sample, FitOptions(restarts=0), [start])
                 assert fits[spec.name].log_likelihood >= single.log_likelihood, spec.name
+
+    def test_a_cascade_draws_no_random_numbers(self, monkeypatch):
+        """Every start is a ranked candidate, so a 37-model cascade whose
+        Expon models have fewer candidates than starts builds no generator
+        (one that did would leave a fallback record)."""
+        sample = draws_sample(1.5, 100.0, 400, seed=15)
+        built = []
+
+        def refused(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("fit_cascade built a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        fits = fit_cascade(enumerate_models(), sample)
+        assert built == []
+        assert len(fits) == 37 and not any(f.fallback for f in fits.values())
 
     def test_failed_fit_is_logged_as_a_fallback(self, monkeypatch, caplog):
         def broken(*args, **kwargs):
