@@ -20,17 +20,20 @@ models with an Expon rate or shape function, and any Gamma, GenGam or GenF
 fit from the moment default, also run from the next-ranked candidate
 starts.  On twelve synthetic 37-model cells, those starts raised 17 of the
 444 fits above the run from their best-ranked start, by up to 11.26 LL
-units, while every other model started from a fitted donor reached its
-multi-start optimum to within 3e-6 LL.  An Exp model with a Const, Lin
-or Quadr rate needs no further start from anywhere: its rate is linear in
-θ, so its log-likelihood, the sum of ``log λ(t_i) - λ(t_i) x_i``, is
-concave in θ on a convex feasible set (the box, cut by ``λ > 0`` at every
-spell start), and every local optimum is the global one.  For Exp.Const
-the moment default is the maximum itself.
+units, while on each of the 250 fits that take no further start, single
+runs from up to four of its best-ranked candidates reached at most 1e-8
+LL higher.  A model's candidates come from its donors, so a model asked for
+alone is fitted after them.  An Exp model with a Const, Lin or Quadr
+rate needs no further start from anywhere: its rate is linear in θ, so
+its log-likelihood, the sum of ``log λ(t_i) - λ(t_i) x_i``, is concave
+in θ on a convex feasible set (the box, cut by ``λ > 0`` at every spell
+start), and every local optimum is the global one.  For Exp.Const the
+moment default is the maximum itself.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -43,7 +46,7 @@ import numpy as np
 from .distributions import KERNELS
 from .errors import InsufficientDataError, ParameterError, is_int, is_real
 from .ingest import InterArrivalSample
-from .models import Family, FuncKind, ModelSpec, model_from_name
+from .models import Family, FuncKind, ModelSpec, enumerate_models, model_from_name
 
 __all__ = [
     "FitOptions",
@@ -66,6 +69,7 @@ _EIG_FLOOR = 1e-10  # smallest model-Hessian eigenvalue, relative to the largest
 _STOP = 1e-3
 _EXPON_SMALL_C = 1e-3
 _SHAPE_ONE_EXPON_A1 = math.log(1e-8)
+_CATALOGUE = enumerate_models()
 
 
 @dataclass(frozen=True)
@@ -289,16 +293,40 @@ def default_start(spec: ModelSpec, sample: InterArrivalSample) -> np.ndarray:
     return np.clip(np.asarray(theta, dtype=float), lo, hi)
 
 
-def _embed_func(kind_from: FuncKind, coeffs: np.ndarray, kind_to: FuncKind) -> list[float] | None:
-    """Re-express a fitted simpler function inside a richer kind, if possible."""
-    c = [float(v) for v in coeffs]
-    if kind_from is kind_to:
-        return c
+def _embed_func(kind_from: FuncKind, coeffs: list[float], kind_to: FuncKind) -> list[float]:
+    """Re-express a fitted Const function, or a Lin one in Quadr, as ``kind_to``."""
     if kind_from is FuncKind.CONST:
-        return _const_level_coeffs(kind_to, c[0])
-    if kind_from is FuncKind.LIN and kind_to is FuncKind.QUADR:
-        return [c[0], c[1], 0.0]
-    return None
+        return _const_level_coeffs(kind_to, coeffs[0])
+    return [coeffs[0], coeffs[1], 0.0]
+
+
+def _is_donor(d: ModelSpec, spec: ModelSpec) -> bool:
+    """Whether a fit of ``d`` embeds in ``spec``: the same family with one
+    function simpler (Const in any kind, Lin in Quadr), or the next-simpler
+    family with the same functions (any shape from Exp)."""
+    if d.family is spec.family:
+        if d.shape_kind is spec.shape_kind:
+            kinds = (d.rate_kind, spec.rate_kind)
+        elif d.rate_kind is spec.rate_kind:
+            kinds = (d.shape_kind, spec.shape_kind)
+        else:
+            return False
+        return kinds[0] is not kinds[1] and (
+            kinds[0] is FuncKind.CONST or kinds == (FuncKind.LIN, FuncKind.QUADR)
+        )
+    families = list(Family)
+    return (
+        d.rate_kind is spec.rate_kind
+        and families.index(d.family) + 1 == families.index(spec.family)
+        and (d.family is Family.EXP or d.shape_kind is spec.shape_kind)
+    )
+
+
+@functools.cache
+def _donors(name: str) -> tuple[ModelSpec, ...]:
+    """The catalogue's models whose fits embed in model ``name``."""
+    spec = model_from_name(name)
+    return tuple(d for d in _CATALOGUE if _is_donor(d, spec))
 
 
 def warm_start_candidates(
@@ -306,12 +334,10 @@ def warm_start_candidates(
     fitted: dict[str, FittedModel],
     t_ref: float,
 ) -> list[tuple[str, np.ndarray]]:
-    """Starting vectors embedding already-fitted simpler models.
-
-    Donors are models of the same family with an embeddable simpler rate or
-    shape function, and the same-functions model of the next-simpler family
-    lifted through the nesting maps (``t_ref`` anchors the gamma-shape to Q
-    conversion, exact when the donor's shape is constant).
+    """Starting vectors embedding the already-fitted donors of ``spec``
+    (see :func:`_is_donor`), lifted through the nesting maps (``t_ref``
+    anchors the gamma-shape to Q conversion, exact when the donor's shape
+    is constant).
     """
     out: list[tuple[str, np.ndarray]] = []
     lo, hi = spec.bounds()
@@ -323,40 +349,25 @@ def warm_start_candidates(
         d = donor.spec
         if donor.log_likelihood is None or not np.all(np.isfinite(donor.theta)):
             continue
+        if not _is_donor(d, spec):
+            continue
+        theta = [float(v) for v in donor.theta]
         if d.family is spec.family:
-            same_shape = d.shape_kind == spec.shape_kind
-            same_rate = d.rate_kind == spec.rate_kind
-            extras = [float(v) for v in donor.theta[d.rate_kind.n_coeffs + (d.shape_kind.n_coeffs if d.shape_kind else 0):]]
-            if same_shape and not same_rate:
-                rate = _embed_func(d.rate_kind, donor.theta[d.rate_slice], spec.rate_kind)
-                if rate is not None:
-                    shape = list(donor.theta[d.shape_slice]) if d.shape_kind else []
-                    push(d.name, rate + [float(v) for v in shape] + extras)
-            elif same_rate and not same_shape and spec.shape_kind is not None:
-                shape = _embed_func(d.shape_kind, donor.theta[d.shape_slice], spec.shape_kind)
-                if shape is not None:
-                    push(d.name, list(donor.theta[d.rate_slice]) + shape + extras)
-        elif d.rate_kind is spec.rate_kind:
-            rate = [float(v) for v in donor.theta[d.rate_slice]]
-            if d.family is Family.EXP and spec.family is Family.GAMMA:
-                push(d.name, rate + _shape_one_coeffs(spec.shape_kind))
-            elif (
-                d.family is Family.GAMMA
-                and spec.family is Family.GENGAM
-                and d.shape_kind is spec.shape_kind
-            ):
-                params, ok = d.params_at(donor.theta, t_ref)
-                if ok:  # params = (shape, rate)
-                    push(
-                        d.name,
-                        [float(v) for v in donor.theta] + [1.0 / math.sqrt(params[0])],
-                    )
-            elif (
-                d.family is Family.GENGAM
-                and spec.family is Family.GENF
-                and d.shape_kind is spec.shape_kind
-            ):
-                push(d.name, [float(v) for v in donor.theta] + [0.0])
+            n_rate = d.rate_kind.n_coeffs
+            n_coeffs = n_rate + (d.shape_kind.n_coeffs if d.shape_kind else 0)
+            rate, shape, extras = theta[:n_rate], theta[n_rate:n_coeffs], theta[n_coeffs:]
+            if d.rate_kind is spec.rate_kind:
+                push(d.name, rate + _embed_func(d.shape_kind, shape, spec.shape_kind) + extras)
+            else:
+                push(d.name, _embed_func(d.rate_kind, rate, spec.rate_kind) + shape + extras)
+        elif d.family is Family.EXP:
+            push(d.name, theta + _shape_one_coeffs(spec.shape_kind))
+        elif d.family is Family.GENGAM:
+            push(d.name, theta + [0.0])
+        else:  # Gamma in GenGam
+            params, ok = d.params_at(donor.theta, t_ref)
+            if ok:  # params = (shape, rate)
+                push(d.name, theta + [1.0 / math.sqrt(params[0])])
     return out
 
 
@@ -461,10 +472,11 @@ def fit(
     """Maximize the log-likelihood of ``spec`` over its box bounds.
 
     ``starts`` holds ``(label, theta)`` candidates, best-ranked first (see
-    :func:`fit_cascade`); ``None`` means the moment default alone.  A
-    candidate inside the box may carry its log-likelihood as a third entry,
-    ``(label, theta, ll)``, which is then not evaluated again.  The
-    best-ranked start always runs and labels the record's
+    :func:`fit_cascade`, which fits a model's donors first to make them);
+    ``None`` means the moment default alone, from which no further start
+    runs.  A candidate inside the box may carry its log-likelihood as a
+    third entry, ``(label, theta, ll)``, which is then not evaluated
+    again.  The best-ranked start always runs and labels the record's
     ``start_source``.  When the rate or shape function is Expon, or that
     start is the moment default of a Gamma, GenGam or GenF model, up to
     ``options.restarts`` more run from the next-ranked distinct candidates
@@ -545,10 +557,13 @@ def fit_cascade(
 ) -> dict[str, FittedModel]:
     """Fit a set of models, warm-starting each from its fitted ancestors.
 
-    The distinct candidate starts (donor embeddings plus the moment
-    default) are ranked by their likelihood, evaluated once each, and
-    :func:`fit` takes them in that order with those values.  Entries
-    in ``preloaded`` are taken as-is (they still act as donors).  Models
+    The donors of each model to fit are fitted first, also where ``specs``
+    leaves them out, so a model's fit does not depend on which other
+    models are asked for; only the models of ``specs`` are returned.  The
+    distinct candidate starts (donor embeddings plus the moment default)
+    are ranked by their likelihood, evaluated once each, and :func:`fit`
+    takes them in that order with those values.  Entries in ``preloaded``
+    are taken as-is (they still act as donors, and need none).  Models
     with too few observations are skipped; if an optimizer run fails
     outright, the best candidate start is returned as a flagged fallback so
     model comparisons stay balanced.
@@ -556,7 +571,14 @@ def fit_cascade(
     t_ref = 0.5 * (sample.window_start + sample.window_end)
     fitted: dict[str, FittedModel] = {}
     preloaded = preloaded or {}
-    for spec in cascade_sort(specs):
+    todo = {spec.name: spec for spec in specs}
+    users = [spec.name for spec in specs if spec.name not in preloaded]
+    while users:
+        for donor in _donors(users.pop()):
+            if donor.name not in todo:
+                todo[donor.name] = donor
+                users.append(donor.name)
+    for spec in cascade_sort(list(todo.values())):
         if spec.name in preloaded:
             fitted[spec.name] = preloaded[spec.name]
             continue
@@ -594,4 +616,4 @@ def fit_cascade(
                 fallback=True,
             )
         fitted[spec.name] = result
-    return fitted
+    return {spec.name: fitted[spec.name] for spec in cascade_sort(specs) if spec.name in fitted}

@@ -493,6 +493,52 @@ class TestCascade:
         assert again["Exp.Const"] is marker
         assert first["Exp.Const"].theta[0] != 123.0
 
+    def test_the_donors_are_the_models_whose_fits_give_candidates(self, synthetic_cell):
+        """Every donor of a model gives it a candidate start, so the donors
+        that fit_cascade fits for a spec list that leaves them out are the
+        models whose fits warm_start_candidates embeds."""
+        sample, fits = synthetic_cell
+        t_ref = 0.5 * (sample.window_start + sample.window_end)
+        for spec in enumerate_models():
+            labels = {label for label, _ in warm_start_candidates(spec, fits, t_ref)}
+            assert labels == {d.name for d in enumerate_models() if fitting._is_donor(d, spec)}
+
+    @pytest.mark.parametrize(
+        "name", ["Exp.Expon", "Gamma.Expon.Const", "GenGam.Expon.Expon", "GenF.Quadr.Expon"]
+    )
+    def test_a_model_fitted_alone_fits_as_in_the_full_cascade(self, synthetic_cell, name):
+        """Asked for alone, as `arrivalsim fit --model` asks, a model is fitted
+        after its donors, so it takes the same starts and ends bitwise where
+        the 37-model cascade ends; only that model is returned."""
+        sample, fits = synthetic_cell
+        alone = fit_cascade([model_from_name(name)], sample)
+        assert list(alone) == [name]
+        np.testing.assert_array_equal(alone[name].theta, fits[name].theta)
+        assert alone[name].log_likelihood == fits[name].log_likelihood
+        assert (alone[name].n_evals, alone[name].start_source) == (
+            fits[name].n_evals, fits[name].start_source
+        )
+
+    def test_preloaded_models_need_no_donors(self, monkeypatch):
+        """A preloaded record is taken as-is, so its donors are not fitted."""
+        fitted = []
+        monkeypatch.setattr(
+            fitting, "fit", lambda spec, *args: fitted.append(spec.name) or fit(spec, *args)
+        )
+        sample = draws_sample(2.0, 100.0, 300, seed=8)
+        spec = model_from_name("GenF.Const.Const")
+        record = FittedModel(spec=spec, theta=default_start(spec, sample), log_likelihood=-1.0)
+        names = ["GenF.Const.Const", "GenF.Lin.Const"]
+        fits = fit_cascade(
+            [model_from_name(n) for n in names], sample, FAST, preloaded={spec.name: record}
+        )
+        assert list(fits) == names and fits["GenF.Const.Const"] is record
+        # GenF.Lin.Const's donors: GenGam.Lin.Const and the preloaded GenF.Const.Const
+        assert fitted == [
+            "Exp.Const", "Exp.Lin", "Gamma.Const.Const", "Gamma.Lin.Const",
+            "GenGam.Const.Const", "GenGam.Lin.Const", "GenF.Lin.Const",
+        ]
+
     def test_full_cascade_on_a_synthetic_cell_needs_no_fallback(self, synthetic_cell):
         """All 37 models on one 7-day synth_generate cell: every fit converges
         along the score, without a fallback record."""

@@ -27,6 +27,18 @@ def test_compare_reports_the_largest_drop_and_every_moved_fit():
     assert lines[2].startswith("a|X: n_evals moved") and lines[3].startswith("b|X: converged moved")
 
 
+def test_compare_reports_a_fit_that_only_one_file_holds():
+    fit = {"log_likelihood": -100.0, "n_evals": 10, "converged": True, "theta": [1.0]}
+    unfitted = dict(fit, log_likelihood=None)
+    lines = fit_gate.compare({"a|X": fit, "b|X": unfitted}, {"b|X": unfitted, "c|X": fit})
+    assert lines == [
+        "largest relative LL drop: none comparable",
+        "summed n_evals: 20 -> 20",
+        "a|X: only in the first file",
+        "c|X: only in the second file",
+    ]
+
+
 def test_a_result_file_inside_the_checkout_is_refused(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         fit_gate.main([str(tmp_path), str(ROOT / "gate.json")])

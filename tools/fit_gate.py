@@ -14,8 +14,8 @@ The first form imports the ``src`` of the checkout ``CHECKOUT`` and writes
 ``OUT.json``, which must lie outside that checkout and outside this one.
 Fitting takes about two CPU-seconds per cell.  The second form prints the
 largest relative LL drop from the first file to the second, the summed
-evaluations of each, and every fit whose ``converged`` flag, evaluation
-count or vector changed.
+evaluations of each, every fit that only one file holds, and every fit
+whose ``converged`` flag, evaluation count or vector changed.
 """
 
 from __future__ import annotations
@@ -77,9 +77,13 @@ def fit_cells(checkout: Path) -> dict[str, dict]:
 
 def compare(before: dict[str, dict], after: dict[str, dict]) -> list[str]:
     """Report lines: the largest relative LL drop from ``before`` to
-    ``after``, then each fit whose flag, evaluation count or vector moved."""
+    ``after``, then each fit that only one of them holds (a model skipped
+    for too few observations on one side), and each fit whose flag,
+    evaluation count or vector moved."""
     lines, worst, worst_key = [], -math.inf, None
-    for key in sorted(before):
+    for key in sorted(before.keys() ^ after.keys()):
+        lines.append(f"{key}: only in the {'first' if key in before else 'second'} file")
+    for key in sorted(before.keys() & after.keys()):
         b, a = before[key], after[key]
         ll_b, ll_a = b["log_likelihood"], a["log_likelihood"]
         if ll_b is not None and ll_a is not None and (ll_b - ll_a) / abs(ll_b) > worst:
@@ -91,7 +95,8 @@ def compare(before: dict[str, dict], after: dict[str, dict]) -> list[str]:
                 f"converged {b['converged']} -> {a['converged']}, LL {ll_b!r} -> {ll_a!r}"
             )
     evals = [sum(fits[key]["n_evals"] for key in fits) for fits in (before, after)]
-    lines.insert(0, f"largest relative LL drop: {worst:.3g} ({worst_key})")
+    drop = "none comparable" if worst_key is None else f"{worst:.3g} ({worst_key})"
+    lines.insert(0, f"largest relative LL drop: {drop}")
     lines.insert(1, f"summed n_evals: {evals[0]} -> {evals[1]}")
     return lines
 
