@@ -470,12 +470,25 @@ def _utc_us(transactions: Transactions, tz: ZoneInfo | None) -> np.ndarray:
     return utc
 
 
+def _in_cell_order(day: np.ndarray, product: np.ndarray, values: np.ndarray) -> bool:
+    """Whether the rows are in the order ``np.lexsort`` puts them: by day,
+    then product, then value, NaN last.  Its sort is stable, so it would
+    leave them as they are."""
+    same_day = day[1:] == day[:-1]
+    same_cell = same_day & (product[1:] == product[:-1])
+    value_order = (values[1:] >= values[:-1]) | (values[1:] != values[1:])  # x != x: NaN
+    return bool(((day[1:] > day[:-1]) | same_day & (product[1:] > product[:-1])
+                 | same_cell & value_order).all())
+
+
 def _cells(
     day: np.ndarray, product: np.ndarray, values: np.ndarray
 ) -> Iterator[tuple[tuple[date, int], np.ndarray]]:
     """Each (day, product) cell's sorted values, in cell order."""
-    order = np.lexsort((values, product, day.view(np.int64)))
-    day, product, values = day[order], product[order], values[order]
+    days = day.view(np.int64)
+    if not _in_cell_order(days, product, values):
+        order = np.lexsort((values, product, days))
+        day, product, values = day[order], product[order], values[order]
     cuts = np.flatnonzero((day[1:] != day[:-1]) | (product[1:] != product[:-1])) + 1
     for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), values.size]):
         if hi > lo:
@@ -503,8 +516,12 @@ class ArrivalSeries:
                     f"arrivals must lie strictly inside "
                     f"({self.trading_begin}, {self.trading_end})"
                 )
-            if np.any(np.diff(arr) <= 0.0):
-                raise ParameterError("arrival times must be strictly increasing")
+            stalls = np.flatnonzero(np.diff(arr) <= 0.0)
+            if stalls.size:
+                before, after = arr[stalls[0]:stalls[0] + 2].tolist()
+                raise ParameterError(
+                    f"arrival times must be strictly increasing, but {after!r} follows {before!r}"
+                )
 
     @property
     def n(self) -> int:
@@ -626,7 +643,10 @@ def _series(
                 begin,
                 end,
             )
-        out[(day, product)] = ArrivalSeries(day, product, rel[keep], begin, end)
+        try:
+            out[(day, product)] = ArrivalSeries(day, product, rel[keep], begin, end)
+        except ParameterError as exc:  # such as a store cell that repeats a time
+            raise ParameterError(f"day {day} product {product}: {exc}") from None
     return out
 
 
@@ -701,6 +721,87 @@ def _store_block(keys, lines, index):
         raise
 
 
+_STORE_COLUMNS = ("delivery_date", "product", "time_hours")
+# A store row as np.loadtxt reads it: the date and the product as bytes one
+# wider than a plain ISO date and a two-digit product, so that a longer
+# field, which np.loadtxt cuts to the width, fills it.
+_STORE_ROW = np.dtype([("day", "S11"), ("product", "S3"), ("hours", float)])
+
+
+@contextmanager
+def _store_body(path: Path):
+    """Open a store as (index of its columns in the header, the handle
+    after the header, the header's last file line)."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = _header(reader)
+        if not set(_STORE_COLUMNS).issubset(header):
+            raise SchemaError(f"{path} is not a normalized arrival store")
+        yield tuple(map(header.index, _STORE_COLUMNS)), handle, reader.line_num
+
+
+def _plain_text(path: Path) -> bool:
+    """Whether the bytes of ``path`` hold no quote, NUL or blank line.
+    ``np.loadtxt`` then splits its text into the rows and fields that
+    ``csv.reader`` gives, and skips no line: both end a line at LF, CR and
+    CRLF (:func:`write_store` ends rows with CRLF).  Text in an encoding
+    that is not ASCII-compatible, such as UTF-16, holds NUL bytes."""
+    last = b""
+    with path.open("rb") as handle:
+        while block := handle.read(_BLOCK):
+            if b'"' in block or b"\0" in block:
+                return False
+            chars = np.frombuffer(last + block, np.uint8)
+            lf, cr = chars == ord("\n"), chars == ord("\r")
+            # a blank line: a line end, then another one that is not a CR's LF
+            if (lf[:-1] & (lf[1:] | cr[1:]) | cr[:-1] & cr[1:]).any():
+                return False
+            last = block[-1:]
+    return True
+
+
+def _runs(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The strings of the runs of equal adjacent byte strings in
+    ``column``, decoded as ASCII, and the runs' lengths.  Raises
+    ``ValueError`` for a string that is not ASCII or fills the column's
+    width."""
+    heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    strings = [s.decode("ascii") for s in column[heads].tolist()]
+    if max(map(len, strings)) >= column.itemsize:
+        raise ValueError("a field fills its width")
+    return strings, np.diff(heads, append=column.size)
+
+
+def _loadtxt_store(path: Path, index: tuple[int, ...], skip: int):
+    """Columns of a plain store body (:func:`_plain_text`) parsed in one
+    ``np.loadtxt`` pass, with each run of equal dates and of equal products
+    converted once, as :func:`_store_block` converts a field; ``None`` where
+    they could differ from its: a row ``np.loadtxt`` refuses (it takes no
+    ``_`` in a number, which ``float`` does), a field that fills its width,
+    or a date or product that does not convert."""
+    try:
+        rows = np.loadtxt(path, _STORE_ROW, comments=None, delimiter=",", skiprows=skip,
+                          usecols=index)
+        dates, day_runs = _runs(rows["day"])
+        if not _plain_iso(dates, _DATE_SIZES):
+            return None
+        day = np.repeat(np.array(dates, dtype="datetime64[D]"), day_runs)
+        products, product_runs = _runs(rows["product"])
+        product = np.repeat(_ints(products), product_runs)
+    except ValueError:
+        return None
+    return day, product, rows["hours"].copy()
+
+
+def _read_store_blocks(path: Path):
+    """Columns of a store read a block of rows at a time (:func:`_blocks`)."""
+    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64), np.empty(0))]
+    with _store_body(path) as (index, handle, line):
+        for keys, lines in _blocks(handle, ",", line):
+            columns.append(_store_block(keys, lines, index))
+    return _joined(columns)
+
+
 def load_store(
     path: str | Path,
     trading_begin: dict[int, float] | None = None,
@@ -712,20 +813,20 @@ def load_store(
     Only the cells of ``products`` (every product when ``None``) are kept.
     Arrivals outside their trading periods are dropped, as
     :func:`build_series` drops them.  Raises :class:`RowError` (with the
-    1-based file line) for the first unparseable row.
+    1-based file line) for the first unparseable row, and
+    :class:`ParameterError` naming the cell for a repeated time.
+
+    A body without a quote, NUL or blank line is parsed by one
+    ``np.loadtxt`` call (:func:`_loadtxt_store`); any other body, or one
+    that call cannot read as the block reader would, is read a block at a
+    time (:func:`_read_store_blocks`), so the series, warnings and errors
+    are the same either way.
     """
     path = Path(path)
-    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64), np.empty(0))]
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = _header(reader)
-        names = ("delivery_date", "product", "time_hours")
-        if not set(names).issubset(header):
-            raise SchemaError(f"{path} is not a normalized arrival store")
-        index = tuple(header.index(c) for c in names)
-        for keys, lines in _blocks(handle, ",", reader.line_num):
-            columns.append(_store_block(keys, lines, index))
-    day, product, hours = _joined(columns)
+    with _store_body(path) as (index, handle, skip):
+        plain = handle.read(1) != "" and _plain_text(path)  # a row follows the header
+    columns = _loadtxt_store(path, index, skip) if plain else None
+    day, product, hours = columns or _read_store_blocks(path)
     if products is not None:
         keep = np.isin(product, list(products))
         day, product, hours = day[keep], product[keep], hours[keep]

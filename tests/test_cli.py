@@ -83,6 +83,16 @@ def test_ingest_reports_the_line_of_a_bad_store_row(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 3: ")
 
 
+def test_ingest_names_the_cell_of_a_repeated_store_time(tmp_path, capsys):
+    store = tmp_path / "store.csv"
+    store.write_text("delivery_date,product,time_hours\n2017-09-03,12,-3.0\n2017-09-03,12,-3.0\n"
+                     "2017-09-03,12,-2.0\n")
+    code = main(["ingest", "--input", str(store), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: day 2017-09-03 product 12: arrival times must be "
+                                       "strictly increasing, but -3.0 follows -3.0\n")
+
+
 def test_fit_simulate_score_chain(workspace, capsys):
     fit_path = workspace / "fit.json"
     code = main([
