@@ -43,6 +43,7 @@ from .ingest import (
     CsvSchema,
     InterArrivalSample,
     build_series,
+    is_store,
     load_store,
     merge_samples,
     parse_csv,
@@ -239,11 +240,10 @@ def cell_seed(master_seed: int, model: str, day: date, product: int) -> int:
 
 
 def load_input(config: RunConfig) -> dict[tuple[date, int], ArrivalSeries]:
-    """Read the configured input: a raw CSV or a normalized arrival store."""
+    """Read the configured input: a normalized arrival store, recognized by
+    its header's columns, or a raw CSV."""
     path = Path(config.input)
-    with path.open(newline="") as handle:
-        header = handle.readline()
-    if "time_hours" in header:
+    if is_store(path):
         return load_store(path, config.trading_begin, config.trading_end, config.products)
     tz = ZoneInfo(config.timezone) if config.timezone else None
     rows = parse_csv(path, config.csv, n_products=config.n_products)

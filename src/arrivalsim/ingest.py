@@ -10,6 +10,7 @@ delivery; both boundaries are configuration here, not constants.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -42,6 +43,7 @@ __all__ = [
     "DEFAULT_TRADING_END",
     "write_store",
     "load_store",
+    "is_store",
 ]
 
 logger = logging.getLogger(__name__)
@@ -129,13 +131,24 @@ def _micros(ts: datetime) -> int:
 _ISO = "0000-00-00 00:00:00.000000"
 _DATE_SIZES = (10,)
 _TIMESTAMP_SIZES = (10, 16, 19, 23, 26)
-_ISO_BOUNDS = {
-    size: (
-        np.frombuffer(_ISO[:size].encode() + b"\n", np.uint8),  # lowest byte
-        np.frombuffer(bytes(9 * (c == "0") for c in _ISO[:size]) + b"\0", np.uint8),  # range
-    )
-    for size in _TIMESTAMP_SIZES
-}
+_ISO_LOW = np.frombuffer(_ISO.encode(), np.uint8)  # the lowest byte at each position
+_ISO_SPAN = np.frombuffer(bytes(9 * (c == "0") for c in _ISO), np.uint8)  # its range
+_ISO_T = _ISO.index(" ")
+_ROWS = 1 << 12  # rows a column pass takes at a time, which bounds its temporaries
+
+
+def _fits_iso(chars: np.ndarray, padded: bool = False) -> bool:
+    """Whether each row of ``chars`` (uint8, a row per string, at most as
+    wide as the template) fits the plain ISO 8601 template, with a year
+    above 0; if ``padded``, NUL bytes fit anywhere."""
+    width = chars.shape[1]
+    # uint8 wraps, so a byte below the lowest reads as above it
+    fits = (chars - _ISO_LOW[:width]) <= _ISO_SPAN[:width]
+    if width > _ISO_T:
+        fits[:, _ISO_T] |= chars[:, _ISO_T] == ord("T")
+    if padded:
+        fits |= chars == 0
+    return bool(fits.all() and not (chars[:, :4] == ord("0")).all(axis=1).any())
 
 
 def _plain_iso(strings: Sequence[str], sizes: tuple[int, ...]) -> bool:
@@ -145,15 +158,28 @@ def _plain_iso(strings: Sequence[str], sizes: tuple[int, ...]) -> bool:
     if size not in sizes:
         return False
     try:
-        raw = ("\n".join(strings) + "\n").encode("ascii").replace(b"T", b" ")
+        raw = ("\n".join(strings) + "\n").encode("ascii")
     except UnicodeEncodeError:
         return False
     if len(raw) != len(strings) * (size + 1):
         return False
     chars = np.frombuffer(raw, np.uint8).reshape(len(strings), size + 1)
-    low, span = _ISO_BOUNDS[size]
-    # uint8 wraps, so a byte below ``low`` reads as above it
-    return bool(((chars - low) <= span).all() and (chars[:, :4] != ord("0")).any(axis=1).all())
+    return bool((chars[:, size] == ord("\n")).all()) and _fits_iso(chars[:, :size])
+
+
+def _plain_iso_column(column: np.ndarray, sizes: tuple[int, ...]) -> bool:
+    """Whether each string of the byte-string ``column``, wider than the
+    template and holding no NUL but its padding, is plain ISO 8601 of a
+    length in ``sizes``, with a year above 0.  The lengths may differ."""
+    ends = np.array(sizes)
+    for lo in range(0, column.size, _ROWS):
+        part = np.ascontiguousarray(column[lo:lo + _ROWS])  # a field of np.loadtxt's rows is strided
+        chars = part.view(np.uint8).reshape(part.size, part.itemsize)
+        # each string ends at one of the sizes: the byte before is not NUL, the byte there is
+        ended = np.count_nonzero((chars[:, ends] == 0) & (chars[:, ends - 1] != 0))
+        if ended < part.size or not _fits_iso(chars[:, :len(_ISO)], padded=True):
+            return False
+    return True
 
 
 def _ints(strings: Sequence[str]) -> np.ndarray:
@@ -311,27 +337,41 @@ def _repeated(digests: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
+def _body(path: Path, delimiter: str = ","):
+    """Open a CSV as (its header's fields, the handle after the header, the
+    header's last file line)."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = _header(reader)
+        yield header, handle, reader.line_num
+
+
+def _raw_index(header: list[str], schema: CsvSchema, path: Path) -> tuple[int, ...]:
+    """Index of the read columns in a raw CSV's header."""
+    names = (schema.delivery_date, schema.product, schema.timestamp)
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise SchemaError(f"missing required columns {missing} in {path}")
+    return tuple(map(header.index, names))
+
+
+@contextmanager
 def _raw_rows(path: Path, schema: CsvSchema):
     """Open a raw CSV as (index of the read columns in its header, blocks of
     (row keys, file lines) of its non-blank rows, as :func:`_blocks` reads
     them)."""
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
-        header = _header(reader)
-        names = (schema.delivery_date, schema.product, schema.timestamp)
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise SchemaError(f"missing required columns {missing} in {path}")
+    with _body(path, schema.delimiter) as (header, handle, line):
+        index = _raw_index(header, schema, path)
 
         def rows():
-            for keys, lines in _blocks(handle, schema.delimiter, reader.line_num):
+            for keys, lines in _blocks(handle, schema.delimiter, line):
                 if () in keys:  # blank lines
                     lines = [n for n, k in zip(lines, keys) if k != ()]
                     keys = [k for k in keys if k != ()]
                 if keys:
                     yield keys, lines
 
-        yield tuple(map(header.index, names)), rows()
+        yield index, rows()
 
 
 def _later_twins(path: Path, schema: CsvSchema, candidates: np.ndarray) -> list[int]:
@@ -354,6 +394,125 @@ def _later_twins(path: Path, schema: CsvSchema, candidates: np.ndarray) -> list[
     return twins
 
 
+def _plain_text(path: Path) -> bool:
+    """Whether the bytes of ``path`` are ASCII and hold no quote, NUL or
+    blank line.  ``np.loadtxt`` then splits its text into the rows and
+    fields that ``csv.reader`` gives, and skips no line: both end a line at
+    LF, CR and CRLF (:func:`write_store` ends rows with CRLF).  ASCII bytes
+    are the same text in every encoding ``open`` may use; text in one that
+    is not ASCII-compatible, such as UTF-16, holds NUL bytes."""
+    last = b""
+    with path.open("rb") as handle:
+        while block := handle.read(_BLOCK):
+            if b'"' in block or b"\0" in block or not block.isascii():
+                return False
+            chars = np.frombuffer(last + block, np.uint8)
+            lf, cr = chars == ord("\n"), chars == ord("\r")
+            # a blank line: a line end, then another one that is not a CR's LF
+            if (lf[:-1] & (lf[1:] | cr[1:]) | cr[:-1] & cr[1:]).any():
+                return False
+            last = block[-1:]
+    return True
+
+
+def _runs(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The strings of the runs of equal adjacent byte strings in
+    ``column``, decoded as ASCII, and the runs' lengths.  Raises
+    ``ValueError`` for a string that is not ASCII or fills the column's
+    width."""
+    heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    strings = [s.decode("ascii") for s in column[heads].tolist()]
+    if max(map(len, strings)) >= column.itemsize:
+        raise ValueError("a field fills its width")
+    return strings, np.diff(heads, append=column.size)
+
+
+def _loadtxt(path: Path, dtype: np.dtype, delimiter: str, skip: int, index: tuple[int, ...]):
+    """The fields ``index`` of each line after the first ``skip`` of a plain
+    text (:func:`_plain_text`), parsed by ``np.loadtxt`` into ``dtype``, a
+    row per line.  Given a path, numpy reads the file in blocks, with
+    universal newlines; given an open file, it would take a line at a time,
+    which measured 15-20% slower."""
+    return np.loadtxt(path, dtype, comments=None, delimiter=delimiter, skiprows=skip,
+                      usecols=index, ndmin=1)
+
+
+def _line_digests(path: Path, skip: int) -> np.ndarray | None:
+    """Digests (:func:`_digests`) of the bytes of each line of ``path``
+    after the first ``skip``, read about ``_BLOCK`` bytes at a time; ``None``
+    for a file with a line longer than ``csv.field_size_limit()``, which
+    ``csv.reader`` may refuse.  A line's end is no part of it, so equal rows
+    get equal digests whether they end in LF, CR or CRLF."""
+    limit = csv.field_size_limit()
+    digests = [np.empty(0, np.int64)]
+    rest = b""
+    with path.open("rb") as handle:
+        while True:
+            block = handle.read(_BLOCK)
+            text = rest + block
+            # whole lines: up to the last LF, or the last CR whose LF cannot follow
+            end = max(text.rfind(b"\n"), text.rfind(b"\r", 0, -1)) + 1 if block else len(text)
+            lines, rest = text[:end].splitlines(), text[end:]
+            if len(rest) > limit or end > limit and max(map(len, lines), default=0) > limit:
+                return None
+            if skip:
+                lines, skip = lines[skip:], max(skip - len(lines), 0)
+            digests.append(_digests(lines))
+            if not block:
+                return np.concatenate(digests)
+
+
+# A raw row's read columns as np.loadtxt reads them: bytes one wider than a
+# plain ISO date, a two-digit product and the longest plain ISO timestamp,
+# so that a longer field, which np.loadtxt cuts to the width, fills it.
+_RAW_ROW = np.dtype([("day", "S11"), ("product", "S3"), ("timestamp", f"S{len(_ISO) + 1}")])
+
+
+def _loadtxt_raw(path: Path, delimiter: str, index: tuple[int, ...], skip: int, n_products: int):
+    """Columns and row digests of a plain raw CSV (:func:`_plain_text`)
+    with ISO dates and timestamps, its columns parsed in one ``np.loadtxt``
+    pass, each run of equal dates and of equal products converted once, as
+    :func:`_parse_block` converts a field, and each row's line digested
+    (:func:`_line_digests`).  ``None`` where they could differ from the
+    block reader's: a row ``np.loadtxt`` refuses (such as a short one), a
+    field that fills its width, a date or product that does not convert, a
+    product outside 1..``n_products``, a timestamp that is not plain ISO
+    8601 (such as one with a UTC offset), or a line over the csv module's
+    field size limit."""
+    try:
+        rows = _loadtxt(path, _RAW_ROW, delimiter, skip, index)
+        dates, day_runs = _runs(rows["day"])
+        day = np.repeat(_dates(dates, None), day_runs)
+        products, product_runs = _runs(rows["product"])
+        product = _ints(products)
+        if (product.min() < 1 or product.max() > n_products
+                or not _plain_iso_column(rows["timestamp"], _TIMESTAMP_SIZES)):
+            return None
+        product = np.repeat(product, product_runs)
+        timestamp = rows["timestamp"].astype("datetime64[us]")
+    except (ValueError, OverflowError):
+        return None
+    del rows
+    digests = _line_digests(path, skip)
+    if digests is None or digests.size != day.size:
+        return None
+    lines = np.arange(skip + 1, skip + 1 + day.size, dtype=np.int64)
+    return (day, product, timestamp, np.zeros(day.size, bool), lines), digests
+
+
+def _read_raw_blocks(path: Path, schema: CsvSchema, n_products: int):
+    """Columns and row digests of a raw CSV read a block of rows at a time
+    (:func:`_blocks`)."""
+    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64),
+                np.empty(0, "datetime64[us]"), np.empty(0, bool), np.empty(0, np.int64))]
+    digests = [np.empty(0, np.int64)]
+    with _raw_rows(path, schema) as (index, blocks):
+        for keys, lines in blocks:
+            digests.append(_digests(keys))
+            columns.append(_parse_block(keys, lines, index, schema, n_products))
+    return _joined(columns), np.concatenate(digests)
+
+
 def parse_csv(
     path: str | Path,
     schema: CsvSchema = CsvSchema(),
@@ -368,24 +527,28 @@ def parse_csv(
     bad header and :class:`RowError` (with the 1-based file line) for the
     first unparseable row.
 
-    Every row is parsed, a block at a time, and leaves only its columns and
-    a 64-bit digest of its text (:func:`_digests`).  Rows whose digests
-    repeat are candidate duplicates: only when there are any is the file
-    read a second time, to compare the candidates' texts exactly, so the
-    rows kept depend on neither the hash salt nor a digest collision.
-    Duplicates are dropped one column at a time, so that step holds one
-    column twice rather than every column.
+    A file whose bytes are ASCII and hold no quote, NUL or blank line, read
+    with ISO dates and timestamps, is parsed by one ``np.loadtxt`` call
+    (:func:`_loadtxt_raw`); any other file, or one that call cannot read as
+    the block reader would, is parsed a block of rows at a time
+    (:func:`_read_raw_blocks`), so the columns, warnings and errors are the
+    same either way.  Each row leaves only its columns and a 64-bit digest
+    of its text (:func:`_digests`).  Rows whose digests repeat are candidate
+    duplicates: only when there are any is the file read a second time, to
+    compare the candidates' texts exactly, so the rows kept depend on
+    neither the hash salt nor a digest collision.  Duplicates are dropped
+    one column at a time, so that step holds one column twice rather than
+    every column.
     """
     path = Path(path)
-    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64),
-                np.empty(0, "datetime64[us]"), np.empty(0, bool), np.empty(0, np.int64))]
-    digests = [np.empty(0, np.int64)]
-    with _raw_rows(path, schema) as (index, blocks):
-        for keys, lines in blocks:
-            digests.append(_digests(keys))
-            columns.append(_parse_block(keys, lines, index, schema, n_products))
-    columns = _joined(columns)
-    digests = np.concatenate(digests)  # rebinding drops the digest blocks before the sort
+    with _body(path, schema.delimiter) as (header, handle, skip):
+        index = _raw_index(header, schema, path)
+        plain = (schema.timestamp_format is None and schema.date_format is None
+                 and handle.read(1) != "" and _plain_text(path))  # a row follows the header
+    read = _loadtxt_raw(path, schema.delimiter, index, skip, n_products) if plain else None
+    columns, digests = read or _read_raw_blocks(path, schema, n_products)
+    columns = list(columns)
+    del read
     candidates = _repeated(digests)
     del digests
     twins = _later_twins(path, schema, candidates) if candidates.size else []
@@ -398,6 +561,20 @@ def parse_csv(
     return Transactions(*columns)
 
 
+def _spread(us: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Dejitter (:func:`dejitter_us`) the sorted times of consecutive cells
+    at once.  ``heads`` marks each cell's first row, so that no tie runs
+    across a cell's edge.  Returns the spread times and the index of the
+    first one that is not before the next in its cell, if any."""
+    first = np.flatnonzero(heads | (np.diff(us, prepend=us[:1] - 1) != 0))
+    sizes = np.diff(first, append=us.size)
+    rank = np.arange(us.size) - np.repeat(first, sizes)
+    frac, whole = np.modf(60.0 / np.repeat(sizes, sizes) * rank)
+    out = us + whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+    stalls = np.flatnonzero((np.diff(out) <= 0) & ~heads[1:])
+    return out, int(stalls[0]) if stalls.size else None
+
+
 def dejitter_us(us: np.ndarray) -> np.ndarray:
     """Spread minute-grid ties uniformly over their minute.
 
@@ -405,17 +582,12 @@ def dejitter_us(us: np.ndarray) -> np.ndarray:
     become ``T + 60/k*m`` seconds for ``m = 0..k-1``, rounded to the
     microsecond as ``timedelta(seconds=60/k*m)`` rounds (half to even).
     Output is strictly increasing.  Already-distinct times pass through, so
-    the operation is idempotent.
+    the operation is idempotent.  This is one cell of :func:`_spread`.
     """
     us = np.asarray(us, dtype=np.int64)
-    first = np.flatnonzero(np.diff(us, prepend=us[:1] - 1))
-    sizes = np.diff(first, append=us.size)
-    rank = np.arange(us.size) - np.repeat(first, sizes)
-    frac, whole = np.modf(60.0 / np.repeat(sizes, sizes) * rank)
-    out = us + whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
-    bad = np.flatnonzero(np.diff(out) <= 0)
-    if bad.size:
-        raise DomainError(f"dejitter produced non-increasing times near {int(out[bad[0]])} us")
+    out, stall = _spread(us, np.arange(us.size) == 0)
+    if stall is not None:
+        raise DomainError(f"dejitter produced non-increasing times near {int(out[stall])} us")
     return out
 
 
@@ -481,18 +653,25 @@ def _in_cell_order(day: np.ndarray, product: np.ndarray, values: np.ndarray) -> 
                  | same_cell & value_order).all())
 
 
+def _cell_order(day: np.ndarray, product: np.ndarray, values: np.ndarray):
+    """The rows in cell order, by day, then product, then value, and the
+    index of each cell's first row."""
+    if not _in_cell_order(day.view(np.int64), product, values):
+        order = np.lexsort((values, product, day.view(np.int64)))
+        day, product, values = day[order], product[order], values[order]
+    heads = np.ones(values.size, bool)
+    heads[1:] = (day[1:] != day[:-1]) | (product[1:] != product[:-1])
+    return day, product, values, np.flatnonzero(heads)
+
+
 def _cells(
     day: np.ndarray, product: np.ndarray, values: np.ndarray
 ) -> Iterator[tuple[tuple[date, int], np.ndarray]]:
     """Each (day, product) cell's sorted values, in cell order."""
-    days = day.view(np.int64)
-    if not _in_cell_order(days, product, values):
-        order = np.lexsort((values, product, days))
-        day, product, values = day[order], product[order], values[order]
-    cuts = np.flatnonzero((day[1:] != day[:-1]) | (product[1:] != product[:-1])) + 1
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), values.size]):
-        if hi > lo:
-            yield (day[lo].item(), int(product[lo])), values[lo:hi]
+    day, product, values, first = _cell_order(day, product, values)
+    bounds = [*first.tolist(), values.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield (day[lo].item(), int(product[lo])), values[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -662,21 +841,61 @@ def build_series(
     with a warning, as are individual transactions falling at or after the
     trading end (or at/before the trading begin).  Raises
     :class:`RowError` for a timestamp with a UTC offset when there is no
-    ``tz``.
+    ``tz``, and :class:`DomainError` naming the cell and its wall-clock
+    times for ties whose spread passes the next time.  The cells are
+    dejittered in one pass over the rows in cell order, a group of cells
+    of about ``_ROWS`` rows at a time (:func:`_dejitter_cells`).
     """
-    utc = _utc_us(transactions, tz)
+    day, product, utc, first = _cell_order(transactions.day, transactions.product,
+                                           _utc_us(transactions, tz))
+    cells = list(zip(day[first].tolist(), product[first].tolist()))
+    bounds = [*first.tolist(), utc.size]
     hours: dict[tuple[date, int], np.ndarray] = {}
-    for (day, product), us in _cells(transactions.day, transactions.product, utc):
-        start = delivery_start(day, product, tz)
-        if start is None:
-            logger.warning(
-                "dropping day %s product %d: delivery hour hit by DST transition",
-                day,
-                product,
-            )
-            continue
-        hours[(day, product)] = dejitter_us(us - _micros(start)) / 1e6 / 3600.0
+    lo = 0
+    while lo < len(cells):  # the whole cells of about _ROWS rows at a time
+        hi = bisect.bisect_left(bounds, bounds[lo] + _ROWS, lo + 1, len(cells))
+        hours.update(_dejitter_cells(cells[lo:hi], utc[bounds[lo]:bounds[hi]],
+                                     np.subtract(bounds[lo:hi + 1], bounds[lo]), tz))
+        lo = hi
     return _series(hours, trading_begin, trading_end)
+
+
+def _dejitter_cells(cells: list[tuple[date, int]], utc: np.ndarray, bounds: np.ndarray,
+                    tz: ZoneInfo | None) -> dict[tuple[date, int], np.ndarray]:
+    """Delivery-relative hours of consecutive ``cells``, whose sorted times
+    ``utc`` hold cell ``k`` at rows ``bounds[k]:bounds[k + 1]``, dejittered in
+    one pass (:func:`_spread`).  As a pass over one cell at a time would,
+    a cell whose delivery hour a DST transition breaks is dropped with a
+    warning, up to the first cell whose ties spread past its next time,
+    which raises :class:`DomainError` naming the cell and both wall-clock
+    times."""
+    sizes = np.diff(bounds)
+    starts = [delivery_start(d, p, tz) for d, p in cells]
+    kept = np.array([start is not None for start in starts], bool)
+    rows = np.repeat(kept, sizes)
+    offsets = np.array([_micros(start) for start in starts if start is not None], np.int64)
+    heads = np.zeros(utc.size, bool)
+    heads[bounds[:-1]] = True
+    us, stall = _spread(utc[rows] - np.repeat(offsets, sizes[kept]), heads[rows])
+    failed = len(cells)
+    if stall is not None:
+        failed = int(np.flatnonzero(kept)[np.searchsorted(np.cumsum(sizes[kept]), stall, "right")])
+    for (day, product), start in zip(cells[:failed], starts):
+        if start is None:
+            logger.warning("dropping day %s product %d: delivery hour hit by DST transition",
+                           day, product)
+    if stall is not None:
+        def wall(at: int) -> datetime:
+            if tz is None:
+                return _EPOCH + int(utc[at]) * _US
+            return (_EPOCH.replace(tzinfo=timezone.utc) + int(utc[at]) * _US).astimezone(tz)
+
+        tie, after = np.flatnonzero(rows)[stall:stall + 2]
+        ties = np.count_nonzero(utc[bounds[failed]:bounds[failed + 1]] == utc[tie])
+        raise DomainError(f"day {cells[failed][0]} product {cells[failed][1]}: dejitter spreads "
+                          f"the {ties} transactions at {wall(tie)} past the next one at {wall(after)}")
+    kept_cells = [cell for cell, start in zip(cells, starts) if start is not None]
+    return dict(zip(kept_cells, np.split(us / 1e6 / 3600.0, np.cumsum(sizes[kept])[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -728,48 +947,20 @@ _STORE_COLUMNS = ("delivery_date", "product", "time_hours")
 _STORE_ROW = np.dtype([("day", "S11"), ("product", "S3"), ("hours", float)])
 
 
+def is_store(path: str | Path) -> bool:
+    """Whether the header of ``path`` holds a normalized arrival store's columns."""
+    with _body(Path(path)) as (header, _, _):
+        return set(_STORE_COLUMNS).issubset(header)
+
+
 @contextmanager
 def _store_body(path: Path):
     """Open a store as (index of its columns in the header, the handle
     after the header, the header's last file line)."""
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = _header(reader)
+    with _body(path) as (header, handle, line):
         if not set(_STORE_COLUMNS).issubset(header):
             raise SchemaError(f"{path} is not a normalized arrival store")
-        yield tuple(map(header.index, _STORE_COLUMNS)), handle, reader.line_num
-
-
-def _plain_text(path: Path) -> bool:
-    """Whether the bytes of ``path`` hold no quote, NUL or blank line.
-    ``np.loadtxt`` then splits its text into the rows and fields that
-    ``csv.reader`` gives, and skips no line: both end a line at LF, CR and
-    CRLF (:func:`write_store` ends rows with CRLF).  Text in an encoding
-    that is not ASCII-compatible, such as UTF-16, holds NUL bytes."""
-    last = b""
-    with path.open("rb") as handle:
-        while block := handle.read(_BLOCK):
-            if b'"' in block or b"\0" in block:
-                return False
-            chars = np.frombuffer(last + block, np.uint8)
-            lf, cr = chars == ord("\n"), chars == ord("\r")
-            # a blank line: a line end, then another one that is not a CR's LF
-            if (lf[:-1] & (lf[1:] | cr[1:]) | cr[:-1] & cr[1:]).any():
-                return False
-            last = block[-1:]
-    return True
-
-
-def _runs(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The strings of the runs of equal adjacent byte strings in
-    ``column``, decoded as ASCII, and the runs' lengths.  Raises
-    ``ValueError`` for a string that is not ASCII or fills the column's
-    width."""
-    heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
-    strings = [s.decode("ascii") for s in column[heads].tolist()]
-    if max(map(len, strings)) >= column.itemsize:
-        raise ValueError("a field fills its width")
-    return strings, np.diff(heads, append=column.size)
+        yield tuple(map(header.index, _STORE_COLUMNS)), handle, line
 
 
 def _loadtxt_store(path: Path, index: tuple[int, ...], skip: int):
@@ -780,8 +971,7 @@ def _loadtxt_store(path: Path, index: tuple[int, ...], skip: int):
     ``_`` in a number, which ``float`` does), a field that fills its width,
     or a date or product that does not convert."""
     try:
-        rows = np.loadtxt(path, _STORE_ROW, comments=None, delimiter=",", skiprows=skip,
-                          usecols=index)
+        rows = _loadtxt(path, _STORE_ROW, ",", skip, index)
         dates, day_runs = _runs(rows["day"])
         if not _plain_iso(dates, _DATE_SIZES):
             return None
@@ -816,7 +1006,7 @@ def load_store(
     1-based file line) for the first unparseable row, and
     :class:`ParameterError` naming the cell for a repeated time.
 
-    A body without a quote, NUL or blank line is parsed by one
+    An ASCII body without a quote, NUL or blank line is parsed by one
     ``np.loadtxt`` call (:func:`_loadtxt_store`); any other body, or one
     that call cannot read as the block reader would, is read a block at a
     time (:func:`_read_store_blocks`), so the series, warnings and errors

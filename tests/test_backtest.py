@@ -486,3 +486,18 @@ def test_store_input_keeps_only_configured_products(tmp_path):
     # trading bounds need only list the analyzed products
     series = load_input(tiny_config(store, None, products=(5,), trading_begin={5: -13.0}))
     assert list(series) == [(date(2017, 9, 3), 5)]
+
+
+@pytest.mark.parametrize("extra", ["lead_time_hours", "time_hours_note"])
+def test_a_raw_csv_whose_header_names_time_hours_in_another_column_is_raw(tmp_path, extra):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"delivery_date,product,timestamp,{extra}\n2017-09-03,5,2017-09-03 01:00:00,3.0\n")
+    series = load_input(tiny_config(raw, None, products=(5,)))
+    np.testing.assert_array_equal(series[(date(2017, 9, 3), 5)].arrivals, [-3.0])
+
+
+def test_a_store_is_recognized_by_its_three_columns_in_any_order(tmp_path):
+    store = tmp_path / "store.csv"
+    store.write_text('note,"time_hours",product,delivery_date\nx,-2.0,5,2017-09-03\n')
+    series = load_input(tiny_config(store, None, products=(5,)))
+    np.testing.assert_array_equal(series[(date(2017, 9, 3), 5)].arrivals, [-2.0])

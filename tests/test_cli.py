@@ -93,6 +93,20 @@ def test_ingest_names_the_cell_of_a_repeated_store_time(tmp_path, capsys):
                                        "strictly increasing, but -3.0 follows -3.0\n")
 
 
+def test_ingest_names_the_cell_of_a_failed_dejitter(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("delivery_date,product,timestamp,transaction_id\n"
+                   + "".join(f"2017-09-30,12,2017-09-30 08:01:00,{i}\n" for i in range(3))
+                   + "2017-09-30,12,2017-09-30 08:01:10,3\n")
+    code = main(["ingest", "--input", str(raw), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: day 2017-09-30 product 12: dejitter spreads the 3 transactions at "
+        "2017-09-30 08:01:00 past the next one at 2017-09-30 08:01:10\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_fit_simulate_score_chain(workspace, capsys):
     fit_path = workspace / "fit.json"
     code = main([
