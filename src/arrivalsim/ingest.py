@@ -6,21 +6,25 @@ product, so they are negative while trading is open.  For hourly product
 ``s`` delivering on day ``d`` at hour ``s-1`` local time, trading in the
 German market opens at ``-8 - s`` hours and closes half an hour before
 delivery; both boundaries are configuration here, not constants.
+
+A raw CSV or a normalized store whose text is plain (ASCII, without a
+quote, NUL or blank line) is read in one ``np.loadtxt`` pass; any other
+file is read record by record with ``csv.reader``, a batch of rows at a
+time.  Both give the same columns, warnings and errors.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import io
 import itertools
 import logging
+import re
 from collections.abc import Collection, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import date, datetime, time as dtime, timedelta, timezone
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
@@ -52,7 +56,7 @@ DEFAULT_TRADING_END = -0.5
 
 _US = timedelta(microseconds=1)
 _EPOCH = datetime(1970, 1, 1)
-_BLOCK = 1 << 16  # characters of lines read at a time
+_BLOCK = 1 << 16  # bytes a scan of a file's bytes reads at a time
 
 
 def trading_bounds(
@@ -129,42 +133,23 @@ def _micros(ts: datetime) -> int:
 # shapes fromisoformat reads otherwise or not at all ("2017-09", "NaT",
 # "today", UTC offsets), so only plain strings go to numpy.
 _ISO = "0000-00-00 00:00:00.000000"
-_DATE_SIZES = (10,)
 _TIMESTAMP_SIZES = (10, 16, 19, 23, 26)
 _ISO_LOW = np.frombuffer(_ISO.encode(), np.uint8)  # the lowest byte at each position
 _ISO_SPAN = np.frombuffer(bytes(9 * (c == "0") for c in _ISO), np.uint8)  # its range
 _ISO_T = _ISO.index(" ")
 _ROWS = 1 << 12  # rows a column pass takes at a time, which bounds its temporaries
+_BATCH = 1 << 8  # rows a per-row reader gathers at a time, which bounds its lists
 
 
-def _fits_iso(chars: np.ndarray, padded: bool = False) -> bool:
-    """Whether each row of ``chars`` (uint8, a row per string, at most as
+def _fits_iso(chars: np.ndarray) -> bool:
+    """Whether each row of ``chars`` (uint8, a row per NUL-padded string, as
     wide as the template) fits the plain ISO 8601 template, with a year
-    above 0; if ``padded``, NUL bytes fit anywhere."""
-    width = chars.shape[1]
+    above 0; NUL bytes fit anywhere."""
     # uint8 wraps, so a byte below the lowest reads as above it
-    fits = (chars - _ISO_LOW[:width]) <= _ISO_SPAN[:width]
-    if width > _ISO_T:
-        fits[:, _ISO_T] |= chars[:, _ISO_T] == ord("T")
-    if padded:
-        fits |= chars == 0
+    fits = (chars - _ISO_LOW) <= _ISO_SPAN
+    fits[:, _ISO_T] |= chars[:, _ISO_T] == ord("T")
+    fits |= chars == 0
     return bool(fits.all() and not (chars[:, :4] == ord("0")).all(axis=1).any())
-
-
-def _plain_iso(strings: Sequence[str], sizes: tuple[int, ...]) -> bool:
-    """Whether all ``strings`` share one plain ISO 8601 shape of a length in
-    ``sizes``, with a year above 0."""
-    size = len(strings[0])
-    if size not in sizes:
-        return False
-    try:
-        raw = ("\n".join(strings) + "\n").encode("ascii")
-    except UnicodeEncodeError:
-        return False
-    if len(raw) != len(strings) * (size + 1):
-        return False
-    chars = np.frombuffer(raw, np.uint8).reshape(len(strings), size + 1)
-    return bool((chars[:, size] == ord("\n")).all()) and _fits_iso(chars[:, :size])
 
 
 def _plain_iso_column(column: np.ndarray, sizes: tuple[int, ...]) -> bool:
@@ -177,7 +162,7 @@ def _plain_iso_column(column: np.ndarray, sizes: tuple[int, ...]) -> bool:
         chars = part.view(np.uint8).reshape(part.size, part.itemsize)
         # each string ends at one of the sizes: the byte before is not NUL, the byte there is
         ended = np.count_nonzero((chars[:, ends] == 0) & (chars[:, ends - 1] != 0))
-        if ended < part.size or not _fits_iso(chars[:, :len(_ISO)], padded=True):
+        if ended < part.size or not _fits_iso(chars[:, :len(_ISO)]):
             return False
     return True
 
@@ -188,127 +173,68 @@ def _ints(strings: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(value.__getitem__, strings), np.int64, len(strings))
 
 
-def _dates(strings: Sequence[str], fmt: str | None) -> np.ndarray:
-    if fmt is None and _plain_iso(strings, _DATE_SIZES):
-        return np.array(strings, dtype="datetime64[D]")
-    return np.array([_parse_date(s, fmt) for s in strings], dtype="datetime64[D]")
+def _dates(strings: Sequence[str]) -> np.ndarray:
+    """The ISO 8601 dates ``strings``, as :func:`_raw_row` reads one."""
+    return np.array([_parse_date(s, None) for s in strings], dtype="datetime64[D]")
 
 
-def _timestamps(strings: Sequence[str], fmt: str | None) -> tuple[np.ndarray, np.ndarray]:
-    if fmt is None and _plain_iso(strings, _TIMESTAMP_SIZES):
-        return np.array(strings, dtype="datetime64[us]"), np.zeros(len(strings), dtype=bool)
-    stamps = [_parse_timestamp(s, fmt) for s in strings]
-    us = np.array([_micros(ts) for ts in stamps], dtype=np.int64)
-    return us.view("datetime64[us]"), np.array([ts.utcoffset() is not None for ts in stamps], dtype=bool)
+# csv.reader refuses NUL before Python 3.11, so _csv_rows hands it each NUL
+# as _ESC + _ESC_NUL and each _ESC as _ESC + _ESC: two private-use
+# characters, neither a delimiter, quote nor line end, which it reads as
+# any other character.  Each counts twice against csv.field_size_limit().
+_ESC, _ESC_NUL = "\ue000", "\ue001"
+_ESCAPED = re.compile(f"{_ESC}(.)")
 
 
-def _row_keys(records: list[list[str]]) -> list[str | tuple[str, ...]]:
-    """One key per record, equal for records equal field for field: its
-    fields joined by NUL, or their tuple when a field contains NUL (and for
-    a blank line, whose record is empty).  A string holds far less memory
-    than the tuple."""
-    keys = list(map("\0".join, records))
-    if "".join(keys).count("\0") != sum(map(len, records)) - len(records):
-        keys = [k if k.count("\0") < len(r) else tuple(r) for k, r in zip(keys, records)]
-    return keys
+def _csv_rows(handle, delimiter: str, line: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """Each record ``csv.reader`` reads from ``handle``, after line ``line``
+    of its file, with its 1-based file line (for a quoted field that spans
+    lines, the last one, as ``csv.reader.line_num`` counts); an empty record
+    is a blank line.  A NUL is read as any other character, on every
+    supported Python.  A ``csv.Error`` is a :class:`RowError`."""
+    escaped = False
 
+    def lines():
+        nonlocal escaped
+        for text in handle:
+            if "\0" in text or _ESC in text:
+                escaped = True
+                text = text.replace(_ESC, _ESC * 2).replace("\0", _ESC + _ESC_NUL)
+            yield text
 
-def _blocks(handle, delimiter: str, line: int) -> Iterator[tuple[list, range | list[int]]]:
-    """Row keys (:func:`_row_keys`) of the lines after line ``line`` of
-    ``handle``, about ``_BLOCK`` characters of lines at a time, each with
-    its 1-based file line (for a quoted field that spans lines, the last
-    one, as ``csv.reader.line_num`` counts).
-
-    A block without a quote character is split with ``str`` methods, which
-    read an unquoted line as ``csv.reader`` does; a block with one, or one
-    long enough to hold a field over ``csv.field_size_limit()``, goes
-    through ``csv.reader``, which reads on past the block to finish a
-    record.  A ``csv.Error`` is a :class:`RowError`.
-    """
-    while text := handle.read(_BLOCK):
-        if not text.endswith("\n"):
-            text += handle.readline()  # the rest of the last line, or the "\n" of a "\r"
-        if '"' in text or len(text) > csv.field_size_limit():
-            lines = io.StringIO(text, newline="").readlines()
-            reader = csv.reader(itertools.chain(lines, handle), delimiter=delimiter)
-            records, at = [], []
-            try:
-                while reader.line_num < len(lines):
-                    records.append(next(reader))
-                    at.append(line + reader.line_num)
-            except csv.Error as exc:
-                raise RowError(line + reader.line_num, str(exc)) from exc
-            yield _row_keys(records), at
-            line += reader.line_num
-            continue
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        n = text.count("\n") + (not text.endswith("\n"))
-        at = range(line + 1, line + 1 + n)
-        line += n
-        if "\0" in text or text.startswith("\n") or "\n\n" in text:
-            rows = text.split("\n")[:n]
-            yield _row_keys([row.split(delimiter) if row else [] for row in rows]), at
-        else:
-            yield text.replace(delimiter, "\0").split("\n")[:n], at
-
-
-def _header(reader) -> list[str]:
+    reader = csv.reader(lines(), delimiter=delimiter)
     try:
-        return next(reader, [])
+        for record in reader:
+            if escaped:
+                escaped = False
+                record = [_ESCAPED.sub(_unescaped, field) for field in record]
+            yield line + reader.line_num, record
     except csv.Error as exc:
-        raise RowError(reader.line_num, str(exc)) from exc
+        raise RowError(line + reader.line_num, str(exc)) from exc
 
 
-def _records(keys: list) -> list:
-    return [k.split("\0") if isinstance(k, str) else list(k) for k in keys]
+def _unescaped(match: re.Match) -> str:
+    return "\0" if match[1] == _ESC_NUL else match[1]
 
 
-def _columns(keys: list, index: tuple[int, ...]) -> list:
-    """The fields at ``index`` of each keyed row, a sequence per column;
-    raises ``IndexError`` for a row without them."""
-    if set(map(type, keys)) == {str}:
-        counts = set(map(str.count, keys, itertools.repeat("\0")))
-        if len(counts) == 1:  # as many fields in every row: split them at once
-            width = counts.pop() + 1
-            if width <= max(index):
-                raise IndexError
-            flat = "\0".join(keys).split("\0")
-            return [flat[i::width] for i in index]
-    records = _records(keys)
-    if min(map(len, records)) <= max(index):
-        raise IndexError
-    return list(zip(*map(itemgetter(*index), records)))
-
-
-def _raise_row_error(keys, lines, index, schema, n_products) -> None:
-    """Raise the :class:`RowError` of the first keyed row that does not parse."""
+def _raw_row(line: int, record: list[str], index: tuple[int, ...], schema: CsvSchema,
+             n_products: int) -> tuple:
+    """(delivery day, product, timestamp in microseconds (:func:`_micros`),
+    whether it had a UTC offset, file line) of a raw record; raises the
+    :class:`RowError` of one that does not parse."""
     i_date, i_product, i_timestamp = index
-    for record, line in zip(_records(keys), lines):
-        try:
-            product = int(record[i_product])
-            if not 1 <= product <= n_products:
-                raise ValueError(f"product {product} outside 1..{n_products}")
-            _parse_date(record[i_date], schema.date_format)
-            _parse_timestamp(record[i_timestamp], schema.timestamp_format)
-        except (ValueError, IndexError) as exc:
-            raise RowError(line, str(exc)) from exc
-
-
-def _parse_block(keys, lines, index, schema, n_products):
-    """Columns of one block's rows, parsed a column at a time; a block with a
-    row that does not parse is checked again row by row, for its error."""
     try:
-        dates, products, stamps = _columns(keys, index)
-        product = _ints(products)
-        if product.min() < 1 or product.max() > n_products:
-            raise ValueError
-        return (_dates(dates, schema.date_format), product,
-                *_timestamps(stamps, schema.timestamp_format),
-                np.fromiter(lines, np.int64, len(lines)))
-    except (ValueError, IndexError, OverflowError):
-        _raise_row_error(keys, lines, index, schema, n_products)
-        raise
+        product = int(record[i_product])
+        if not 1 <= product <= n_products:
+            raise ValueError(f"product {product} outside 1..{n_products}")
+        day = _parse_date(record[i_date], schema.date_format)
+        ts = _parse_timestamp(record[i_timestamp], schema.timestamp_format)
+    except (ValueError, IndexError) as exc:
+        raise RowError(line, str(exc)) from exc
+    return day, product, _micros(ts), ts.utcoffset() is not None, line
+
+
+_RAW_TYPES = ("datetime64[D]", "int64", "datetime64[us]", "bool", "int64")
 
 
 def _digests(keys: list) -> np.ndarray:
@@ -341,9 +267,8 @@ def _body(path: Path, delimiter: str = ","):
     """Open a CSV as (its header's fields, the handle after the header, the
     header's last file line)."""
     with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header = _header(reader)
-        yield header, handle, reader.line_num
+        line, header = next(_csv_rows(handle, delimiter), (0, []))
+        yield header, handle, line
 
 
 def _raw_index(header: list[str], schema: CsvSchema, path: Path) -> tuple[int, ...]:
@@ -356,41 +281,31 @@ def _raw_index(header: list[str], schema: CsvSchema, path: Path) -> tuple[int, .
 
 
 @contextmanager
-def _raw_rows(path: Path, schema: CsvSchema):
-    """Open a raw CSV as (index of the read columns in its header, blocks of
-    (row keys, file lines) of its non-blank rows, as :func:`_blocks` reads
-    them)."""
-    with _body(path, schema.delimiter) as (header, handle, line):
+def _raw_records(path: Path, schema: CsvSchema):
+    """Open a raw CSV as (index of the read columns in its header, its
+    non-blank records after the header, each with its file line)."""
+    with _body(path, schema.delimiter) as (header, handle, skip):
         index = _raw_index(header, schema, path)
-
-        def rows():
-            for keys, lines in _blocks(handle, schema.delimiter, line):
-                if () in keys:  # blank lines
-                    lines = [n for n, k in zip(lines, keys) if k != ()]
-                    keys = [k for k in keys if k != ()]
-                if keys:
-                    yield keys, lines
-
-        yield index, rows()
+        rows = _csv_rows(handle, schema.delimiter, skip)
+        yield index, ((line, record) for line, record in rows if record)
 
 
 def _later_twins(path: Path, schema: CsvSchema, candidates: np.ndarray) -> list[int]:
     """Indices of the rows among ``candidates`` (ascending indices of
-    non-blank rows) whose key equals an earlier row's, from a second read
-    of ``path`` that keeps only the candidates' keys."""
-    seen: set[str | tuple[str, ...]] = set()
+    non-blank rows) whose record equals an earlier row's, from a second read
+    of ``path`` that keeps only the candidates' records."""
+    seen: set[tuple[str, ...]] = set()
     twins = []
-    start = 0
-    with _raw_rows(path, schema) as (_, blocks):
-        for keys, _ in blocks:
-            lo, hi = np.searchsorted(candidates, (start, start + len(keys)))
-            for i in candidates[lo:hi].tolist():
-                key = keys[i - start]
-                if key in seen:
-                    twins.append(i)
-                else:
-                    seen.add(key)
-            start += len(keys)
+    with _raw_records(path, schema) as (_, rows):
+        at = 0
+        for i in candidates.tolist():
+            _, record = next(itertools.islice(rows, i - at, None))
+            at = i + 1
+            key = tuple(record)
+            if key in seen:
+                twins.append(i)
+            else:
+                seen.add(key)
     return twins
 
 
@@ -472,17 +387,17 @@ def _loadtxt_raw(path: Path, delimiter: str, index: tuple[int, ...], skip: int, 
     """Columns and row digests of a plain raw CSV (:func:`_plain_text`)
     with ISO dates and timestamps, its columns parsed in one ``np.loadtxt``
     pass, each run of equal dates and of equal products converted once, as
-    :func:`_parse_block` converts a field, and each row's line digested
+    :func:`_raw_row` converts a field, and each row's line digested
     (:func:`_line_digests`).  ``None`` where they could differ from the
-    block reader's: a row ``np.loadtxt`` refuses (such as a short one), a
-    field that fills its width, a date or product that does not convert, a
-    product outside 1..``n_products``, a timestamp that is not plain ISO
-    8601 (such as one with a UTC offset), or a line over the csv module's
-    field size limit."""
+    per-row reader's (:func:`_read_raw_rows`): a row ``np.loadtxt`` refuses
+    (such as a short one), a field that fills its width, a date or product
+    that does not convert, a product outside 1..``n_products``, a timestamp
+    that is not plain ISO 8601 (such as one with a UTC offset), or a line
+    over the csv module's field size limit."""
     try:
         rows = _loadtxt(path, _RAW_ROW, delimiter, skip, index)
         dates, day_runs = _runs(rows["day"])
-        day = np.repeat(_dates(dates, None), day_runs)
+        day = np.repeat(_dates(dates), day_runs)
         products, product_runs = _runs(rows["product"])
         product = _ints(products)
         if (product.min() < 1 or product.max() > n_products
@@ -500,16 +415,18 @@ def _loadtxt_raw(path: Path, delimiter: str, index: tuple[int, ...], skip: int, 
     return (day, product, timestamp, np.zeros(day.size, bool), lines), digests
 
 
-def _read_raw_blocks(path: Path, schema: CsvSchema, n_products: int):
-    """Columns and row digests of a raw CSV read a block of rows at a time
-    (:func:`_blocks`)."""
-    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64),
-                np.empty(0, "datetime64[us]"), np.empty(0, bool), np.empty(0, np.int64))]
+def _read_raw_rows(path: Path, schema: CsvSchema, n_products: int):
+    """Columns and row digests of a raw CSV read row by row with
+    ``csv.reader``, ``_BATCH`` rows at a time: each non-blank record is
+    parsed (:func:`_raw_row`) and digested (:func:`_digests`) as the tuple
+    of its fields."""
+    columns = [tuple(np.empty(0, dtype) for dtype in _RAW_TYPES)]
     digests = [np.empty(0, np.int64)]
-    with _raw_rows(path, schema) as (index, blocks):
-        for keys, lines in blocks:
-            digests.append(_digests(keys))
-            columns.append(_parse_block(keys, lines, index, schema, n_products))
+    with _raw_records(path, schema) as (index, rows):
+        while batch := list(itertools.islice(rows, _BATCH)):
+            digests.append(_digests([tuple(record) for _, record in batch]))
+            parsed = [_raw_row(line, record, index, schema, n_products) for line, record in batch]
+            columns.append(tuple(map(np.array, zip(*parsed), _RAW_TYPES)))
     return _joined(columns), np.concatenate(digests)
 
 
@@ -530,13 +447,14 @@ def parse_csv(
     A file whose bytes are ASCII and hold no quote, NUL or blank line, read
     with ISO dates and timestamps, is parsed by one ``np.loadtxt`` call
     (:func:`_loadtxt_raw`); any other file, or one that call cannot read as
-    the block reader would, is parsed a block of rows at a time
-    (:func:`_read_raw_blocks`), so the columns, warnings and errors are the
-    same either way.  Each row leaves only its columns and a 64-bit digest
-    of its text (:func:`_digests`).  Rows whose digests repeat are candidate
-    duplicates: only when there are any is the file read a second time, to
-    compare the candidates' texts exactly, so the rows kept depend on
-    neither the hash salt nor a digest collision.  Duplicates are dropped
+    the per-row reader would, is parsed record by record with
+    ``csv.reader`` (:func:`_read_raw_rows`), so the columns, warnings and
+    errors are the same either way.  Each row leaves only its columns and
+    a 64-bit digest of its text (:func:`_digests`).  Rows whose digests
+    repeat are candidate duplicates: only when there are any is the file
+    read a second time, to compare the candidates' records exactly
+    (:func:`_later_twins`), so the rows kept depend on neither the hash
+    salt nor a digest collision.  Duplicates are dropped
     one column at a time, so that step holds one column twice rather than
     every column.
     """
@@ -546,7 +464,7 @@ def parse_csv(
         plain = (schema.timestamp_format is None and schema.date_format is None
                  and handle.read(1) != "" and _plain_text(path))  # a row follows the header
     read = _loadtxt_raw(path, schema.delimiter, index, skip, n_products) if plain else None
-    columns, digests = read or _read_raw_blocks(path, schema, n_products)
+    columns, digests = read or _read_raw_rows(path, schema, n_products)
     columns = list(columns)
     del read
     candidates = _repeated(digests)
@@ -915,31 +833,18 @@ def write_store(series: dict[tuple[date, int], ArrivalSeries], path: str | Path)
                                  map(repr, hours)))
 
 
-def _raise_store_row_error(keys, lines, index) -> None:
-    """Raise the :class:`RowError` of the first keyed store row that does not parse."""
+def _store_row(line: int, record: list[str], index: tuple[int, ...]) -> tuple:
+    """(delivery day, product, time in hours) of a store record; raises
+    the :class:`RowError` of one that does not parse."""
     i_date, i_product, i_hours = index
-    for record, line in zip(_records(keys), lines):
-        try:
-            date.fromisoformat(record[i_date])
-            np.int64(int(record[i_product]))
-            float(record[i_hours])
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise RowError(line, str(exc)) from exc
-
-
-def _store_block(keys, lines, index):
-    """Columns of one block of store rows, parsed a column at a time; a
-    block with a row that does not parse is checked again row by row."""
     try:
-        dates, products, hours = _columns(keys, index)
-        day = (np.array(dates, dtype="datetime64[D]") if _plain_iso(dates, _DATE_SIZES)
-               else np.array([date.fromisoformat(s) for s in dates], dtype="datetime64[D]"))
-        return day, _ints(products), np.fromiter(map(float, hours), float, len(hours))
-    except (ValueError, IndexError, OverflowError):
-        _raise_store_row_error(keys, lines, index)
-        raise
+        return (date.fromisoformat(record[i_date]), np.int64(int(record[i_product])),
+                float(record[i_hours]))
+    except (ValueError, IndexError, OverflowError) as exc:
+        raise RowError(line, str(exc)) from exc
 
 
+_STORE_TYPES = ("datetime64[D]", "int64", "float64")
 _STORE_COLUMNS = ("delivery_date", "product", "time_hours")
 # A store row as np.loadtxt reads it: the date and the product as bytes one
 # wider than a plain ISO date and a two-digit product, so that a longer
@@ -966,16 +871,15 @@ def _store_body(path: Path):
 def _loadtxt_store(path: Path, index: tuple[int, ...], skip: int):
     """Columns of a plain store body (:func:`_plain_text`) parsed in one
     ``np.loadtxt`` pass, with each run of equal dates and of equal products
-    converted once, as :func:`_store_block` converts a field; ``None`` where
-    they could differ from its: a row ``np.loadtxt`` refuses (it takes no
-    ``_`` in a number, which ``float`` does), a field that fills its width,
-    or a date or product that does not convert."""
+    converted once, as :func:`_store_row` converts a field; ``None`` where
+    they could differ from the per-row reader's (:func:`_read_store_rows`):
+    a row ``np.loadtxt`` refuses (it takes no ``_`` in a number, which
+    ``float`` does), a field that fills its width, or a date or product
+    that does not convert."""
     try:
         rows = _loadtxt(path, _STORE_ROW, ",", skip, index)
         dates, day_runs = _runs(rows["day"])
-        if not _plain_iso(dates, _DATE_SIZES):
-            return None
-        day = np.repeat(np.array(dates, dtype="datetime64[D]"), day_runs)
+        day = np.repeat(np.array(list(map(date.fromisoformat, dates)), "datetime64[D]"), day_runs)
         products, product_runs = _runs(rows["product"])
         product = np.repeat(_ints(products), product_runs)
     except ValueError:
@@ -983,12 +887,15 @@ def _loadtxt_store(path: Path, index: tuple[int, ...], skip: int):
     return day, product, rows["hours"].copy()
 
 
-def _read_store_blocks(path: Path):
-    """Columns of a store read a block of rows at a time (:func:`_blocks`)."""
-    columns = [(np.empty(0, "datetime64[D]"), np.empty(0, np.int64), np.empty(0))]
-    with _store_body(path) as (index, handle, line):
-        for keys, lines in _blocks(handle, ",", line):
-            columns.append(_store_block(keys, lines, index))
+def _read_store_rows(path: Path):
+    """Columns of a store read row by row with ``csv.reader``, ``_BATCH``
+    rows at a time, each record parsed as :func:`_store_row` parses it."""
+    columns = [tuple(np.empty(0, dtype) for dtype in _STORE_TYPES)]
+    with _store_body(path) as (index, handle, skip):
+        rows = _csv_rows(handle, ",", skip)
+        while batch := list(itertools.islice(rows, _BATCH)):
+            parsed = [_store_row(line, record, index) for line, record in batch]
+            columns.append(tuple(map(np.array, zip(*parsed), _STORE_TYPES)))
     return _joined(columns)
 
 
@@ -1008,15 +915,15 @@ def load_store(
 
     An ASCII body without a quote, NUL or blank line is parsed by one
     ``np.loadtxt`` call (:func:`_loadtxt_store`); any other body, or one
-    that call cannot read as the block reader would, is read a block at a
-    time (:func:`_read_store_blocks`), so the series, warnings and errors
-    are the same either way.
+    that call cannot read as the per-row reader would, is parsed record by
+    record with ``csv.reader`` (:func:`_read_store_rows`), so the series,
+    warnings and errors are the same either way.
     """
     path = Path(path)
     with _store_body(path) as (index, handle, skip):
         plain = handle.read(1) != "" and _plain_text(path)  # a row follows the header
     columns = _loadtxt_store(path, index, skip) if plain else None
-    day, product, hours = columns or _read_store_blocks(path)
+    day, product, hours = columns or _read_store_rows(path)
     if products is not None:
         keep = np.isin(product, list(products))
         day, product, hours = day[keep], product[keep], hours[keep]

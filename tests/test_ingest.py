@@ -15,6 +15,8 @@ import pytest
 
 from arrivalsim.errors import DomainError, ParameterError, RowError, SchemaError
 from arrivalsim import ingest
+from arrivalsim.models import model_from_name
+from arrivalsim.synth import synth_generate
 from arrivalsim.ingest import (
     ArrivalSeries,
     CsvSchema,
@@ -400,6 +402,7 @@ class TestStore:
 
     @pytest.mark.parametrize("row", [
         "2017-13-03,1,-2.0", "2017-09-03,x,-2.0", "2017-09-03,1,abc", "2017-09-03,1",
+        "2017-09-03,99999999999999999999,-2.0",  # a product past int64
     ])
     def test_bad_row_is_a_row_error(self, tmp_path, row):
         path = tmp_path / "store.csv"
@@ -425,8 +428,9 @@ class TestStore:
 
 
 # ---------------------------------------------------------------------------
-# Per-row reference: the reader that preceded the block-wise columnar one.
-# It parses each row with csv.reader and builds a tuple of Python objects.
+# Per-row reference: it parses each row with csv.reader and builds a tuple
+# of Python objects, as the readers' per-row fallback parses a record, but
+# it keeps every row's key for the duplicate check and returns no columns.
 # ---------------------------------------------------------------------------
 
 reference_log = logging.getLogger("reference_ingest")
@@ -607,7 +611,7 @@ SEMICOLON = [
     ("\n", "30.09.2017;13;30.09.2017 09:59:00;2,0"),
 ]
 # No quote, NUL or blank line, only ASCII, and ISO dates and timestamps:
-# np.loadtxt reads it, unless a bad row sends the whole file to the block
+# np.loadtxt reads it, unless a bad row sends the whole file to the per-row
 # reader.  Rows end in LF, CRLF and CR, which np.loadtxt and csv.reader
 # split alike.
 PLAIN = [
@@ -690,19 +694,29 @@ def fixture_cases():
                 yield pytest.param(name, bad, tz, marks=marks, id=f"{name}-{bad}-{tz}")
 
 
-@pytest.mark.parametrize("block", [1, 100, 1 << 16])
+def block_and_batch(*blocks):
+    """(byte scan block, per-row batch) pairs: blocks of ``blocks`` bytes
+    with batches of 1 row, 3 rows and the default size, under the ids of
+    the block sizes."""
+    return [pytest.param(block, batch, id=str(block))
+            for block, batch in zip(blocks, (1, 3, ingest._BATCH))]
+
+
+@pytest.mark.parametrize("block, batch", block_and_batch(1, 100, 1 << 16))
 @pytest.mark.parametrize("name, bad, tz", fixture_cases())
-def test_columnar_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, name, bad, tz):
+def test_columnar_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, batch, name, bad, tz):
     """Same rows, series (bitwise), warnings and RowError lines as the per-row
-    reader, with blocks of one line, a few lines, and the default size."""
+    reference, with byte blocks of one byte, a few lines, and the default
+    size, and batches of one row, a few rows, and the default size."""
     header, rows, schema, _ = FIXTURES[name]
     path = write_fixture(tmp_path / "raw.csv", header, rows, BAD_ROWS[bad])
     expected_rows, expected_log, expected_error = outcome(caplog, reference_parse_csv, path, schema)
     monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "_BATCH", batch)
     got_rows, got_log, got_error = outcome(caplog, parse_csv, path, schema)
     assert (got_log, got_error) == (expected_log, expected_error)
-    # only a plain file without a bad row skips the block reader
-    assert block_reads(monkeypatch, parse_csv, path, schema) == (
+    # only a plain file without a bad row skips the per-row reader
+    assert row_reads(monkeypatch, parse_csv, path, schema) == (
         name != "plain" or bad not in RAW_LOADTXT_CASES)
     if expected_error is not None:
         return
@@ -715,17 +729,17 @@ def test_columnar_reader_matches_the_per_row_reference(tmp_path, caplog, monkeyp
     assert_same_series(got, expected)
 
 
-def block_reads(monkeypatch, read, *args) -> bool:
-    """Whether ``read(*args)`` parses the raw CSV with the block reader."""
+def row_reads(monkeypatch, read, *args) -> bool:
+    """Whether ``read(*args)`` parses the raw CSV with the per-row reader."""
     calls = []
-    real = ingest._read_raw_blocks
-    monkeypatch.setattr(ingest, "_read_raw_blocks", lambda *a: calls.append(a) or real(*a))
+    real = ingest._read_raw_rows
+    monkeypatch.setattr(ingest, "_read_raw_rows", lambda *a: calls.append(a) or real(*a))
     try:
         read(*args)
     except RowError:
         pass
     finally:
-        monkeypatch.setattr(ingest, "_read_raw_blocks", real)
+        monkeypatch.setattr(ingest, "_read_raw_rows", real)
     return bool(calls)
 
 
@@ -814,9 +828,9 @@ def test_an_empty_input_has_no_series():
 
 def colliding(*rows):
     """A digest helper under which the keys of the CSV lines ``rows`` share
-    one digest, and every other key keeps its own: the block reader's keys
-    (fields joined by NUL) and the plain reader's (the line's bytes)."""
-    keys = {"\0".join(record) for record in csv.reader(rows)} | {row.encode() for row in rows}
+    one digest, and every other key keeps its own: the per-row reader's keys
+    (the tuple of a record's fields) and the plain reader's (the line's bytes)."""
+    keys = {tuple(record) for record in csv.reader(rows)} | {row.encode() for row in rows}
     return lambda block: np.fromiter((0 if k in keys else hash(k) for k in block), np.int64, len(block))
 
 
@@ -828,46 +842,49 @@ DIGESTS = [
 ]
 
 
-def compare_duplicates(tmp_path, caplog, monkeypatch, block, digests, bad, name, twin, dropped) -> bool:
-    """Assert that parse_csv gives the per-row reader's rows, warnings and
+def compare_duplicates(tmp_path, caplog, monkeypatch, sizes, digests, bad, name, twin, dropped) -> bool:
+    """Assert that parse_csv gives the per-row reference's rows, warnings and
     RowError line whatever the digests, on the fixture ``name`` with its
-    row ``twin`` repeated at the end; return whether the block reader ran."""
+    row ``twin`` repeated at the end, with (byte block, batch) ``sizes``;
+    return whether the per-row reader ran."""
     header, rows, schema, _ = FIXTURES[name]
     path = write_fixture(tmp_path / "raw.csv", header, [*rows, rows[twin]], BAD_ROWS[bad])
     expected_rows, expected_log, expected_error = outcome(caplog, reference_parse_csv, path, schema)
     assert expected_error is not None or expected_log == [f"dropped {dropped} exact duplicate rows from PATH"]
-    monkeypatch.setattr(ingest, "_BLOCK", block)
+    monkeypatch.setattr(ingest, "_BLOCK", sizes[0])
+    monkeypatch.setattr(ingest, "_BATCH", sizes[1])
     monkeypatch.setattr(ingest, "_digests", digests)
     got_rows, got_log, got_error = outcome(caplog, parse_csv, path, schema)
     assert (got_log, got_error) == (expected_log, expected_error)
     if expected_error is None:
         assert len(got_rows) == len(expected_rows)
         assert_same_rows(got_rows, expected_rows)
-    return block_reads(monkeypatch, parse_csv, path, schema)
+    return row_reads(monkeypatch, parse_csv, path, schema)
 
 
-@pytest.mark.parametrize("block", [1, 100, 1 << 16])
+@pytest.mark.parametrize("block, batch", block_and_batch(1, 100, 1 << 16))
 @pytest.mark.parametrize("digests", DIGESTS)
 @pytest.mark.parametrize("bad", ["good", "last block"])
-def test_duplicates_are_exact_under_digest_collisions(tmp_path, caplog, monkeypatch, block, digests, bad):
+def test_duplicates_are_exact_under_digest_collisions(tmp_path, caplog, monkeypatch, block, batch, digests, bad):
     """Rows, warnings and RowError lines are the reference's whatever the
     digests, so a row is dropped only for an exact earlier twin; here a
-    quoted record over two lines, which the block reader reads."""
-    assert compare_duplicates(tmp_path, caplog, monkeypatch, block, digests, bad, "mixed", 7, 4)
+    quoted record over two lines, which the per-row reader reads."""
+    assert compare_duplicates(tmp_path, caplog, monkeypatch, (block, batch), digests, bad, "mixed", 7, 4)
 
 
-@pytest.mark.parametrize("block", [1, 100, 1 << 16])
+@pytest.mark.parametrize("block, batch", block_and_batch(1, 100, 1 << 16))
 @pytest.mark.parametrize("digests", DIGESTS)
 @pytest.mark.parametrize("bad", ["good", "last block"])
-def test_plain_duplicates_are_exact_under_digest_collisions(tmp_path, caplog, monkeypatch, block, digests, bad):
+def test_plain_duplicates_are_exact_under_digest_collisions(tmp_path, caplog, monkeypatch, block, batch, digests, bad):
     """As above, on the plain fixture, whose digests np.loadtxt's path takes
     from the lines' bytes, with the longer row ending in CR repeated."""
-    blocks = compare_duplicates(tmp_path, caplog, monkeypatch, block, digests, bad, "plain", 3, 3)
-    assert blocks == (bad != "good")
+    rows = compare_duplicates(tmp_path, caplog, monkeypatch, (block, batch), digests, bad, "plain", 3, 3)
+    assert rows == (bad != "good")
 
 
-def memory_test_file(path, n):
-    """About ``n`` rows of a raw CSV, whose middle row repeats at the end."""
+def memory_test_file(path, n, quoted=False):
+    """About ``n`` rows of a raw CSV, whose middle row repeats at the end;
+    with ``quoted``, every field is quoted."""
     start = datetime(2017, 9, 3, 0, 0)
     lines = ["delivery_date,product,timestamp,market_area,volume,price,transaction_id"]
     for i in range(n):
@@ -876,15 +893,17 @@ def memory_test_file(path, n):
         ts = start + timedelta(days=i // 2400, microseconds=137_000_017 * (i % 2400))
         lines.append(f"{day},{product},{ts.isoformat(sep=' ')},DE,1.0,40.0,{day}-{product}-{i}")
     lines.append(lines[n // 2])
+    if quoted:
+        lines = ['"' + line.replace(",", '","') + '"' for line in lines]
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def test_parse_csv_memory_stays_near_its_columns(tmp_path):
     """The tracemalloc peak of parse_csv on about 20k rows, one of them a
-    duplicate, stays at or below 85 B per row: 74 measured, where a block's
-    text weighs most, plus a margin of about 15%.  The columns it returns
-    hold 33."""
+    duplicate, stays at or below 85 B per row: 70.2 measured, most of it
+    the 41 of np.loadtxt's rows and the day, product and timestamp
+    columns, plus a margin of about 15%.  The columns it returns hold 33."""
     n = 20_000
     path = memory_test_file(tmp_path / "raw.csv", n)
     tracemalloc.start()
@@ -895,6 +914,25 @@ def test_parse_csv_memory_stays_near_its_columns(tmp_path):
         tracemalloc.stop()
     assert len(rows) == n
     assert peak / n <= 85
+
+
+def test_the_per_row_reader_memory_stays_near_its_columns(tmp_path, monkeypatch):
+    """The tracemalloc peak of parse_csv on the same rows with every field
+    quoted, which the per-row reader reads, stays at or below 70 B per row:
+    61.2 measured, the 33 of the columns, the 8 of the digests, one column
+    joined and one batch of records, plus a margin of about 15%.  The block
+    reader that came before it took 98."""
+    n = 20_000
+    path = memory_test_file(tmp_path / "raw.csv", n, quoted=True)
+    assert row_reads(monkeypatch, parse_csv, path)
+    tracemalloc.start()
+    try:
+        rows = parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n
+    assert peak / n <= 70
 
 
 def test_dropping_a_duplicate_copies_one_column_at_a_time(tmp_path, monkeypatch):
@@ -976,7 +1014,7 @@ STORE_BAD_ROWS = {
     "final newline": (-1, ""),  # every other case ends without one
 }
 # No quote or NUL: np.loadtxt reads it, unless a bad row sends the whole
-# file to the block reader.  Rows end in LF, CRLF (as write_store writes
+# file to the per-row reader.  Rows end in LF, CRLF (as write_store writes
 # them) and CR, which np.loadtxt and csv.reader split alike.
 PLAIN_STORE = [
     ("\n", "2017-09-03,1,-3.0"),
@@ -991,7 +1029,7 @@ PLAIN_STORE = [
 ]
 # the cases that keep the plain store on np.loadtxt's path
 LOADTXT_CASES = {"good", "product ' 2'", "product '+2'", "final newline"}
-real_blocks = ingest._blocks
+real_store_rows = ingest._read_store_rows
 
 
 def store_cases():
@@ -1004,54 +1042,66 @@ def store_cases():
         yield pytest.param(bad, marks=marks, id=bad)
 
 
-def compare_store_readers(tmp_path, caplog, monkeypatch, rows, block, products, bad) -> bool:
-    """Assert that load_store gives the per-row reader's series (bitwise),
-    warnings and RowError line, with blocks of one character, a few lines
-    and the default size; return whether the block reader ran."""
+def compare_store_readers(tmp_path, caplog, monkeypatch, rows, sizes, products, bad) -> bool:
+    """Assert that load_store gives the per-row reference's series (bitwise),
+    warnings and RowError line, with (byte block, batch) ``sizes``; return
+    whether the per-row reader ran."""
     path = write_fixture(tmp_path / "store.csv", "delivery_date,product,time_hours", rows,
                          STORE_BAD_ROWS[bad])
     args = (path, {1: -9.0, 2: -10.0, 3: -11.0}, {1: -0.5, 2: -0.5, 3: -0.5}, products)
     expected, expected_log, expected_error = outcome(caplog, reference_load_store, *args)
-    monkeypatch.setattr(ingest, "_BLOCK", block)
-    blocks = []
-    monkeypatch.setattr(ingest, "_blocks", lambda *a: blocks.append(a) or real_blocks(*a))
+    monkeypatch.setattr(ingest, "_BLOCK", sizes[0])
+    monkeypatch.setattr(ingest, "_BATCH", sizes[1])
+    calls = []
+    monkeypatch.setattr(ingest, "_read_store_rows", lambda *a: calls.append(a) or real_store_rows(*a))
     got, got_log, got_error = outcome(caplog, load_store, *args)
     assert (got_log, got_error) == (expected_log, expected_error)
     if expected_error is None:
         assert_same_series(got, expected)
-    return bool(blocks)
+    return bool(calls)
 
 
-@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+@pytest.mark.parametrize("block, batch", block_and_batch(1, 40, 1 << 16))
 @pytest.mark.parametrize("products", [None, (1, 2)])
 @pytest.mark.parametrize("bad", store_cases())
-def test_store_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, products, bad):
-    """A store with quoted fields is read by the block reader alone."""
-    assert compare_store_readers(tmp_path, caplog, monkeypatch, STORE, block, products, bad)
+def test_store_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, batch, products, bad):
+    """A store with quoted fields is read by the per-row reader alone."""
+    assert compare_store_readers(tmp_path, caplog, monkeypatch, STORE, (block, batch), products, bad)
 
 
-@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+@pytest.mark.parametrize("block, batch", block_and_batch(1, 40, 1 << 16))
 @pytest.mark.parametrize("products", [None, (1, 2)])
 @pytest.mark.parametrize("bad", store_cases())
-def test_plain_store_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, products, bad):
-    """Only a plain store without a bad row skips the block reader."""
-    blocks = compare_store_readers(tmp_path, caplog, monkeypatch, PLAIN_STORE, block, products, bad)
-    assert blocks == (bad not in LOADTXT_CASES)
+def test_plain_store_reader_matches_the_per_row_reference(tmp_path, caplog, monkeypatch, block, batch, products, bad):
+    """Only a plain store without a bad row skips the per-row reader."""
+    rows = compare_store_readers(tmp_path, caplog, monkeypatch, PLAIN_STORE, (block, batch), products, bad)
+    assert rows == (bad not in LOADTXT_CASES)
 
 
 def fail(*args):
     raise AssertionError("called")
 
 
-def test_a_written_store_is_read_without_the_block_reader(tmp_path, monkeypatch):
+def test_the_benchmark_inputs_are_read_without_the_per_row_readers(tmp_path, monkeypatch):
+    """A store that write_store writes, and a raw CSV that synth_generate
+    writes with the store made of it, as the benchmark makes its inputs,
+    take the np.loadtxt passes: a change to either writer that sends them
+    to the per-row readers fails here."""
     cells = {
         (date(2017, 9, 3), 1): series([-3.0, -2.5, -1.0]),
         (date(2017, 9, 4), 2): series([-2.2, -2 / 3], b=-10.0, product=2),
     }
     path = tmp_path / "store.csv"
     write_store(cells, path)
-    monkeypatch.setattr(ingest, "_blocks", fail)
+    raw = synth_generate(model_from_name("Exp.Const"), [300.0], days=2, seed=5,
+                         out_path=tmp_path / "raw.csv", products=(11, 12), gen_start=-3.25)
+    expected = reference_build_series(reference_parse_csv(raw))
+    monkeypatch.setattr(ingest, "_read_raw_rows", fail)
+    monkeypatch.setattr(ingest, "_read_store_rows", fail)
     assert_same_series(load_store(path, {1: -9.0, 2: -10.0}), cells)
+    write_store(build_series(parse_csv(raw)), path)
+    assert sum(s.n for s in expected.values()) > 1000
+    assert_same_series(load_store(path), expected)
 
 
 @pytest.mark.parametrize("end", ["", "\r\n"])
@@ -1087,7 +1137,7 @@ def test_a_one_row_store_is_read(tmp_path, quote):
 
 def test_a_one_row_raw_csv_is_read(tmp_path, monkeypatch):
     path = write_csv(tmp_path / "a.csv", ["2017-09-30,12,2017-09-30 08:01:00"])
-    assert not block_reads(monkeypatch, parse_csv, path)
+    assert not row_reads(monkeypatch, parse_csv, path)
     assert_same_rows(parse_csv(path), reference_parse_csv(path))
 
 
@@ -1174,6 +1224,27 @@ def host_tz(request, monkeypatch):
     yield request.param
     monkeypatch.undo()
     time.tzset()
+
+
+@pytest.mark.parametrize("batch", [1, ingest._BATCH])
+def test_a_nul_row_reads_alike_with_or_without_a_later_quoted_row(tmp_path, caplog, monkeypatch, batch):
+    """A row with a NUL byte is kept whether or not a quoted row follows
+    it, whatever the batch size, on every supported Python: csv.reader
+    refuses NUL before 3.11.  The private-use characters that stand in for
+    a NUL inside the reader are read as themselves, and tell rows apart."""
+    monkeypatch.setattr(ingest, "_BATCH", batch)
+    row = "2017-09-30,12,2017-09-30 08:01:00,"
+    rows = [row + "a", row + "x\0y", row + "x\ue000\ue001y", row + "x\ue000\0y", row + "x\ue001y",
+            row + "x\0y"]
+    header = "delivery_date,product,timestamp,note"
+    alone = write_csv(tmp_path / "alone.csv", rows, header=header)
+    quoted = write_csv(tmp_path / "quoted.csv", [*rows, row + '"b,c"'], header=header)
+    got_alone, log_alone, error_alone = outcome(caplog, parse_csv, alone)
+    got_quoted, log_quoted, error_quoted = outcome(caplog, parse_csv, quoted)
+    assert error_alone is None and error_quoted is None
+    assert log_alone == log_quoted == ["dropped 1 exact duplicate rows from PATH"]
+    assert got_alone.line.tolist() == [2, 3, 4, 5, 6]
+    assert got_quoted.line.tolist() == [2, 3, 4, 5, 6, 8]
 
 
 def test_an_offset_timestamp_needs_a_timezone(tmp_path, host_tz):
