@@ -147,7 +147,7 @@ class FittedModel:
             raise ParameterError(
                 f"{spec.name} fit record needs {spec.n_params} theta numbers, got {theta!r}"
             )
-        data.setdefault("fallback", False)
+        data = {"fallback": False, "start_source": "", **data}
         for key, holds, meaning in _RECORD_TYPES:
             if not holds(data[key]):
                 raise ParameterError(f"fit record {key} must be {meaning}, got {data[key]!r}")
@@ -160,7 +160,7 @@ class FittedModel:
             window=(window[0], window[1]),
             n_evals=data["n_evals"],
             converged=data["converged"],
-            start_source=data.get("start_source", ""),
+            start_source=data["start_source"],
             fallback=data["fallback"],
         )
 
@@ -189,6 +189,7 @@ _RECORD_TYPES = (
       for key in ("n_obs", "days", "n_evals")),
     *((key, lambda v: isinstance(v, bool), "true or false") for key in ("converged", "fallback")),
     ("log_likelihood", lambda v: v is None or is_real(v), "a number or null"),
+    ("start_source", lambda v: isinstance(v, str), "a string"),
 )
 
 

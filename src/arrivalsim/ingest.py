@@ -535,11 +535,11 @@ def _utc_us(transactions: Transactions, tz: ZoneInfo | None) -> np.ndarray:
     """Integer microseconds since 1970-01-01 UTC of each timestamp, or of its
     wall clock when there is no ``tz``.
 
-    Naive timestamps are read in ``tz``, at one offset per distinct local
-    minute: exact while the zone's offsets change on whole minutes, as
-    every zone's do in current use.  Raises :class:`RowError` for a
-    timestamp with a UTC offset when there is no ``tz``, since the
-    delivery start is then wall clock.
+    Naive timestamps are read in ``tz`` at the offset of their local
+    minute, taken once per local hour, or per minute in an hour whose
+    ends differ: exact while offsets change on whole minutes and at most
+    once an hour.  Raises :class:`RowError` for a timestamp with a UTC
+    offset when there is no ``tz``: the delivery start is wall clock.
     """
     us = transactions.timestamp.view(np.int64)
     aware = transactions.aware
@@ -549,15 +549,24 @@ def _utc_us(transactions: Transactions, tz: ZoneInfo | None) -> np.ndarray:
                            "timestamp has a UTC offset, so the timezone must be configured")
         return us
     naive = ~aware
-    minutes, local = np.unique(us[naive] // 60_000_000, return_inverse=True)
-    offsets = np.array(
+    hours, local = np.unique(us[naive] // 3_600_000_000, return_inverse=True)
+    offsets = _offsets_us(hours * 60, tz)
+    split = (offsets != _offsets_us(hours * 60 + 59, tz))[local]
+    offsets = offsets[local]
+    minutes, inside = np.unique(us[naive][split] // 60_000_000, return_inverse=True)
+    offsets[split] = _offsets_us(minutes, tz)[inside]
+    utc = us.copy()
+    utc[naive] -= offsets
+    return utc
+
+
+def _offsets_us(minutes: np.ndarray, tz: ZoneInfo) -> np.ndarray:
+    """``tz``'s UTC offsets in microseconds at local minutes since 1970."""
+    return np.array(
         [dt.replace(tzinfo=tz).utcoffset() // _US
          for dt in minutes.astype("datetime64[m]").tolist()],
         dtype=np.int64,
     )
-    utc = us.copy()
-    utc[naive] -= offsets[local]
-    return utc
 
 
 def _in_cell_order(day: np.ndarray, product: np.ndarray, values: np.ndarray) -> bool:

@@ -29,24 +29,21 @@ A step costs about twenty small numpy calls whatever its width, so the
 records of one ``simulate_sets`` call share locksteps by step kernel and
 by whether their shape is constant or varies in time: the models of a
 cell, and in a study the models of several cells, each record with its
-own anchor, which only its first gaps read.  Exp and Gamma models step
-``w / rate``, GenGam and GenF models ``exp(mu + sigma * w)``; the rows of
-a lockstep draw with one sampler kind, Marsaglia-Tsang attempts if they
-are Gamma rows with a time-varying shape and one innovation per slot
-otherwise, and keep their slots in blocks of one length and width.  A
-lockstep evaluates its rows in :func:`~arrivalsim.models.join` of its
-members' specs, the narrowest layout that holds them all, with a
-parameter column per row (:meth:`ModelSpec.embed`): a kind that every
-member shares kept; other Const and Lin functions padded with zeros to
-Quadr; Quadr and Expon functions side by side as ``c + b1 t + b2 t t +
-exp(a1 + a2 t)``, with a1 = -inf for a polynomial and b1 = b2 = 0 for an
-Expon; an Exp as a Gamma with a shape of 1, which the rate step does not
-read; a GenGam as a GenF with p = 0, since a step uses only mu and
-sigma.  Each gives bitwise its model's own values at finite t.  Exp rows
-alone keep the Exp layout.  Models with one step kernel, kind of shape
-and fit window share a lockstep of at most ``_ROWS`` trajectories.  A
-model with ``_ROWS`` or more trajectories fills a lockstep of its own,
-and steps the same way.
+own anchor, which only its first gaps read.  So the rows of a lockstep
+draw with one sampler kind, attempts or one innovation per slot, and
+keep their slots in blocks of one length and width.  A lockstep
+evaluates its rows in :func:`~arrivalsim.models.join` of its members'
+specs, the narrowest layout that holds them all, with a parameter column
+per row (:meth:`ModelSpec.embed`): a kind that every member shares kept;
+other Const and Lin functions padded with zeros to Quadr; Quadr and
+Expon functions side by side as ``c + b1 t + b2 t t + exp(a1 + a2 t)``,
+with a1 = -inf for a polynomial and b1 = b2 = 0 for an Expon; an Exp as
+a Gamma with a shape of 1, which the rate step does not read; a GenGam
+as a GenF with p = 0, since a step uses only mu and sigma.  Each gives
+bitwise its model's own values at finite t.  Exp rows alone keep the Exp
+layout.  Models with one step kernel, kind of shape and fit window share
+a lockstep of at most ``_ROWS`` trajectories.  A model with ``_ROWS`` or
+more trajectories fills a lockstep of its own, and steps the same way.
 
 A lockstep's block length is the most arrivals on the horizon that a
 member's record counts, its ``n_obs / days`` spells per day over its fit
@@ -57,28 +54,26 @@ count; a record that runs alone draws at least a quarter of ``_BLOCK``
 slots at a time.  A row holds 16 bytes per arrival while its lockstep
 gathers them, so a full lockstep of trajectories with about 200 arrivals
 peaked at 3.1 MB (tracemalloc, the 37 models of two 28-day cells at M =
-200).  A lockstep's generators are built when it is
-packed, so one lockstep's generators, slots and arrivals are held at
-once.  A trajectory ends, with a warning, after ``_MAX_EVENTS``
-arrivals, so that a fit whose rate explodes inside the horizon costs
-bounded time and memory.
+200).  A lockstep's generators are built when it is packed, so one
+lockstep's generators, slots and arrivals are held at once.  A
+trajectory ends, with a warning, after ``_MAX_EVENTS`` arrivals, so that
+a fit whose rate explodes inside the horizon costs bounded time and
+memory.
 
 Each trajectory owns an rng stream, which ``simulate_sets`` derives from
 (seed, trajectory index) as ``SeedSequence(seed).spawn(m)[i]`` does, in
 one vectorized pass over the records of a lockstep.  The stream first
 yields the uniform of the first gap.  Once the first arrival lands
 before the horizon end it yields the trajectory's slots one after
-another: innovations, or, for a gamma whose shape varies in time, the
-uniforms (u0, u, v) of Marsaglia-Tsang attempts, whose normal is
-``ndtri(u0)``.  Every sampler reads its stream in an order that does not
-depend on how many slots it draws at a time, so the block length changes
-no trajectory, with one exception: a GenF with p >= ``GENGAM_P_EPS``
-draws a block's gamma variates at one of its two shapes and then those
-at the other, so a lockstep that holds one draws blocks of ``_BLOCK``.
-A row draws its next block when it has spent the last, so a trajectory
-does not depend on the rest of its set nor on the models it shares a
-lockstep with, and a set is bitwise reproducible however the work is
-scheduled and grouped and however large M is.
+another: innovations, each of a GenF with p >= ``GENGAM_P_EPS`` from a
+pair of gamma variates at its two shapes, or, for a gamma whose shape
+varies in time, the uniforms (u0, u, v) of Marsaglia-Tsang attempts,
+whose normal is ``ndtri(u0)``.  So no sampler's stream depends on how
+many slots it draws at a time, and the block length changes no
+trajectory.  A row draws its next block when it has spent the last, so a
+trajectory does not depend on the rest of its set nor on the models it
+shares a lockstep with, and a set is bitwise reproducible however the
+work is scheduled and grouped and however large M is.
 """
 
 from __future__ import annotations
@@ -113,12 +108,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Slots a row draws per rng call where a record of its lockstep holds no
-# spell count, or the lockstep holds a sampler whose stream order depends
-# on the block length; with ``_ROWS``, the bound on a lockstep's slot
-# values.  A healthy trajectory has about 140 to 230 arrivals, so it
-# draws one block or two; of 64, 128, 256 and 512, 256 simulated a
-# 37-model cell fastest at M = 40 and M = 1,000 when every row drew
-# blocks of one fixed length.
+# spell count; with ``_ROWS``, the bound on a lockstep's slot values.  A
+# healthy trajectory has about 140 to 230 arrivals, so it draws one block
+# or two; of 64, 128, 256 and 512, 256 simulated a 37-model cell fastest
+# at M = 40 and M = 1,000 when every row drew blocks of one fixed length.
 _BLOCK = 256
 # Most trajectories in one lockstep.  The cap bounds the memory a
 # lockstep adds over simulating its models one at a time, however many
@@ -310,9 +303,7 @@ def _simulate(lockstep, t_start, t_end) -> Iterator[tuple[int, TrajectorySet]]:
             members.append(_Member(index, key, fitted, rngs, *first))
     if not members:
         return
-    invariant = all(m.sampler.invariant for m in members)
-    block = _block_length(members, t_start, t_end) if invariant else _BLOCK
-    arrivals, lengths = _lockstep(members, t_end, block)
+    arrivals, lengths = _lockstep(members, t_end, _block_length(members, t_start, t_end))
     rows = np.cumsum([0] + [len(member.rngs) for member in members])
     ends = np.concatenate([[0], np.cumsum(lengths)])[rows]
     for k, member in enumerate(members):

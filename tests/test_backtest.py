@@ -114,8 +114,8 @@ class TestSynth:
             )
 
     @pytest.mark.parametrize("name, theta, gen_start, rows, hours", [
-        ("GenF.Lin.Const", [60.0, -5.0, 1.0, 0.5, 1.0], None, 2845, -33762.15237131778),
-        ("GenF.Const.Const", [80.0, 1.0, 0.5, 1.0], None, 2033, -21692.613069760002),
+        ("GenF.Lin.Const", [60.0, -5.0, 1.0, 0.5, 1.0], None, 2601, -30843.069868942497),
+        ("GenF.Const.Const", [80.0, 1.0, 0.5, 1.0], None, 1921, -19657.82749543417),
         ("Exp.Expon", [20.0, 5.0, 1.0], -4.25, 345, -662.0547623588889),
     ])
     def test_the_benchmark_models_draw_the_pinned_transactions(

@@ -325,7 +325,8 @@ class TestSampling:
 
     # a sampler of each stream layout: exponential, gamma at a constant
     # shape below and above 1, Marsaglia-Tsang attempts, log-gamma at q of
-    # either sign, the lognormal limit, and a GenF at p below GENGAM_P_EPS
+    # either sign, the lognormal limit, a GenF at p below GENGAM_P_EPS, and
+    # (G1, G2) pairs of a GenF above it at q of either sign
     INVARIANT = [
         (EXP, False, (4.0,)),
         (GAMMA, False, (0.6, 2.0)),
@@ -335,6 +336,8 @@ class TestSampling:
         (GENGAM, False, (0.1, 0.5, -0.9)),
         (GENGAM, False, (0.1, 0.5, 1e-6)),
         (GENF, False, (0.1, 0.5, 0.8, 1e-9)),
+        (GENF, False, (0.1, 0.5, 0.8, 1.0)),
+        (GENF, False, (0.1, 0.5, -0.9, 1.0)),
     ]
 
     @pytest.mark.parametrize("family, varying, params", INVARIANT)
@@ -342,7 +345,6 @@ class TestSampling:
         """draw(rng, a) then draw(rng, b) gives bitwise draw(rng, a + b),
         returned or written into ``out``."""
         sampler = KERNELS[family].innovations(varying, *params)
-        assert sampler.invariant
         whole = sampler.draw(np.random.default_rng(3), 300)
         assert whole.shape == (sampler.width, 300)
         for a in (0, 1, 7, 190, 300):
@@ -353,17 +355,6 @@ class TestSampling:
             sampler.draw(rng, a, out[:a])
             sampler.draw(rng, 300 - a, out[a:])
             np.testing.assert_array_equal(out.T, whole)
-
-    def test_a_genf_block_reads_one_shape_then_the_other(self):
-        """The exception: a GenF at p >= GENGAM_P_EPS draws a block's gamma
-        variates at one shape and then those at the other, so its slots
-        depend on the block length."""
-        sampler = KERNELS[GENF].innovations(False, 0.1, 0.5, 0.8, 1.0)
-        assert not sampler.invariant
-        whole = sampler.draw(np.random.default_rng(3), 300)
-        rng = np.random.default_rng(3)
-        parts = np.hstack([sampler.draw(rng, 100), sampler.draw(rng, 200)])
-        assert not np.array_equal(parts, whole)
 
     def test_exp_monte_carlo_mean(self):
         draws = sample(EXP, (4.0,), np.random.default_rng(1), 10**6)
@@ -378,6 +369,14 @@ class TestSampling:
         params = (-0.3, 0.6, 0.8, 1.5)
         draws = sample(GENF, params, np.random.default_rng(3), 10**5)
         assert stats.kstest(draws, oracle(GENF, params).cdf).statistic < 0.01
+
+    @pytest.mark.parametrize("q, p", [(2.0, 0.1), (-0.9, 0.4), (0.0, 3.0), (0.8, 2e-8)])
+    def test_genf_pairs_follow_genf_cdf(self, q, p):
+        """The (G1, G2) pairs give GenF's law at either sign of q, at q = 0,
+        and with p just above GENGAM_P_EPS, where G2's shape is about 1e8."""
+        params = (-0.3, 0.6, q, p)
+        draws = sample(GENF, params, np.random.default_rng(31), 10**5)
+        assert stats.kstest(draws, lambda x: KERNELS[GENF].cdf(x, *params)).statistic < 0.01
 
     def test_gengam_negative_q_sampler(self):
         params = (0.0, 0.5, -0.9)

@@ -276,6 +276,8 @@ class TestFit:
         (lambda record: {**record, "converged": "yes"}, "converged must be true or false"),
         (lambda record: {**record, "fallback": 0}, "fallback must be true or false"),
         (lambda record: {**record, "log_likelihood": "x"}, "log_likelihood must be a number"),
+        (lambda record: {**record, "start_source": [1, 2]}, "start_source must be a string"),
+        (lambda record: {**record, "start_source": None}, "start_source must be a string"),
     ])
     def test_a_record_that_does_not_hold_is_a_parameter_error(self, edit, message):
         record = json.loads(FittedModel(
@@ -283,6 +285,14 @@ class TestFit:
         ).to_json())
         with pytest.raises(ParameterError, match=message):
             FittedModel.from_json(json.dumps(edit(record)))
+
+    def test_a_record_without_its_defaulted_keys_loads_their_defaults(self):
+        record = json.loads(FittedModel(
+            model_from_name("Exp.Const"), [2.0], -1.0, n_obs=10, days=1, window=(-3.25, -0.5)
+        ).to_json())
+        del record["start_source"], record["fallback"]
+        loaded = FittedModel.from_json(json.dumps(record))
+        assert (loaded.start_source, loaded.fallback) == ("", False)
 
     def test_text_that_is_not_json_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="not JSON"):
@@ -613,7 +623,7 @@ class TestCascade:
         sample = merge_samples(
             [slice_window(s, A) for (day, _), s in series.items() if day < date(2017, 9, 10)]
         )
-        assert (sample.n, sample.days) == (1051, 7)
+        assert (sample.n, sample.days) == (984, 7)
         options = FitOptions()
         fits = fit_cascade(enumerate_models(), sample, options)
         t_ref = 0.5 * (sample.window_start + sample.window_end)

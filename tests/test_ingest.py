@@ -1261,3 +1261,23 @@ def test_an_offset_timestamp_needs_a_timezone(tmp_path, host_tz):
     # with a timezone, the reading does not depend on the host
     cells = build_series(rows, tz=BERLIN)
     np.testing.assert_array_equal(cells[(date(2017, 9, 30), 12)].arrivals, [-3.0, -179 / 60])
+
+
+@pytest.mark.parametrize("zone, day", [
+    ("Europe/Berlin", date(2017, 3, 26)),  # 02:00-02:59 is skipped
+    ("Europe/Berlin", date(2017, 10, 29)),  # 02:00-02:59 is repeated
+    ("Australia/Lord_Howe", date(2017, 10, 1)),  # 02:00-02:29 is skipped
+])
+def test_local_times_read_at_the_offset_of_their_own_minute(zone, day, host_tz):
+    """Offsets taken once per local hour, and once per minute inside an
+    hour whose ends differ (Lord Howe's 30-minute shift), give each
+    timestamp of a switch day the UTC time of its own offset; a skipped
+    or repeated time reads as ``datetime.replace(tzinfo=tz)`` does.  A
+    timestamp with a UTC offset keeps it."""
+    tz = ZoneInfo(zone)
+    start = datetime.combine(day, datetime.min.time()) - timedelta(hours=1)
+    times = [start + timedelta(minutes=k, seconds=k % 7 * 8) for k in range(26 * 60)]
+    aware = datetime.combine(day, datetime.min.time(), timezone(timedelta(hours=5)))
+    got = ingest._utc_us(transactions([(day, 12, ts) for ts in [*times, aware]]), tz)
+    want = [micros(ts.replace(tzinfo=tz)) for ts in times] + [micros(aware)]
+    np.testing.assert_array_equal(got, want)

@@ -8,7 +8,7 @@ from scipy import special, stats
 
 from arrivalsim.distributions import GENGAM_P_EPS, LOGNORMAL_Q_EPS, _genf_shapes, truncated_quantile
 from arrivalsim.fitting import FittedModel
-from arrivalsim.models import Family, FuncKind, enumerate_models, model_from_name
+from arrivalsim.models import Family, FuncKind, enumerate_models, feasible_on_grid, model_from_name
 from arrivalsim.scoring import minute_grid
 from arrivalsim import distributions, simulate
 from arrivalsim.errors import DomainError
@@ -32,10 +32,10 @@ T1, T2 = -3.25, -0.5
 SPAN = T2 - T1
 
 # models of each family whose stream use differs: blocks of exponential
-# innovations, of beta-prime innovations (a block of gamma draws at each
-# of two shapes), and of Marsaglia-Tsang attempts for a gamma shape that
-# varies in time, below 1 (boosted) and above it; every trajectory runs
-# past its first block
+# innovations, of beta-prime innovations (a pair of gamma draws, one at
+# each of two shapes, per slot), and of Marsaglia-Tsang attempts for a
+# gamma shape that varies in time, below 1 (boosted) and above it; every
+# trajectory runs past its first block
 STREAM_CASES = [
     ("Exp.Const", [100.0]),
     ("GenF.Lin.Const", [200.0, -5.0, 1.0, 0.5, 1.0]),
@@ -100,36 +100,35 @@ def reference_trajectory(fm, anchor, t_start, t_end, rng):
     then one slot at a time, an innovation or, for a gamma with a
     time-varying shape, the uniforms (u0, u, v) of an attempt, read as
     (normal ndtri(u0), uniform, uniform).  A GenF with p >= GENGAM_P_EPS
-    draws blocks of ``_BLOCK`` innovations: ``_BLOCK`` gamma variates at
-    each of its two shapes."""
+    draws a slot's gamma variate at each of its two shapes in turn."""
     spec, theta, family = fm.spec, fm.theta, fm.spec.family
     lo, hi = fm.window
     rate = scalar_func(spec.rate_kind, theta[spec.rate_slice])
     if spec.shape_kind is not None:
         shape = scalar_func(spec.shape_kind, theta[spec.shape_slice])
-    block = 1
     if family is Family.EXP:
-        draw = lambda n: rng.exponential(1.0, n)
+        draw = lambda: rng.exponential()
     elif family is Family.GAMMA and spec.shape_kind is FuncKind.CONST:
-        draw = lambda n: rng.gamma(shape(0.0), 1.0, n)
+        draw = lambda: rng.gamma(shape(0.0))
     elif family is Family.GAMMA:
-        draw = lambda n: [(special.ndtri(u0), u, v) for u0, u, v in rng.random((n, 3))]
+        def draw():
+            u0, u, v = rng.random(3)
+            return special.ndtri(u0), u, v
     else:
         q = float(theta[spec.q_index])
         p = float(theta[spec.p_index]) if family is Family.GENF else 0.0
         if p >= GENGAM_P_EPS:
             delta, s1, s2 = _genf_shapes(q, p)
             ratio = s2 / s1
-            draw = lambda n: np.log(ratio * rng.gamma(s1, 1.0, n) / rng.gamma(s2, 1.0, n)) / delta
-            block = _BLOCK
+            draw = lambda: np.log(ratio * rng.gamma(s1) / rng.gamma(s2)) / delta
         elif abs(q) >= LOGNORMAL_Q_EPS:
-            draw = lambda n: np.log(rng.gamma(q ** -2, 1.0, n) / q ** -2) / q
+            draw = lambda: np.log(rng.gamma(q ** -2) / q ** -2) / q
         else:
-            draw = lambda n: rng.standard_normal(n)
+            draw = lambda: rng.standard_normal()
 
     def slots():
         while True:
-            yield from draw(block)
+            yield draw()
 
     stream = slots()
     first = params_at(spec, theta, min(max(anchor, lo), hi))
@@ -615,7 +614,8 @@ class TestGroupedLocksteps:
         grouped, messages = simulate_both(caplog, records, m=40)
         for k, (record, ts) in enumerate(zip(records, grouped)):
             ended = sum(
-                1 for tr in ts.trajectories if tr.size and 4 * tr[-1] ** 2 + 16 * tr[-1] + 15 <= 0
+                1 for tr in ts.trajectories
+                if tr.size and not feasible_on_grid(record.spec, record.theta, tr[-1])
             )
             assert (ended > 0) == (k < len(NEGATIVE_RATE_CASES))
             named = [msg for msg in messages if msg.startswith(record.spec.name + ":")]
@@ -725,9 +725,10 @@ FAST, SLOW = (1100, 4), (440, 4)
      (T1, T2), T2, _ROWS // 7, _ROWS * _BLOCK // (3 * 7 * (_ROWS // 7))),
     # one record of 1,100 rows of attempts: the cap, 59, is below the floor
     (["Gamma.Lin.Lin"], [[40.0, 0.0, 3.0, 0.5]], [SLOW], (T1, T2), T2, 1100, _BLOCK // 4),
-    # a GenF with p >= GENGAM_P_EPS reads its stream in blocks of _BLOCK
+    # a GenF with p >= GENGAM_P_EPS and a GenGam share a lockstep: 110
+    # arrivals on the horizon
     (["GenGam.Const.Const", "GenF.Const.Const"], [[150.0, 1.6, 0.8], [150.0, 1.6, 0.8, 1.0]],
-     [SLOW, SLOW], (T1, T2), T2, 10, _BLOCK),
+     [SLOW, SLOW], (T1, T2), T2, 10, margin(110.0)),
     # a record without spells, days or a window span: _BLOCK
     (["Exp.Const", "Exp.Const"], [[40.0], [100.0]], [SLOW, (0, 0)], (T1, T2), T2, 10, _BLOCK),
     (["Exp.Const"], [[100.0]], [(1100, 0)], (T1, T2), T2, 10, _BLOCK),
@@ -752,7 +753,7 @@ def test_the_block_length_changes_no_trajectory(caplog, monkeypatch, block, cell
     block length the records' counts give: every model, the time-varying
     Gamma models at a rate that spends several blocks, and the stream
     cases; and the GenGam models, with one in the lognormal limit, in
-    locksteps without a GenF whose p holds them at ``_BLOCK``."""
+    locksteps of their own."""
     rng = np.random.default_rng(12)
     specs = [s for s in enumerate_models() if cell != "GenGam" or s.family is Family.GENGAM]
     cases = [(spec.name, feasible_theta(spec, rng)) for spec in specs]
